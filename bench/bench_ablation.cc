@@ -5,11 +5,12 @@
 //    used are "within 4.20% of the optimum runtime").
 //  * Iteration block size for the NUMA-aware agent loop (Section 4.1's
 //    block partitioning granularity).
+//  * Mechanics engine: the per-agent path (every pair force evaluated from
+//    both endpoints) vs the default pair-symmetric engine (Section 5).
 //  * Allocator growth rate and segment size (Section 4.3's
 //    mem_mgr_growth_rate / mem_mgr_aligned_pages_shift).
 #include <cstdio>
 
-#include "accel/offload_displacement_op.h"
 #include "harness.h"
 #include "memory/memory_manager.h"
 
@@ -69,36 +70,20 @@ int main() {
   }
 
   PrintHeader(
-      "Ablation 5: displacement evaluation -- per-agent AoS (default) vs "
-      "gather/SoA-kernel/scatter (GPU-offload structure)");
-  std::printf("%-16s %14s %14s %10s\n", "model", "AoS s/iter", "SoA s/iter",
-              "AoS/SoA");
+      "Ablation 5: mechanics engine -- per-agent (pair_symmetric_forces=0) "
+      "vs pair-symmetric (default)");
+  std::printf("%-16s %14s %14s %10s\n", "model", "per-agent s/it",
+              "pair s/iter", "ratio");
   for (const auto& model :
        {std::string("cell_sorting"), std::string("proliferation")}) {
-    Param param = AllOptimizationsParam(0, 2);
-    const RunResult aos = RunModel(model, agents, 20, param);
-    double soa_s = 0;
-    {
-      const models::ModelInfo* info = models::FindModel(model);
-      Param p = param;
-      if (info->configure != nullptr) {
-        info->configure(&p);
-      }
-      Simulation sim("soa", p);
-      info->build(&sim, agents);
-      sim.GetScheduler()->RemoveOp("mechanical_forces");
-      sim.GetScheduler()->AppendPostOp(
-          std::make_unique<accel::OffloadDisplacementOp>());
-      const auto start = std::chrono::steady_clock::now();
-      sim.Simulate(20);
-      soa_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            start)
-                  .count() /
-              20;
-    }
+    const Param pair = AllOptimizationsParam(0, 2);
+    Param per_agent = pair;
+    per_agent.pair_symmetric_forces = false;
+    const RunResult rp = RunModel(model, agents, 20, per_agent);
+    const RunResult rd = RunModel(model, agents, 20, pair);
     std::printf("%-16s %14.4f %14.4f %9.2fx\n", model.c_str(),
-                aos.seconds_per_iteration, soa_s,
-                aos.seconds_per_iteration / soa_s);
+                rp.seconds_per_iteration, rd.seconds_per_iteration,
+                rp.seconds_per_iteration / rd.seconds_per_iteration);
   }
 
   PrintHeader("Ablation 6: allocator growth rate & segment size");

@@ -2,13 +2,14 @@
 // Section 5): the same collision-force step once through the per-agent
 // reference path (every agent runs CalculateDisplacement, so every pair
 // force is computed twice -- once from each endpoint) and once through the
-// half-stencil pair traversal + per-thread accumulators (every pair force
-// computed once, scattered +F/-F).
+// fused kernel of MechanicsFusedOp's fast path (half-stencil traversal over
+// the persistent SoaStore, every pair force computed once and scattered
+// +F/-F into per-slab shards, then one fold pass).
 //
 // Besides timing, the bench is a correctness harness: the two kernels must
 // agree exactly on the per-agent non-zero-force counts (the force is exactly
 // antisymmetric in IEEE arithmetic), agree on displacements up to
-// accumulation-order rounding, and the pair kernel's total force over all
+// accumulation-order rounding, and the fused kernel's total force over all
 // agents must vanish (momentum conservation -- +F/-F scatter by
 // construction).
 //
@@ -29,7 +30,6 @@
 #include "math/random.h"
 #include "physics/force_kernel.h"
 #include "physics/interaction_force.h"
-#include "physics/pair_force_accumulator.h"
 
 namespace bdm::bench {
 namespace {
@@ -103,33 +103,11 @@ int Run() {
         });
       });
 
-  // B: pair-symmetric engine. Half-stencil traversal computes each pair
-  // force once; the flush folds the per-thread partials.
-  PairForceAccumulator accumulator;
-  std::vector<Real3> disp_b(count);
-  std::vector<int> nzf_b(count, 0);
-  std::vector<Real3> momentum(pool.NumThreads());
-  const double ns_pair =
-      MeasureNsPerAgent(count, [&] {
-        for (auto& m : momentum) {
-          m = {0, 0, 0};
-        }
-        accumulator.Accumulate(grid, force, squared_radius,
-                               /*skip_static=*/false, &pool);
-        accumulator.Flush(&pool, [&](uint32_t i, const Real3& total,
-                                     int non_zero, int tid) {
-          momentum[tid] += total;
-          disp_b[i] = displacement_of(total);
-          nzf_b[i] = non_zero;
-        });
-      });
-
-  // C: fused SoA engine (ISSUE 6). Same half-stencil pair set as B, but the
-  // zeroing is fused into the traversal dispatch, the force is the inlined
-  // branch-free kernel evaluated straight off the persistent store's arrays
-  // (no Agent access, no virtual call), and the scatter goes into the
-  // store's shared shards. Identical chains + identical slab partition =>
-  // identical scatter and fold order => disp_c must equal disp_b BITWISE.
+  // B: fused SoA engine. The half-stencil pair set, with the zeroing fused
+  // into the traversal dispatch, the force being the inlined branch-free
+  // kernel evaluated straight off the persistent store's arrays (no Agent
+  // access, no virtual call), and the scatter going into the store's
+  // shards -- MechanicsFusedOp's fast path without the integration.
   SoaStore& store = rm.GetSoaStore();
   SoaStore::ForceShards& shards = store.force_shards();
   const real_t* px = store.pos_x();
@@ -139,11 +117,11 @@ int Run() {
   const real_t repulsion = force.repulsion();
   const real_t attraction = force.attraction();
   const real_t attraction_range = force.attraction_range();
-  std::vector<Real3> disp_c(count);
-  std::vector<int> nzf_c(count, 0);
-  std::vector<Real3> momentum_c(pool.NumThreads());
+  std::vector<Real3> disp_b(count);
+  std::vector<int> nzf_b(count, 0);
+  std::vector<Real3> momentum(pool.NumThreads());
   const double ns_fused = MeasureNsPerAgent(count, [&] {
-    for (auto& m : momentum_c) {
+    for (auto& m : momentum) {
       m = {0, 0, 0};
     }
     shards.Ensure(pool.NumThreads(), count);
@@ -198,13 +176,13 @@ int Run() {
           nz += shard.non_zero[i];
         }
         if (nz == 0) {
-          disp_c[i] = {0, 0, 0};
-          nzf_c[i] = 0;
+          disp_b[i] = {0, 0, 0};
+          nzf_b[i] = 0;
           continue;
         }
-        momentum_c[tid] += sum;
-        disp_c[i] = displacement_of(sum);
-        nzf_c[i] = static_cast<int>(nz);
+        momentum[tid] += sum;
+        disp_b[i] = displacement_of(sum);
+        nzf_b[i] = static_cast<int>(nz);
       }
     });
   });
@@ -236,7 +214,7 @@ int Run() {
   }
   const double net_momentum = net.Norm();
   if (mismatches != 0) {
-    std::fprintf(stderr, "pair/per-agent disagreement on %llu agents\n",
+    std::fprintf(stderr, "fused/per-agent disagreement on %llu agents\n",
                  static_cast<unsigned long long>(mismatches));
     return 1;
   }
@@ -245,64 +223,29 @@ int Run() {
                  net_momentum);
     return 1;
   }
-  // Fused engine: nzf must agree exactly (same pair set), displacements
-  // BITWISE (same scatter and fold order as B -- see kernel C's comment),
-  // momentum must vanish independently.
-  uint64_t fused_mismatches = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    if (nzf_c[i] != nzf_b[i] || disp_c[i].x != disp_b[i].x ||
-        disp_c[i].y != disp_b[i].y || disp_c[i].z != disp_b[i].z) {
-      ++fused_mismatches;
-    }
-  }
-  if (fused_mismatches != 0) {
-    std::fprintf(stderr, "fused/pair disagreement on %llu agents\n",
-                 static_cast<unsigned long long>(fused_mismatches));
-    return 1;
-  }
-  Real3 net_c_total{};
-  for (const Real3& m : momentum_c) {
-    net_c_total += m;
-  }
-  const double net_momentum_fused = net_c_total.Norm();
-  if (net_momentum_fused > 1e-8 * std::max(1.0, force_scale)) {
-    std::fprintf(stderr, "fused momentum not conserved: |net force| = %g\n",
-                 net_momentum_fused);
-    return 1;
-  }
 
-  const double speedup = ns_per_agent / ns_pair;
-  PrintHeader("Mechanical forces: per-agent vs pair-symmetric engine");
+  const double speedup = ns_per_agent / ns_fused;
+  PrintHeader("Mechanical forces: per-agent vs pair-symmetric fused engine");
   std::printf("agents %llu, %.2f pair forces/agent, threads %d\n",
               static_cast<unsigned long long>(n),
               static_cast<double>(pair_interactions) / static_cast<double>(n),
               param.num_threads);
   std::printf("  per-agent (2x force evals) : %8.1f ns/agent-step\n",
               ns_per_agent);
-  std::printf("  pair-symmetric (1x evals)  : %8.1f ns/agent-step  (%.2fx)\n",
-              ns_pair, speedup);
-  const double fused_speedup = ns_per_agent / ns_fused;
-  std::printf(
-      "  fused SoA (store kernel)   : %8.1f ns/agent-step  (%.2fx, bitwise "
-      "== pair)\n",
-      ns_fused, fused_speedup);
-  std::printf("  displacement checksum %.12g, |net force| %.3g / %.3g\n",
-              checksum, net_momentum, net_momentum_fused);
+  std::printf("  fused SoA (1x evals)       : %8.1f ns/agent-step  (%.2fx)\n",
+              ns_fused, speedup);
+  std::printf("  displacement checksum %.12g, |net force| %.3g\n", checksum,
+              net_momentum);
 
   WriteBenchJson(
       "BENCH_forces.json",
       {{"forces_per_agent", n, ns_per_agent,
         {{"pair_forces_per_agent",
           static_cast<double>(pair_interactions) / static_cast<double>(n)}}},
-       {"forces_pair_symmetric", n, ns_pair,
-        {{"speedup", speedup},
-         {"displacement_checksum", checksum},
-         {"net_momentum", net_momentum}}},
        {"forces_fused", n, ns_fused,
-        {{"speedup_vs_per_agent", fused_speedup},
-         {"speedup_vs_pair", ns_pair / ns_fused},
-         {"nzf_agreement", fused_mismatches == 0 ? 1.0 : 0.0},
-         {"net_momentum", net_momentum_fused}}}});
+        {{"speedup_vs_per_agent", speedup},
+         {"displacement_checksum", checksum},
+         {"net_momentum", net_momentum}}}});
   return 0;
 }
 

@@ -2,7 +2,8 @@
 // store"): the same relaxation workload once with Param::soa_primary ON
 // (persistent store updated incrementally at Commit + MechanicsFusedOp's
 // fused zero/traverse/scatter and fold/integrate/write-back passes) and once
-// with it OFF (legacy per-iteration grid mirror + MechanicalForcesPairOp).
+// with it OFF (legacy per-iteration grid mirror + the same engine's generic
+// pair traversal with the virtual force).
 // Unlike bench_forces -- which times the force kernels in isolation on a
 // frozen grid -- this drives the whole scheduler pipeline: environment
 // update, staticness passes, mechanics, commit, so the store's incremental
@@ -120,10 +121,10 @@ int Run() {
   std::printf("agents %llu, %llu iterations, threads 4\n",
               static_cast<unsigned long long>(n),
               static_cast<unsigned long long>(iterations));
-  std::printf("  mirror + pair engine (soa_primary=0) : %8.1f ns/agent-iter\n",
+  std::printf("  mirror + generic path (soa_primary=0) : %8.1f ns/agent-iter\n",
               ns_reference);
   std::printf(
-      "  store + fused engine (soa_primary=1) : %8.1f ns/agent-iter  "
+      "  store + fast path (soa_primary=1)     : %8.1f ns/agent-iter  "
       "(%.2fx)\n",
       ns_fused, speedup);
   std::printf("  single-thread trajectories bitwise identical (%zu agents)\n",

@@ -6,8 +6,6 @@
 #include "core/simulation.h"
 #include "env/environment.h"
 #include "obs/metrics.h"
-#include "physics/interaction_force.h"
-#include "sched/numa_thread_pool.h"
 
 namespace bdm {
 
@@ -66,10 +64,6 @@ void BehaviorOp::Run(Agent* agent, AgentHandle, int tid, Simulation* sim) {
   agent->RunBehaviors(sim->GetExecutionContext(tid));
 }
 
-namespace {
-
-// Per-agent mechanics step shared by MechanicalForcesOp (the fused-loop
-// engine) and MechanicalForcesPairOp's custom-mechanics fallback.
 void RunPerAgentMechanics(Agent* agent, Simulation* sim) {
   const Param& param = sim->GetParam();
   if (agent->IsGhost()) {
@@ -99,65 +93,8 @@ void RunPerAgentMechanics(Agent* agent, Simulation* sim) {
   }
 }
 
-}  // namespace
-
 void MechanicalForcesOp::Run(Agent* agent, AgentHandle, int, Simulation* sim) {
   RunPerAgentMechanics(agent, sim);
-}
-
-void MechanicalForcesPairOp::Run(Simulation* sim) {
-  auto* rm = sim->GetResourceManager();
-  auto* env = sim->GetEnvironment();
-  const Param& param = sim->GetParam();
-  if (rm->GetNumCustomMechanicsAgents() > 0 || env->DenseAgents() == nullptr) {
-    // Custom-mechanics agents (neurite springs with kin exclusion) make the
-    // "total force = sum of symmetric pair forces" premise false, so the
-    // whole iteration runs the per-agent reference path.
-    rm->ForEachAgentParallel(
-        [&](Agent* agent, AgentHandle, int) { RunPerAgentMechanics(agent, sim); });
-    return;
-  }
-  const real_t radius = env->GetInteractionRadius();
-  // With the SoA-primary store on, scatter into its shared force shards so
-  // this engine and the fused op keep ONE set of scatter buffers between
-  // them (soa/mirror_bytes then reports the engine's only SoA copy).
-  SoaStore::ForceShards* shards =
-      param.soa_primary ? &rm->GetSoaStore().force_shards() : nullptr;
-  accumulator_.Accumulate(*env, *sim->GetInteractionForce(), radius * radius,
-                          param.detect_static_agents, sim->GetThreadPool(),
-                          shards);
-  Agent* const* agents = env->DenseAgents();
-  accumulator_.Flush(
-      sim->GetThreadPool(),
-      [&](uint32_t index, const Real3& total, int non_zero_forces, int) {
-        Agent* agent = agents[index];
-        if (agent->IsGhost()) {
-          return;  // halo copy: displacement is integrated by its owner shard
-        }
-        // Same skip as the per-agent path: a static agent is neither woken
-        // nor displaced. (Its pairs with awake partners were still computed
-        // above -- the awake side needs the force.)
-        if (param.detect_static_agents && agent->IsStatic()) {
-          if (MetricsRegistry::Enabled()) {
-            MetricsRegistry::Get().Add(Metrics().static_skips, 1);
-          }
-          return;
-        }
-        if (non_zero_forces > 1) {
-          agent->WakeUp();
-        }
-        if (total.SquaredNorm() < param.force_threshold_squared) {
-          return;
-        }
-        Real3 displacement = total * (param.dt / param.viscosity);
-        const real_t norm = displacement.Norm();
-        if (norm > param.max_displacement) {
-          displacement *= param.max_displacement / norm;
-        }
-        if (displacement.SquaredNorm() > 0) {
-          agent->ApplyDisplacement(displacement, param);
-        }
-      });
 }
 
 void DiffusionOp::Run(Simulation* sim) {

@@ -8,7 +8,6 @@
 #define BDM_CORE_DEFAULT_OPS_H_
 
 #include "core/operation.h"
-#include "physics/pair_force_accumulator.h"
 
 namespace bdm {
 
@@ -50,7 +49,8 @@ class BehaviorOp : public AgentOperation {
 /// Computes pairwise collision forces and applies the resulting
 /// displacement; honors the static-agent shortcut (Section 5). This is the
 /// per-agent reference path: every pair force is computed twice, once from
-/// each endpoint. Scheduled when param.pair_symmetric_forces is off.
+/// each endpoint. Scheduled when param.pair_symmetric_forces is off; with it
+/// on, the pair-symmetric engine (physics/mechanics_fused_op.h) runs instead.
 class MechanicalForcesOp : public AgentOperation {
  public:
   MechanicalForcesOp() : AgentOperation("mechanical_forces", 1) {
@@ -60,30 +60,11 @@ class MechanicalForcesOp : public AgentOperation {
   void Run(Agent* agent, AgentHandle handle, int tid, Simulation* sim) override;
 };
 
-/// Pair-symmetric mechanics engine: computes every pairwise force ONCE via
-/// the environment's half-stencil pair traversal, scatters +F/-F into
-/// per-thread accumulators, and applies displacements in one NUMA-aware
-/// reduction pass. Scheduled (as a standalone operation right after the
-/// agent loop, keeping the pipeline order behaviors -> mechanics ->
-/// diffusion -> commit) when param.pair_symmetric_forces is on. Shares the
-/// per-agent path's name so pipeline surgery such as
-/// RemoveOp("mechanical_forces") works against either engine.
-///
-/// Falls back to the per-agent path for the whole iteration when any agent
-/// carries custom mechanics (Agent::HasCustomMechanics -- neurite springs
-/// and kin exclusions are not expressible as symmetric pair forces) or when
-/// the environment exposes no dense agent index.
-class MechanicalForcesPairOp : public StandaloneOperation {
- public:
-  MechanicalForcesPairOp() : StandaloneOperation("mechanical_forces", 1) {
-    DeclareResources(kResGrid | kResAgentsGeometry,
-                     kResAgentsGeometry | kResForces);
-  }
-  void Run(Simulation* sim) override;
-
- private:
-  PairForceAccumulator accumulator_;
-};
+/// One agent's per-agent mechanics step: ghost skip, static skip (O6),
+/// CalculateDisplacement, wake on >1 non-zero force, ApplyDisplacement.
+/// MechanicalForcesOp runs it for every agent; so does MechanicsFusedOp
+/// while custom-mechanics agents (neurites) are alive.
+void RunPerAgentMechanics(Agent* agent, Simulation* sim);
 
 /// Advances all registered diffusion grids by param.dt.
 class DiffusionOp : public StandaloneOperation {

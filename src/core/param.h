@@ -57,18 +57,19 @@ struct Param {
   bool use_bdm_memory_manager = true;
   /// O6: skip collision forces for provably static agents (Section 5).
   bool detect_static_agents = false;
-  /// Pair-symmetric mechanics: compute every pairwise collision force once
-  /// (half-stencil pair traversal + per-thread accumulators) instead of
-  /// twice, exploiting Newton's third law. When false, the per-agent
+  /// Pair-symmetric mechanics (MechanicsFusedOp): compute every pairwise
+  /// collision force once (pair traversal + per-slab force shards) instead
+  /// of twice, exploiting Newton's third law. When false, the per-agent
   /// reference path (Cell::CalculateDisplacement per agent) runs instead.
   bool pair_symmetric_forces = true;
   /// SoA-primary mechanics: the persistent SoA store (core/soa_store.h) is
   /// the working copy of agent geometry -- the uniform grid reads it instead
-  /// of filling a private mirror, and (with pair_symmetric_forces) the fused
-  /// MechanicsFusedOp runs pair forces + displacement integration over the
-  /// store arrays, writing AoS positions back in the same pass. When false,
-  /// every consumer keeps its own per-iteration gather; that path is the
-  /// bitwise A/B reference for the fused one.
+  /// of filling a private mirror, and (with pair_symmetric_forces)
+  /// MechanicsFusedOp's fast path runs pair forces + displacement
+  /// integration over the store arrays, writing AoS positions back in the
+  /// same pass. When false, the grid keeps its own per-iteration mirror and
+  /// the engine takes its generic path; that is the bitwise A/B reference
+  /// for the fast path.
   bool soa_primary = true;
   /// Operation DAG execution (core/op_dag.h): derive dependencies between
   /// the scheduler's due operations from their declared resource footprints

@@ -110,9 +110,9 @@ class ResourceManager {
   }
 
   /// The persistent SoA mirror of the agent population (core/soa_store.h).
-  /// Mutable because consumers (environment update, mechanics, offload)
-  /// refresh it lazily from const iteration paths; the store only ever
-  /// re-derives state already owned by this ResourceManager.
+  /// Mutable because consumers (environment update, mechanics) refresh it
+  /// lazily from const iteration paths; the store only ever re-derives
+  /// state already owned by this ResourceManager.
   SoaStore& GetSoaStore() const { return soa_store_; }
 
  private:

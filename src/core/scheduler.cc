@@ -38,15 +38,9 @@ Scheduler::Scheduler(Simulation* sim) : sim_(sim) {
     // The pair engine needs the whole agent population at once (it walks
     // pairs, not agents), so it runs as a standalone right after the fused
     // agent loop -- the pipeline order behaviors -> mechanics -> diffusion
-    // -> commit is unchanged. With the SoA-primary store on, the fused
-    // engine (zero+scatter and fold+integrate+write-back in two dispatches
-    // over the persistent store) takes the slot; it degrades to the pair
-    // engine itself whenever a fast-path precondition fails.
-    if (param.soa_primary) {
-      post_ops_.push_back(std::make_unique<MechanicsFusedOp>());
-    } else {
-      post_ops_.push_back(std::make_unique<MechanicalForcesPairOp>());
-    }
+    // -> commit is unchanged. It covers every environment and force itself
+    // (see physics/mechanics_fused_op.h).
+    post_ops_.push_back(std::make_unique<MechanicsFusedOp>());
   } else {
     agent_ops_.push_back(std::make_unique<MechanicalForcesOp>());
   }

@@ -1,13 +1,12 @@
 // Persistent NUMA-domain-segmented SoA store of agent state (ISSUE 6).
 //
-// Before this store, three engine components each kept a private SoA copy of
-// agent geometry and rebuilt it from the AoS Agent objects every iteration:
-// the uniform grid's mirror, the pair engine's force scatter buffers, and
-// the offload op's per-call gather. The GPU port of BioDynaMo (Hesam et al.,
-// arXiv 2105.00039) makes the case that the gather->kernel->scatter shape
-// only pays off when the SoA arrays persist across iterations; TeraAgent
-// (arXiv 2509.24063) serializes exactly such flat per-attribute arrays. This
-// class is that single persistent store:
+// A component that keeps a private SoA copy of agent geometry must rebuild
+// it from the AoS Agent objects every iteration (the uniform grid's legacy
+// mirror, Param::soa_primary off, still does). The GPU port of BioDynaMo
+// (Hesam et al., arXiv 2105.00039) makes the case that the
+// gather->kernel->scatter shape only pays off when the SoA arrays persist
+// across iterations; TeraAgent (arXiv 2509.24063) serializes exactly such
+// flat per-attribute arrays. This class is that single persistent store:
 //
 //  * Owned by the ResourceManager, one per simulation.
 //  * Layout is domain-major: domain d's agents occupy the contiguous dense
@@ -25,9 +24,9 @@
 //    store arrays and the AoS Agent in the same pass (the "write-back
 //    point"), so a quiescent population costs zero gather work per step.
 //
-// The per-thread force scatter shards live here too (moved out of
-// PairForceAccumulator) so the pair engine and the fused op share one set of
-// buffers instead of maintaining duplicates.
+// The per-slab force scatter shards of the pair-symmetric mechanics engine
+// (MechanicsFusedOp) live here too, so the engine keeps no buffers of its
+// own.
 #ifndef BDM_CORE_SOA_STORE_H_
 #define BDM_CORE_SOA_STORE_H_
 
@@ -56,11 +55,11 @@ class SoaStore {
     AlignedBuffer<uint32_t> non_zero;
   };
 
-  /// The per-thread shard set shared by PairForceAccumulator and
-  /// MechanicsFusedOp. Buffers keep 1.5x headroom so a growing population
-  /// does not reallocate every iteration; contents are NOT zeroed here --
-  /// each worker zeroes (first-touches) its own shard inside the parallel
-  /// region, which also places the pages on the worker's NUMA node.
+  /// MechanicsFusedOp's per-slab shard set. Buffers keep 1.5x headroom so a
+  /// growing population does not reallocate every iteration; contents are
+  /// NOT zeroed here -- each worker zeroes (first-touches) its own shard
+  /// inside the parallel region, which also places the pages on the
+  /// worker's NUMA node.
   class ForceShards {
    public:
     void Ensure(int num_threads, uint64_t count);

@@ -66,7 +66,7 @@ class Environment {
 
   /// One unordered agent pair emitted by ForEachNeighborPair. The indices
   /// address the environment's dense agent array (DenseAgents()), which is
-  /// what the pair-symmetric force engine keys its accumulators on.
+  /// what the pair-symmetric force engine keys its force shards on.
   struct NeighborPair {
     uint32_t a_index;
     uint32_t b_index;
@@ -78,8 +78,10 @@ class Environment {
     real_t b_diameter;
     real_t squared_distance;
   };
-  /// Pair callback; the int is the pool worker id executing the traversal
-  /// slab (selects the caller's thread-local accumulator).
+  /// Pair callback; the int is the index of the traversal slab that emitted
+  /// the pair (selects the caller's per-slab accumulator). It is NOT the id
+  /// of the executing worker: under a partial team one worker runs several
+  /// slabs.
   using NeighborPairFn = FunctionRef<void(const NeighborPair&, int)>;
 
   /// Dense agent array backing the pair traversal: DenseAgents()[i] is the

@@ -5,6 +5,7 @@
 #include <typeinfo>
 
 #include "core/agent.h"
+#include "core/default_ops.h"
 #include "core/resource_manager.h"
 #include "core/scheduler.h"
 #include "core/simulation.h"
@@ -21,13 +22,13 @@ namespace bdm {
 namespace {
 
 struct FusedMetrics {
-  // Same names as the reference engines (MetricsRegistry dedupes by name):
+  // Same names as the per-agent engine (MetricsRegistry dedupes by name):
   // either engine feeds the same counters, so A/B runs compare directly.
   int static_pair_skips =
       MetricsRegistry::Get().RegisterCounter("forces.static_pair_skips");
   int static_agent_skips =
       MetricsRegistry::Get().RegisterCounter("forces.static_agent_skips");
-  /// Width of the widest traversal slab of the last fused pass: how much
+  /// Width of the widest traversal slab of the last pass: how much
   /// contiguous dense-index work one worker owns (load-balance telemetry).
   int slab_span = MetricsRegistry::Get().RegisterGauge("fused/slab_span");
 };
@@ -37,35 +38,142 @@ const FusedMetrics& Metrics() {
   return metrics;
 }
 
+void ZeroShard(SoaStore::ForceShard& shard, uint64_t total) {
+  std::memset(shard.fx.data(), 0, total * sizeof(real_t));
+  std::memset(shard.fy.data(), 0, total * sizeof(real_t));
+  std::memset(shard.fz.data(), 0, total * sizeof(real_t));
+  std::memset(shard.non_zero.data(), 0, total * sizeof(uint32_t));
+}
+
+// Generic Stage A: the environment's pair traversal with the virtual force.
+// Every slot's shard is cleared first -- the traversal scatters into the
+// shard of the pair's slab index, which under a partial op-DAG team is not
+// necessarily an executing worker's id.
+void ScatterGeneric(const Environment& env, const InteractionForce& force,
+                    real_t squared_radius, bool skip_static,
+                    NumaThreadPool* pool, SoaStore::ForceShards& shards,
+                    uint64_t total) {
+  pool->RunSlots(pool->NumThreads(),
+                 [&](int slot) { ZeroShard(shards.shard(slot), total); });
+  env.ForEachNeighborPair(
+      squared_radius, pool,
+      [&](const Environment::NeighborPair& pair, int slab) {
+        if (skip_static && pair.a->IsStatic() && pair.b->IsStatic()) {
+          // Both endpoints provably static (O6). Self-resolving Add: slab
+          // is not necessarily the executing thread.
+          if (MetricsRegistry::Enabled()) {
+            MetricsRegistry::Get().Add(Metrics().static_pair_skips, 1);
+          }
+          return;
+        }
+        const Real3 f =
+            force.Calculate(pair.a, pair.a_position, pair.a_diameter, pair.b,
+                            pair.b_position, pair.b_diameter);
+        if (f.SquaredNorm() == 0) {
+          return;
+        }
+        SoaStore::ForceShard& shard = shards.shard(slab);
+        shard.fx[pair.a_index] += f.x;
+        shard.fy[pair.a_index] += f.y;
+        shard.fz[pair.a_index] += f.z;
+        ++shard.non_zero[pair.a_index];
+        shard.fx[pair.b_index] -= f.x;
+        shard.fy[pair.b_index] -= f.y;
+        shard.fz[pair.b_index] -= f.z;
+        ++shard.non_zero[pair.b_index];
+      });
+}
+
+// Stage B, shared by both scatter variants: fold the shards, then the O6
+// ladder (static skip -> wake -> threshold -> clamp) and `move`. The
+// variants differ only in `is_static(i, agent)` and `move(i, agent, d)`.
+template <typename IsStaticFn, typename MoveFn>
+void FoldAndIntegrate(NumaThreadPool* pool,
+                      const NumaThreadPool::SlabPartition& slabs,
+                      const SoaStore::ForceShards& shards, Agent* const* agents,
+                      const Param& param, IsStaticFn is_static, MoveFn move) {
+  const int num_shards = shards.num_shards();
+  const bool skip_static = param.detect_static_agents;
+  const real_t dt_over_viscosity = param.dt / param.viscosity;
+  pool->RunSlabs(slabs, [&](int64_t lo, int64_t hi, int) {
+    uint64_t agent_skips = 0;
+    for (int64_t i = lo; i < hi; ++i) {
+      Real3 sum{};
+      uint32_t non_zero = 0;
+      for (int t = 0; t < num_shards; ++t) {
+        const SoaStore::ForceShard& shard = shards.shard(t);
+        sum.x += shard.fx[i];
+        sum.y += shard.fy[i];
+        sum.z += shard.fz[i];
+        non_zero += shard.non_zero[i];
+      }
+      if (non_zero == 0) {
+        continue;  // untouched agent: no force, no wake condition
+      }
+      Agent* agent = agents[i];
+      if (agent->IsGhost()) {
+        // Halo copy owned by another shard: it exerted forces on local
+        // agents above, but only its owner integrates its displacement.
+        continue;
+      }
+      if (skip_static && is_static(i, agent)) {
+        // Same skip as the per-agent path: a static agent is neither woken
+        // nor displaced. (Its pairs with awake partners were still computed
+        // in Stage A -- the awake side needs the force.)
+        ++agent_skips;
+        continue;
+      }
+      if (non_zero > 1) {
+        agent->WakeUp();
+      }
+      if (sum.SquaredNorm() < param.force_threshold_squared) {
+        continue;
+      }
+      Real3 displacement = sum * dt_over_viscosity;
+      const real_t norm = displacement.Norm();
+      if (norm > param.max_displacement) {
+        displacement *= param.max_displacement / norm;
+      }
+      if (displacement.SquaredNorm() > 0) {
+        move(i, agent, displacement);
+      }
+    }
+    if (agent_skips != 0 && MetricsRegistry::Enabled()) {
+      // Self-resolving Add: the slab index is not necessarily the
+      // executing thread.
+      MetricsRegistry::Get().Add(Metrics().static_agent_skips, agent_skips);
+    }
+  });
+}
+
 }  // namespace
 
 void MechanicsFusedOp::Run(Simulation* sim) {
   auto* rm = sim->GetResourceManager();
   auto* env = sim->GetEnvironment();
+  if (rm->GetNumCustomMechanicsAgents() > 0 || env->DenseAgents() == nullptr) {
+    // Custom mechanics make "total force = sum of symmetric pair forces"
+    // false, so the whole iteration runs the per-agent step.
+    rm->ForEachAgentParallel([&](Agent* agent, AgentHandle, int) {
+      RunPerAgentMechanics(agent, sim);
+    });
+    return;
+  }
+  const uint64_t total = env->DenseAgentCount();
+  if (total == 0) {
+    return;
+  }
   auto* grid = dynamic_cast<UniformGridEnvironment*>(env);
   const Param& param = sim->GetParam();
   const InteractionForce* force = sim->GetInteractionForce();
   SoaStore& store = rm->GetSoaStore();
   const real_t radius = env->GetInteractionRadius();
   const real_t squared_radius = radius * radius;
-  // The fused kernel inlines the BASE sphere force, reads geometry from the
-  // store the grid was built over, and assumes the default displacement
-  // application -- any deviation routes the whole iteration through the
-  // reference engine (which handles custom mechanics itself).
-  const bool fast_path =
-      grid != nullptr && store.IsLive() &&
-      rm->GetNumCustomMechanicsAgents() == 0 &&
-      typeid(*force) == typeid(InteractionForce) &&
-      squared_radius <=
-          grid->GetBoxLength() * grid->GetBoxLength() * (1 + real_t{1e-6});
-  if (!fast_path) {
-    fallback_.Run(sim);
-    return;
-  }
-  const uint64_t total = grid->DenseAgentCount();
-  if (total == 0) {
-    return;
-  }
+  // The fast path inlines the BASE sphere force and reads geometry from the
+  // store the grid was built over. No radius check: the grid's interaction
+  // radius is its box length, which the half stencil always covers.
+  const bool fast_path = grid != nullptr && store.IsLive() &&
+                         typeid(*force) == typeid(InteractionForce);
   TraceSpan span("mechanics_fused",
                  sim->GetScheduler()->GetSimulatedIterations());
   NumaThreadPool* pool = sim->GetThreadPool();
@@ -80,14 +188,25 @@ void MechanicsFusedOp::Run(Simulation* sim) {
     MetricsRegistry::Get().SetGauge(Metrics().slab_span,
                                     static_cast<double>(span_max));
   }
+  const bool skip_static = param.detect_static_agents;
+
+  if (!fast_path) {
+    ScatterGeneric(*env, *force, squared_radius, skip_static, pool, shards,
+                   total);
+    FoldAndIntegrate(
+        pool, slabs, shards, env->DenseAgents(), param,
+        [](int64_t, Agent* agent) { return agent->IsStatic(); },
+        [&](int64_t, Agent* agent, const Real3& displacement) {
+          agent->ApplyDisplacement(displacement, param);
+        });
+    return;
+  }
 
   const real_t* px = store.pos_x();
   const real_t* py = store.pos_y();
   const real_t* pz = store.pos_z();
   const real_t* dia = store.diameter();
   const uint8_t* is_static = store.is_static();
-  Agent* const* agents = store.agents();
-  const bool skip_static = param.detect_static_agents;
   const real_t repulsion = force->repulsion();
   const real_t attraction = force->attraction();
   const real_t attraction_range = force->attraction_range();
@@ -100,10 +219,7 @@ void MechanicsFusedOp::Run(Simulation* sim) {
   // the full team RunSlots degenerates to slot == tid, the pre-DAG shape.
   pool->RunSlots(pool->NumThreads(), [&](int tid) {
     SoaStore::ForceShard& shard = shards.shard(tid);
-    std::memset(shard.fx.data(), 0, total * sizeof(real_t));
-    std::memset(shard.fy.data(), 0, total * sizeof(real_t));
-    std::memset(shard.fz.data(), 0, total * sizeof(real_t));
-    std::memset(shard.non_zero.data(), 0, total * sizeof(uint32_t));
+    ZeroShard(shard, total);
     const int64_t lo = slabs.bounds[tid];
     const int64_t hi = slabs.bounds[tid + 1];
     if (lo >= hi) {
@@ -120,8 +236,9 @@ void MechanicsFusedOp::Run(Simulation* sim) {
             ++pair_skips;  // both endpoints provably static (O6)
             return;
           }
-          // i-j order matches the reference's pair.a - pair.b; the kernel
-          // header documents every grouping the bitwise contract relies on.
+          // i-j order matches the generic path's pair.a - pair.b; the
+          // kernel header documents every grouping the bitwise contract
+          // relies on.
           const real_t dx = px[i] - px[j];
           const real_t dy = py[i] - py[j];
           const real_t dz = pz[i] - pz[j];
@@ -147,62 +264,17 @@ void MechanicsFusedOp::Run(Simulation* sim) {
     }
   });
 
-  // Stage B: fold shards, then the reference engine's callback ladder
-  // (static skip -> wake -> threshold -> clamp), ending in the write-back
-  // to both the AoS Agent and the store arrays.
-  const int num_shards = shards.num_shards();
-  const real_t dt_over_viscosity = param.dt / param.viscosity;
-  pool->RunSlabs(slabs, [&](int64_t lo, int64_t hi, int) {
-    uint64_t agent_skips = 0;
-    for (int64_t i = lo; i < hi; ++i) {
-      Real3 sum{};
-      uint32_t non_zero = 0;
-      for (int t = 0; t < num_shards; ++t) {
-        const SoaStore::ForceShard& shard = shards.shard(t);
-        sum.x += shard.fx[i];
-        sum.y += shard.fy[i];
-        sum.z += shard.fz[i];
-        non_zero += shard.non_zero[i];
-      }
-      if (non_zero == 0) {
-        continue;  // untouched agent: no force, no wake condition
-      }
-      Agent* agent = agents[i];
-      if (agent->IsGhost()) {
-        // Halo copy owned by another shard: it exerted forces on local
-        // agents above, but only its owner integrates its displacement.
-        continue;
-      }
-      if (skip_static && is_static[i] != 0) {
-        // Same skip as the reference: a static agent is neither woken nor
-        // displaced. (Its pairs with awake partners were still computed
-        // above -- the awake side needs the force.)
-        ++agent_skips;
-        continue;
-      }
-      if (non_zero > 1) {
-        agent->WakeUp();
-      }
-      if (sum.SquaredNorm() < param.force_threshold_squared) {
-        continue;
-      }
-      Real3 displacement = sum * dt_over_viscosity;
-      const real_t norm = displacement.Norm();
-      if (norm > param.max_displacement) {
-        displacement *= param.max_displacement / norm;
-      }
-      if (displacement.SquaredNorm() > 0) {
+  // Stage B, writing the displaced position to BOTH the AoS Agent and the
+  // store arrays -- the write-back that keeps the store current without a
+  // next-iteration refresh pass.
+  FoldAndIntegrate(
+      pool, slabs, shards, store.agents(), param,
+      [is_static](int64_t i, Agent*) { return is_static[i] != 0; },
+      [&](int64_t i, Agent* agent, const Real3& displacement) {
         const Real3 p = agent->GetPosition() + displacement;
         agent->CommitEnginePosition(p);
         store.WriteBackPosition(static_cast<uint64_t>(i), p);
-      }
-    }
-    if (agent_skips != 0 && MetricsRegistry::Enabled()) {
-      // Self-resolving Add: tid is a slab index, not necessarily the
-      // executing thread.
-      MetricsRegistry::Get().Add(Metrics().static_agent_skips, agent_skips);
-    }
-  });
+      });
 }
 
 }  // namespace bdm

@@ -1,55 +1,57 @@
-// Fused SoA mechanics engine (ISSUE 6 tentpole).
+// The pair-symmetric mechanics engine (paper Section 5, O6).
 //
-// Replaces MechanicalForcesPairOp in the pipeline when param.soa_primary is
-// on: the same half-stencil pair traversal and slab-partitioned reduction,
-// but run directly over the ResourceManager's persistent SoaStore arrays in
-// two fused dispatches instead of four:
+// The collision force is pairwise, radial and exactly antisymmetric, so the
+// engine computes every pair force ONCE and scatters +F/-F into per-slot
+// force shards (SoaStore::force_shards(), indexed by the environment's dense
+// agent index), then folds the shards and integrates in a second pass:
 //
-//   Stage A (one pool->Run): each worker zeroes its own force shard and then
-//     traverses its slab of the dense index space, evaluating the branch-free
-//     sphere force kernel (physics/force_kernel.h) straight off the store's
-//     position/diameter arrays and scattering +F/-F into its shard. Fusing
-//     the zeroing into the traversal dispatch removes one barrier and keeps
-//     the shard pages hot in the worker's cache when the scatter begins.
-//   Stage B (one RunSlabs): fold the per-thread shards, apply the staticness
-//     skip / wake / threshold / clamp ladder of the reference engine, and
-//     write the displaced position to BOTH the AoS Agent (CommitEnginePosition)
-//     and the store arrays (WriteBackPosition) -- the write-back point that
-//     keeps the store current without a next-iteration refresh pass.
+//   Stage A (scatter). Two variants fill the same shards:
+//   * Fast path -- uniform grid over the live SoaStore, base
+//     InteractionForce. One pool->RunSlots fuses shard zeroing with the
+//     grid's half-stencil traversal of the worker's dense-index slab,
+//     evaluating the branch-free sphere kernel (physics/force_kernel.h)
+//     straight off the store arrays: no Agent access, no virtual call.
+//   * Generic path -- every other environment (kd-tree, octree, the grid's
+//     legacy mirror when soa_primary is off) and subclassed forces (type-
+//     dependent AdhesionScale): zero the shards, then walk
+//     Environment::ForEachNeighborPair calling the virtual
+//     InteractionForce::Calculate.
+//   Stage B (one RunSlabs over the same slab partition): fold the shards,
+//   then the O6 ladder -- ghost skip, static skip, wake on >1 non-zero
+//   force, force threshold, displacement clamp -- and move the agent. The
+//   two Stage A variants differ here only in where staticness is read and
+//   where the new position goes: the store arrays plus CommitEnginePosition
+//   and the store write-back on the fast path (the next grid build needs no
+//   refresh pass), Agent::IsStatic and ApplyDisplacement otherwise.
 //
-// Bitwise contract: with a single worker thread, trajectories are bitwise
-// identical to MechanicalForcesPairOp's (same kernel header, same shard fold
-// order, same callback ladder). With multiple workers the CAS insert order
-// of the grid build makes pair order -- and thus flush summation order --
-// timing-dependent in BOTH engines, so equality is only up to FP
-// associativity there.
+// While any agent carries custom mechanics (Agent::HasCustomMechanics:
+// neurite springs and kin exclusions are not sums of symmetric pair forces)
+// or the environment exposes no dense index, the whole iteration runs the
+// per-agent step (RunPerAgentMechanics) instead.
 //
-// Falls back to the wrapped MechanicalForcesPairOp (which itself can fall
-// back to the per-agent path) whenever a fast-path precondition fails: the
-// environment is not the uniform grid, the store is not live, an agent
-// carries custom mechanics, or the interaction force is subclassed (the
-// fused kernel inlines the base force; an AdhesionScale override needs the
-// virtual Calculate).
+// Bitwise contract: both Stage A variants scatter the same IEEE operation
+// sequence for the same pair order (the kernel header documents every
+// grouping), so with a single worker the fast path and the generic path
+// over the grid's legacy mirror integrate bitwise identical trajectories.
+// With several workers the grid build's CAS insert order makes pair order,
+// and thus shard summation order, timing-dependent, so equality there holds
+// only up to FP associativity.
 #ifndef BDM_PHYSICS_MECHANICS_FUSED_OP_H_
 #define BDM_PHYSICS_MECHANICS_FUSED_OP_H_
 
-#include "core/default_ops.h"
 #include "core/operation.h"
 
 namespace bdm {
 
 class MechanicsFusedOp : public StandaloneOperation {
  public:
-  /// Shares the reference engines' op name so pipeline surgery such as
-  /// RemoveOp("mechanical_forces") works against any mechanics engine.
+  /// Shares the per-agent engine's op name so pipeline surgery such as
+  /// RemoveOp("mechanical_forces") works against either engine.
   MechanicsFusedOp() : StandaloneOperation("mechanical_forces", 1) {
     DeclareResources(kResGrid | kResAgentsGeometry,
                      kResAgentsGeometry | kResForces);
   }
   void Run(Simulation* sim) override;
-
- private:
-  MechanicalForcesPairOp fallback_;
 };
 
 }  // namespace bdm

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 
-#include "accel/offload_displacement_op.h"
 #include "core/cell.h"
 #include "core/load_balance_op.h"
 #include "core/resource_manager.h"
@@ -31,7 +31,7 @@ void AddRandomCells(Simulation* sim, int n, real_t space, uint64_t seed,
   }
 }
 
-TEST(FeatureInterplayTest, OffloadPlusSortingPlusAllocator) {
+TEST(FeatureInterplayTest, PairEnginePlusSortingPlusAllocator) {
   Param param;
   param.num_threads = 4;
   param.num_numa_domains = 2;
@@ -39,12 +39,9 @@ TEST(FeatureInterplayTest, OffloadPlusSortingPlusAllocator) {
   param.use_bdm_memory_manager = true;
   Simulation sim("combo", param);
   AddRandomCells(&sim, 400, 100, 1, /*with_growth=*/true);
-  sim.GetScheduler()->RemoveOp("mechanical_forces");
-  sim.GetScheduler()->AppendPostOp(
-      std::make_unique<accel::OffloadDisplacementOp>());
   sim.Simulate(20);
   // Population grew (divisions) and every uid still resolves after the
-  // sorting copies interleaved with offload scatters.
+  // sorting copies interleaved with the pair engine's store write-backs.
   EXPECT_GT(sim.GetResourceManager()->GetNumAgents(), 400u);
   sim.GetResourceManager()->ForEachAgent([&](Agent* agent, AgentHandle h) {
     ASSERT_EQ(sim.GetResourceManager()->GetAgentHandle(agent->GetUid()), h);
@@ -124,9 +121,9 @@ TEST(FeatureInterplayTest, ExportAndTimeSeriesDuringSortedStaticRun) {
   std::remove("/tmp/bdm_interplay_1.vtk");
 }
 
-TEST(FeatureInterplayTest, LoadBalanceOpHonorsOffloadPositions) {
-  // Sorting after offload displacements must index agents by their *new*
-  // positions (the op refreshes the grid itself).
+TEST(FeatureInterplayTest, LoadBalanceOpHonorsPairEnginePositions) {
+  // Sorting after the pair engine's displacements must index agents by
+  // their *new* positions (the engine writes them to agents and store).
   Param param;
   param.num_threads = 2;
   param.num_numa_domains = 2;
@@ -134,13 +131,19 @@ TEST(FeatureInterplayTest, LoadBalanceOpHonorsOffloadPositions) {
   param.use_bdm_memory_manager = false;
   Simulation sim("combo", param);
   AddRandomCells(&sim, 300, 80, 5);
-  sim.GetScheduler()->RemoveOp("mechanical_forces");
-  sim.GetScheduler()->AppendPostOp(
-      std::make_unique<accel::OffloadDisplacementOp>());
   sim.Simulate(5);
+  auto* rm = sim.GetResourceManager();
+  std::map<AgentUid, Real3> moved;
+  rm->ForEachAgent([&](Agent* agent, AgentHandle) {
+    moved[agent->GetUid()] = agent->GetPosition();
+  });
   LoadBalanceOp op(1);
   op.Run(&sim);
-  EXPECT_EQ(sim.GetResourceManager()->GetNumAgents(), 300u);
+  EXPECT_EQ(rm->GetNumAgents(), 300u);
+  // The sorted copies carry the displaced positions, bit for bit.
+  rm->ForEachAgent([&](Agent* agent, AgentHandle) {
+    EXPECT_EQ(agent->GetPosition(), moved.at(agent->GetUid()));
+  });
 }
 
 }  // namespace

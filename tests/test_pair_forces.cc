@@ -1,219 +1,239 @@
-// Pair-symmetric mechanics engine tests: momentum conservation of the
-// +F/-F scatter, exact agreement of the non-zero-force counts with the
-// per-agent reference path, full-simulation equivalence of the two engines
-// across all three environments and the static-detection toggle, and a
-// concurrency check over the per-thread accumulators (ctest label `tsan`).
-#include "physics/pair_force_accumulator.h"
+// Pair-symmetric mechanics engine (MechanicsFusedOp) tests: momentum
+// conservation of the +F/-F scatter, exact agreement of the non-zero-force
+// counts with the per-agent reference path on both scatter variants (grid
+// fast path, generic environment traversal), the O6 static-pair skip, full-
+// simulation equivalence of the two engines across all three environments,
+// subclassed forces and the static-detection toggle, and a concurrency
+// check over the per-slab force shards (ctest label `tsan`).
+#include "physics/mechanics_fused_op.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "core/cell.h"
 #include "core/resource_manager.h"
 #include "core/scheduler.h"
 #include "core/simulation.h"
-#include "env/kd_tree.h"
-#include "env/octree.h"
-#include "env/uniform_grid.h"
+#include "core/soa_store.h"
+#include "env/environment.h"
 #include "math/random.h"
 #include "physics/interaction_force.h"
 
 namespace bdm {
 namespace {
 
-// A dense random cluster: diameter-10 cells at ~4 interacting neighbors
-// each, so repulsion and adhesion branches are both exercised.
+// Engine-level kernel checks. A dense random cluster -- diameter-10 cells
+// at ~4 interacting neighbors each, so repulsion and adhesion branches are
+// both exercised -- is indexed once; the per-agent reference and one engine
+// pass then run over that same index. The engine's force shards stay in
+// SoaStore::force_shards() after the pass (indexed by the environment's
+// dense index), which yields each agent's total force and non-zero-force
+// count; the agents' positions yield the displacement the engine applied.
 class PairForceTest : public ::testing::Test {
  protected:
   void Build(int threads, int domains, uint64_t n, real_t space) {
     param_.num_threads = threads;
     param_.num_numa_domains = domains;
-    pool_ = std::make_unique<NumaThreadPool>(Topology(threads, domains));
-    rm_ = std::make_unique<ResourceManager>(param_, pool_.get(), &gen_);
+    param_.agent_sort_frequency = 0;
+    param_.use_bdm_memory_manager = false;
+    sim_.reset();
+    sim_ = std::make_unique<Simulation>("pair_forces", param_);
     Random random(7);
     for (uint64_t i = 0; i < n; ++i) {
-      rm_->AddAgent(new Cell(random.UniformPoint(0, space), 10));
+      sim_->GetResourceManager()->AddAgent(
+          new Cell(random.UniformPoint(0, space), 10));
     }
   }
 
-  struct PerAgentResult {
-    std::vector<Real3> displacement;
-    std::vector<int> non_zero;
-  };
-
-  // The per-agent reference: every dense agent runs CalculateDisplacement.
-  PerAgentResult RunPerAgent(Environment* env) {
-    PerAgentResult result;
-    const uint64_t count = env->DenseAgentCount();
-    Agent* const* dense = env->DenseAgents();
-    result.displacement.resize(count);
-    result.non_zero.resize(count, 0);
-    for (uint64_t i = 0; i < count; ++i) {
-      result.displacement[i] = dense[i]->CalculateDisplacement(
-          &force_, env, param_, &result.non_zero[i]);
-    }
-    return result;
+  Environment* IndexAgents() {
+    Environment* env = sim_->GetEnvironment();
+    env->Update(*sim_->GetResourceManager(), sim_->GetThreadPool());
+    return env;
   }
 
-  struct PairResult {
+  struct Result {
     std::vector<Real3> displacement;
     std::vector<int> non_zero;
     Real3 net_force;
     double force_scale = 0;
   };
 
-  // The pair engine: accumulate once per pair, flush, and rebuild the
-  // displacement with the same threshold/clamp formula as the reference.
-  PairResult RunPair(const Environment& env, bool skip_static = false) {
-    const real_t radius = env.GetInteractionRadius();
-    accumulator_.Accumulate(env, force_, radius * radius, skip_static,
-                            pool_.get());
-    PairResult result;
-    const uint64_t count = env.DenseAgentCount();
+  // The per-agent reference: every dense agent runs CalculateDisplacement.
+  Result RunPerAgent() {
+    Environment* env = sim_->GetEnvironment();
+    Result result;
+    const uint64_t count = env->DenseAgentCount();
+    Agent* const* dense = env->DenseAgents();
     result.displacement.resize(count);
     result.non_zero.resize(count, 0);
-    std::vector<Real3> partial(pool_->NumThreads());
-    accumulator_.Flush(pool_.get(), [&](uint32_t i, const Real3& total,
-                                        int non_zero, int tid) {
-      partial[tid] += total;
-      result.non_zero[i] = non_zero;
-      if (total.SquaredNorm() < param_.force_threshold_squared) {
-        return;
-      }
-      Real3 displacement = total * (param_.dt / param_.viscosity);
-      const real_t norm = displacement.Norm();
-      if (norm > param_.max_displacement) {
-        displacement *= param_.max_displacement / norm;
-      }
-      result.displacement[i] = displacement;
-    });
-    for (const Real3& p : partial) {
-      result.net_force += p;
-      result.force_scale += p.Norm();
+    for (uint64_t i = 0; i < count; ++i) {
+      result.displacement[i] = dense[i]->CalculateDisplacement(
+          sim_->GetInteractionForce(), env, sim_->GetParam(),
+          &result.non_zero[i]);
     }
     return result;
   }
 
-  static void ExpectSameResults(const PerAgentResult& a, const PairResult& b) {
-    ASSERT_EQ(a.non_zero.size(), b.non_zero.size());
-    for (size_t i = 0; i < a.non_zero.size(); ++i) {
-      // The force is exactly antisymmetric, so the counts must match to the
-      // integer even though the pair path evaluates each force only once.
-      ASSERT_EQ(a.non_zero[i], b.non_zero[i]) << "agent " << i;
-      for (int c = 0; c < 3; ++c) {
-        ASSERT_NEAR(a.displacement[i][c], b.displacement[i][c],
-                    1e-9 + 1e-9 * std::abs(a.displacement[i][c]))
-            << "agent " << i << " component " << c;
+  // One engine pass over the current index.
+  Result RunEngine() {
+    Environment* env = sim_->GetEnvironment();
+    const uint64_t count = env->DenseAgentCount();
+    Agent* const* dense = env->DenseAgents();
+    std::vector<Real3> before(count);
+    for (uint64_t i = 0; i < count; ++i) {
+      before[i] = dense[i]->GetPosition();
+    }
+    MechanicsFusedOp().Run(sim_.get());
+    const SoaStore::ForceShards& shards =
+        sim_->GetResourceManager()->GetSoaStore().force_shards();
+    Result result;
+    result.displacement.resize(count);
+    result.non_zero.resize(count, 0);
+    for (uint64_t i = 0; i < count; ++i) {
+      Real3 total;
+      for (int t = 0; t < shards.num_shards(); ++t) {
+        const SoaStore::ForceShard& shard = shards.shard(t);
+        total += Real3{shard.fx[i], shard.fy[i], shard.fz[i]};
+        result.non_zero[i] += static_cast<int>(shard.non_zero[i]);
       }
+      result.net_force += total;
+      result.force_scale += total.Norm();
+      result.displacement[i] = dense[i]->GetPosition() - before[i];
+    }
+    return result;
+  }
+
+  static void ExpectSameDisplacement(const Real3& a, const Real3& b,
+                                     uint64_t agent) {
+    for (int c = 0; c < 3; ++c) {
+      ASSERT_NEAR(a[c], b[c], 1e-9 + 1e-9 * std::abs(a[c]))
+          << "agent " << agent << " component " << c;
+    }
+  }
+
+  static void ExpectSameResults(const Result& reference, const Result& engine) {
+    ASSERT_EQ(reference.non_zero.size(), engine.non_zero.size());
+    for (size_t i = 0; i < reference.non_zero.size(); ++i) {
+      // The force is exactly antisymmetric, so the counts must match to the
+      // integer even though the engine evaluates each force only once.
+      ASSERT_EQ(reference.non_zero[i], engine.non_zero[i]) << "agent " << i;
+      ExpectSameDisplacement(reference.displacement[i],
+                             engine.displacement[i], i);
     }
   }
 
   Param param_;
-  AgentUidGenerator gen_;
-  InteractionForce force_;
-  std::unique_ptr<NumaThreadPool> pool_;
-  std::unique_ptr<ResourceManager> rm_;
-  PairForceAccumulator accumulator_;
+  std::unique_ptr<Simulation> sim_;
 };
 
 TEST_F(PairForceTest, MomentumIsConserved) {
   Build(4, 2, 2000, 160);
-  UniformGridEnvironment grid(param_);
-  grid.Update(*rm_, pool_.get());
-  const PairResult pair = RunPair(grid);
+  IndexAgents();
+  const Result engine = RunEngine();
   // +F/-F scatter: the forces cancel pair by pair, so the total over all
   // agents is zero up to summation rounding.
-  EXPECT_LT(pair.net_force.Norm(), 1e-10 * std::max(1.0, pair.force_scale));
-  EXPECT_GT(pair.force_scale, 0);  // the scene actually produced forces
+  EXPECT_LT(engine.net_force.Norm(), 1e-10 * std::max(1.0, engine.force_scale));
+  EXPECT_GT(engine.force_scale, 0);  // the scene actually produced forces
 }
 
-TEST_F(PairForceTest, HalfStencilMatchesPerAgentReference) {
+// Both scatter variants on the grid: the store-backed fast path
+// (soa_primary) and the generic traversal over the grid's legacy mirror.
+class PairForceGridTest : public PairForceTest,
+                          public ::testing::WithParamInterface<bool> {};
+
+TEST_P(PairForceGridTest, HalfStencilMatchesPerAgentReference) {
+  param_.soa_primary = GetParam();
   Build(4, 2, 2000, 160);
-  UniformGridEnvironment grid(param_);
-  grid.Update(*rm_, pool_.get());
-  ExpectSameResults(RunPerAgent(&grid), RunPair(grid));
+  IndexAgents();
+  const Result reference = RunPerAgent();
+  ExpectSameResults(reference, RunEngine());
 }
 
 TEST_F(PairForceTest, GenericTraversalMatchesPerAgentReference) {
   // kd-tree and octree have no half stencil; the Environment base class
   // walks ForEachNeighbor and keeps pairs with j > i.
-  Build(4, 2, 500, 100);
-  KdTreeEnvironment kd(param_);
-  kd.Update(*rm_, pool_.get());
-  ExpectSameResults(RunPerAgent(&kd), RunPair(kd));
-
-  OctreeEnvironment octree(param_);
-  octree.Update(*rm_, pool_.get());
-  ExpectSameResults(RunPerAgent(&octree), RunPair(octree));
+  for (EnvironmentType type :
+       {EnvironmentType::kKdTree, EnvironmentType::kOctree}) {
+    param_.environment = type;
+    Build(4, 2, 500, 100);
+    IndexAgents();
+    const Result reference = RunPerAgent();
+    ExpectSameResults(reference, RunEngine());
+  }
 }
 
-TEST_F(PairForceTest, StaticPairsAreSkippedAwakeAgentsUnchanged) {
+TEST_P(PairForceGridTest, StaticPairsAreSkippedAwakeAgentsUnchanged) {
+  param_.soa_primary = GetParam();
+  param_.detect_static_agents = true;
   Build(2, 1, 1000, 130);
-  UniformGridEnvironment grid(param_);
-  grid.Update(*rm_, pool_.get());
-  // Make every third agent static (two promotions: next -> current).
-  rm_->ForEachAgent([&](Agent* agent, AgentHandle handle) {
+  // Make every third agent static (two promotions: next -> current) before
+  // indexing, so the store copies the flags the fast path reads.
+  sim_->GetResourceManager()->ForEachAgent([&](Agent* agent,
+                                               AgentHandle handle) {
     if (handle.index % 3 == 0) {
       agent->UpdateStaticness();
       agent->UpdateStaticness();
       ASSERT_TRUE(agent->IsStatic());
     }
   });
-  param_.detect_static_agents = true;
-  const PerAgentResult reference = RunPerAgent(&grid);
-  const PairResult pair = RunPair(grid, /*skip_static=*/true);
-  const uint64_t count = grid.DenseAgentCount();
-  Agent* const* dense = grid.DenseAgents();
+  Environment* env = IndexAgents();
+  const Result reference = RunPerAgent();
+  const Result engine = RunEngine();
+  const uint64_t count = env->DenseAgentCount();
+  Agent* const* dense = env->DenseAgents();
   uint64_t awake = 0;
+  uint64_t skipped_static_forces = 0;
   for (uint64_t i = 0; i < count; ++i) {
     if (dense[i]->IsStatic()) {
-      continue;  // the engine skips static agents at flush time
+      // A static agent is neither woken nor displaced.
+      EXPECT_EQ(engine.displacement[i], (Real3{0, 0, 0})) << "agent " << i;
+      skipped_static_forces += static_cast<uint64_t>(reference.non_zero[i] -
+                                                     engine.non_zero[i]);
+      continue;
     }
     ++awake;
     // Awake agents must see every force -- including those against static
     // partners, which the both-static skip must not have dropped.
-    ASSERT_EQ(reference.non_zero[i], pair.non_zero[i]) << "agent " << i;
-    for (int c = 0; c < 3; ++c) {
-      ASSERT_NEAR(reference.displacement[i][c], pair.displacement[i][c],
-                  1e-9 + 1e-9 * std::abs(reference.displacement[i][c]))
-          << "agent " << i;
-    }
+    ASSERT_EQ(reference.non_zero[i], engine.non_zero[i]) << "agent " << i;
+    ExpectSameDisplacement(reference.displacement[i], engine.displacement[i],
+                           i);
   }
   EXPECT_GT(awake, 0u);
+  EXPECT_GT(skipped_static_forces, 0u);  // some both-static pair was skipped
 }
+
+INSTANTIATE_TEST_SUITE_P(SoaPrimary, PairForceGridTest, ::testing::Bool());
 
 TEST_F(PairForceTest, ConcurrentAccumulationMatchesSerial) {
   // Concurrency check (tsan label): many threads scatter into their own
-  // buffers over shared dense indices; the reduction must agree with a
-  // one-thread run up to summation order.
-  Build(8, 2, 3000, 180);
-  UniformGridEnvironment grid(param_);
-  grid.Update(*rm_, pool_.get());
-  const PairResult parallel = RunPair(grid);
-
-  auto serial_pool = std::make_unique<NumaThreadPool>(Topology(1, 1));
-  UniformGridEnvironment serial_grid(param_);
-  serial_grid.Update(*rm_, serial_pool.get());
-  PairForceAccumulator serial_acc;
-  const real_t radius = serial_grid.GetInteractionRadius();
-  serial_acc.Accumulate(serial_grid, force_, radius * radius, false,
-                        serial_pool.get());
-  std::vector<Real3> serial_total(serial_grid.DenseAgentCount());
-  std::vector<int> serial_non_zero(serial_grid.DenseAgentCount(), 0);
-  serial_acc.Flush(serial_pool.get(), [&](uint32_t i, const Real3& total,
-                                          int non_zero, int) {
-    serial_total[i] = total;
-    serial_non_zero[i] = non_zero;
-  });
-  // Dense order is NUMA-flatten order of the same ResourceManager in both
-  // runs, so indices are comparable.
-  ASSERT_EQ(serial_total.size(), parallel.non_zero.size());
-  std::vector<int> parallel_non_zero = parallel.non_zero;
-  for (size_t i = 0; i < serial_total.size(); ++i) {
-    ASSERT_EQ(serial_non_zero[i], parallel_non_zero[i]) << i;
+  // shards over shared dense indices; the fold must agree with a one-thread
+  // run up to summation order. Agents are matched by uid: both simulations
+  // add the same agents in the same order.
+  const auto run = [&](int threads, int domains) {
+    Build(threads, domains, 3000, 180);
+    Environment* env = IndexAgents();
+    const Result engine = RunEngine();
+    std::map<AgentUid, std::pair<int, Real3>> by_uid;
+    for (uint64_t i = 0; i < env->DenseAgentCount(); ++i) {
+      by_uid[env->DenseAgents()[i]->GetUid()] = {engine.non_zero[i],
+                                                 engine.displacement[i]};
+    }
+    return by_uid;
+  };
+  const auto parallel = run(8, 2);
+  const auto serial = run(1, 1);
+  ASSERT_EQ(serial.size(), parallel.size());
+  auto it = parallel.begin();
+  for (const auto& [uid, value] : serial) {
+    ASSERT_EQ(uid, it->first);
+    ASSERT_EQ(value.first, it->second.first) << uid;
+    ExpectSameDisplacement(value.second, it->second.second, uid.index());
+    ++it;
   }
 }
 
@@ -227,8 +247,32 @@ std::map<AgentUid, Real3> Snapshot(Simulation* sim) {
   return result;
 }
 
-std::map<AgentUid, Real3> RunRelaxation(Param param, bool pair_engine,
-                                        int iterations) {
+// A subclassed force the fast path cannot inline: type-blind repulsion, but
+// adhesion scaled per pair (symmetric in lhs/rhs, so Newton's third law
+// still holds). The engine must route it through the generic scatter.
+class ParityAdhesionForce : public InteractionForce {
+ public:
+  ParityAdhesionForce(real_t even_scale, real_t odd_scale)
+      : InteractionForce(2.0, 0.8, 0.3),
+        even_scale_(even_scale),
+        odd_scale_(odd_scale) {}
+
+ protected:
+  real_t AdhesionScale(const Agent* lhs, const Agent* rhs) const override {
+    const bool even = (lhs->GetUid().index() + rhs->GetUid().index()) % 2 == 0;
+    return even ? even_scale_ : odd_scale_;
+  }
+
+ private:
+  real_t even_scale_;
+  real_t odd_scale_;
+};
+
+/// Relaxes 300 random diameter-10 cells; `customize` (if set) adjusts the
+/// simulation after the cells are added.
+std::map<AgentUid, Real3> RunRelaxation(
+    Param param, bool pair_engine, int iterations,
+    const std::function<void(Simulation*)>& customize = nullptr) {
   param.num_threads = 1;
   param.num_numa_domains = 1;
   param.agent_sort_frequency = 0;
@@ -239,6 +283,9 @@ std::map<AgentUid, Real3> RunRelaxation(Param param, bool pair_engine,
   for (int i = 0; i < 300; ++i) {
     sim.GetResourceManager()->AddAgent(
         new Cell(random.UniformPoint(0, 90), 10));
+  }
+  if (customize) {
+    customize(&sim);
   }
   sim.Simulate(iterations);
   return Snapshot(&sim);
@@ -312,18 +359,89 @@ INSTANTIATE_TEST_SUITE_P(
                       CrossEnvCase{EnvironmentType::kOctree, false},
                       CrossEnvCase{EnvironmentType::kOctree, true}));
 
-TEST(PairEngineScheduling, PairOpAnswersToMechanicalForcesName) {
+// A subclassed force (AdhesionScale override) takes the engine's generic
+// scatter on the uniform grid; it must integrate the same trajectories as
+// the per-agent engine, which calls the same virtual Calculate.
+TEST(PairEngineSubclassedForce, MatchesPerAgentEngine) {
+  // Equal diameters would keep every pair inside contact distance (the
+  // search radius is the largest diameter), where AdhesionScale is never
+  // consulted; half-size cells open the adhesion zone.
+  const auto with_force = [](real_t even_scale, real_t odd_scale) {
+    return [=](Simulation* sim) {
+      sim->GetResourceManager()->ForEachAgent([](Agent* agent, AgentHandle) {
+        if (agent->GetUid().index() % 2 == 1) {
+          agent->SetDiameter(6);
+        }
+      });
+      sim->SetInteractionForce(
+          std::make_unique<ParityAdhesionForce>(even_scale, odd_scale));
+    };
+  };
   Param param;
-  param.num_threads = 1;
+  param.environment = EnvironmentType::kUniformGrid;
+  const auto per_agent = RunRelaxation(param, false, 20, with_force(3, 0.5));
+  const auto pair = RunRelaxation(param, true, 20, with_force(3, 0.5));
+  ExpectNearTrajectories(per_agent, pair, 1e-6);
+  // The override really changed the trajectories, so the agreement above
+  // is not the base coefficients agreeing with themselves.
+  const auto unscaled = RunRelaxation(param, true, 20, with_force(1, 1));
+  real_t max_difference = 0;
+  auto it = unscaled.begin();
+  for (const auto& [uid, pos] : pair) {
+    max_difference = std::max(max_difference, pos.Distance(it->second));
+    ++it;
+  }
+  EXPECT_GT(max_difference, 1e-3);
+}
+
+// Every environment x soa_primary combination schedules the one pair
+// engine under the per-agent op's name, and it runs an empty population
+// and an isolated overlapping pair.
+struct SchedulingCase {
+  EnvironmentType environment;
+  bool soa_primary;
+};
+
+class PairEngineScheduling : public ::testing::TestWithParam<SchedulingCase> {
+};
+
+TEST_P(PairEngineScheduling, FusedOpRunsEveryConfiguration) {
+  Param param;
+  param.num_threads = 2;
   param.num_numa_domains = 1;
-  param.pair_symmetric_forces = true;
-  Simulation sim("pair_naming", param);
+  param.environment = GetParam().environment;
+  param.soa_primary = GetParam().soa_primary;
+  Simulation sim("pair_scheduling", param);
+  Scheduler* scheduler = sim.GetScheduler();
+  EXPECT_NE(dynamic_cast<MechanicsFusedOp*>(scheduler->GetOp("mechanical_forces")),
+            nullptr);
+  sim.Simulate(3);  // empty population
+  EXPECT_EQ(sim.GetResourceManager()->GetNumAgents(), 0u);
+
+  auto* a = new Cell({0, 0, 0}, 10);
+  auto* b = new Cell({6, 0, 0}, 10);
+  sim.GetResourceManager()->AddAgent(a);
+  sim.GetResourceManager()->AddAgent(b);
+  sim.Simulate(20);
+  // The overlapping pair separated, and moved symmetrically: both forces
+  // come from one evaluation scattered +F/-F.
+  EXPECT_GT(a->GetPosition().Distance(b->GetPosition()), 6);
+  EXPECT_NEAR(a->GetPosition().x + b->GetPosition().x, 6.0, 1e-12);
+
   // Pipeline surgery (tests, ablation benches) addresses the mechanics stage
   // by name regardless of which engine is scheduled.
-  EXPECT_NE(sim.GetScheduler()->GetOp("mechanical_forces"), nullptr);
-  EXPECT_TRUE(sim.GetScheduler()->RemoveOp("mechanical_forces"));
-  EXPECT_EQ(sim.GetScheduler()->GetOp("mechanical_forces"), nullptr);
+  EXPECT_TRUE(scheduler->RemoveOp("mechanical_forces"));
+  EXPECT_EQ(scheduler->GetOp("mechanical_forces"), nullptr);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Configurations, PairEngineScheduling,
+    ::testing::Values(SchedulingCase{EnvironmentType::kUniformGrid, true},
+                      SchedulingCase{EnvironmentType::kUniformGrid, false},
+                      SchedulingCase{EnvironmentType::kKdTree, true},
+                      SchedulingCase{EnvironmentType::kKdTree, false},
+                      SchedulingCase{EnvironmentType::kOctree, true},
+                      SchedulingCase{EnvironmentType::kOctree, false}));
 
 }  // namespace
 }  // namespace bdm
