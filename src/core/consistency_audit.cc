@@ -1,6 +1,8 @@
 #include "core/consistency_audit.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -367,6 +369,44 @@ std::vector<std::string> ConsistencyAudit::CheckShards(
              << " geometry disagrees bitwise with its owner in shard "
              << entry.owner_shard;
           complain(s, os.str());
+        }
+      }
+    }
+  }
+
+  // Delta-codec symmetry: a's sender state for b must hold exactly the
+  // uids of b's ghost registry for a, with bitwise-equal bits -- otherwise
+  // the next exchange decodes a record against other bits than it was
+  // encoded against. Capped like the voxel complaints: one broken round
+  // would otherwise emit a line per halo record.
+  constexpr int kMaxCodecComplaints = 8;
+  int codec_complaints = 0;
+  for (int a = 0; a < sim->NumShards(); ++a) {
+    for (int b = 0; b < sim->NumShards(); ++b) {
+      if (a == b) {
+        continue;
+      }
+      const auto& sent = sim->GetShard(a)->HaloSendState()[b];
+      const auto& ghosts = sim->GetShard(b)->Ghosts()[a];
+      if (sent.size() != ghosts.size()) {
+        std::ostringstream os;
+        os << "codec state for shard " << b << " holds " << sent.size()
+           << " uids but shard " << b << " holds " << ghosts.size()
+           << " ghosts of this shard";
+        complain(a, os.str());
+      }
+      for (const auto& [owner_uid, entry] : sent) {
+        auto it = ghosts.find(owner_uid);
+        const bool matches =
+            it != ghosts.end() &&
+            std::equal(std::begin(entry.bits.bits), std::end(entry.bits.bits),
+                       std::begin(it->second.bits.bits));
+        if (!matches && ++codec_complaints <= kMaxCodecComplaints) {
+          std::ostringstream os;
+          os << "codec state for uid " << owner_uid << " sent to shard " << b
+             << (it == ghosts.end() ? " has no ghost there"
+                                    : " disagrees bitwise with the ghost's");
+          complain(a, os.str());
         }
       }
     }

@@ -13,17 +13,25 @@
 // verifies that), so no lossy quantization is admissible.
 //
 // Delta state is symmetric by construction: after every exchange, sender and
-// receiver each keep exactly the records of that exchange (keyed by owner
+// receiver each hold exactly the records of that exchange (keyed by owner
 // uid), so the "previous bits" used for encoding and decoding can never
-// diverge. A record whose uid was not part of the previous exchange is
-// encoded against zero bits -- self-describing, no "full record" flag needed.
+// diverge. The sender keeps them in a per-destination map; the receiver's
+// copy IS its ghost registry (the bits last applied to each halo copy). A
+// record whose uid was not part of the previous exchange is encoded against
+// zero bits -- self-describing, no "full record" flag needed.
+//
+// Records are written to and read from in-memory byte buffers
+// (io::ByteWriter / io::ByteReader, io/binary.h): one append per field,
+// bounds-checked reads. The byte layout of a record is
+//   [uid index u32][uid reused u32][is_static u8]
+//   then for x, y, z, diameter: [count u8][count low-order XOR bytes].
 #ifndef BDM_IO_AGENT_RECORD_H_
 #define BDM_IO_AGENT_RECORD_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
-#include <istream>
-#include <ostream>
+#include <stdexcept>
 
 #include "core/agent_uid.h"
 #include "io/binary.h"
@@ -74,30 +82,30 @@ inline HaloPrev BitsOf(const HaloRecord& record) {
 
 namespace detail {
 
-/// Writes `value ^ prev` as [count][count low-order bytes]. The XOR of two
-/// nearby doubles has leading (high-order) zero bytes, so only the bytes up
-/// to the highest non-zero one are stored; an unchanged scalar costs one
-/// byte total.
-inline void WriteDeltaScalar(std::ostream& out, uint64_t value, uint64_t prev) {
+/// Writes `value ^ prev` as [count][count low-order bytes], in one append.
+/// The XOR of two nearby doubles has leading (high-order) zero bytes, so
+/// only the bytes up to the highest non-zero one are stored; an unchanged
+/// scalar costs one byte total.
+inline void WriteDeltaScalar(ByteWriter& out, uint64_t value, uint64_t prev) {
   const uint64_t delta = value ^ prev;
-  uint8_t count = 0;
-  for (uint64_t rest = delta; rest != 0; rest >>= 8) {
-    ++count;
-  }
-  WriteScalar<uint8_t>(out, count);
+  const int count = (64 - std::countl_zero(delta) + 7) / 8;
+  unsigned char bytes[9];
+  bytes[0] = static_cast<unsigned char>(count);
   for (int b = 0; b < count; ++b) {
-    WriteScalar<uint8_t>(out, static_cast<uint8_t>(delta >> (8 * b)));
+    bytes[1 + b] = static_cast<unsigned char>(delta >> (8 * b));
   }
+  out.WriteBytes(bytes, static_cast<size_t>(1 + count));
 }
 
-inline uint64_t ReadDeltaScalar(std::istream& in, uint64_t prev) {
-  const uint8_t count = ReadScalar<uint8_t>(in);
+inline uint64_t ReadDeltaScalar(ByteReader& in, uint64_t prev) {
+  const auto count = in.Read<uint8_t>();
   if (count > 8) {
     throw std::runtime_error("halo record: corrupt delta byte count");
   }
+  const unsigned char* bytes = in.Take(count);
   uint64_t delta = 0;
   for (int b = 0; b < count; ++b) {
-    delta |= static_cast<uint64_t>(ReadScalar<uint8_t>(in)) << (8 * b);
+    delta |= static_cast<uint64_t>(bytes[b]) << (8 * b);
   }
   return delta ^ prev;
 }
@@ -105,11 +113,11 @@ inline uint64_t ReadDeltaScalar(std::istream& in, uint64_t prev) {
 }  // namespace detail
 
 /// Serializes `record`, delta-encoding its scalars against `prev`.
-inline void EncodeHaloRecord(std::ostream& out, const HaloRecord& record,
+inline void EncodeHaloRecord(ByteWriter& out, const HaloRecord& record,
                              const HaloPrev& prev) {
-  WriteScalar<uint32_t>(out, record.owner_uid.index());
-  WriteScalar<uint32_t>(out, record.owner_uid.reused());
-  WriteScalar<uint8_t>(out, record.is_static ? 1 : 0);
+  out.Write<uint32_t>(record.owner_uid.index());
+  out.Write<uint32_t>(record.owner_uid.reused());
+  out.Write<uint8_t>(record.is_static ? 1 : 0);
   detail::WriteDeltaScalar(out, RealBits(record.position.x), prev.bits[0]);
   detail::WriteDeltaScalar(out, RealBits(record.position.y), prev.bits[1]);
   detail::WriteDeltaScalar(out, RealBits(record.position.z), prev.bits[2]);
@@ -121,12 +129,12 @@ inline void EncodeHaloRecord(std::ostream& out, const HaloRecord& record,
 /// the uid first and only then asks `prev_of(owner_uid)` for the bits the
 /// encoder delta'd against (all-zero HaloPrev for a first-time uid).
 template <typename PrevLookup>
-inline HaloRecord DecodeHaloRecordWith(std::istream& in, PrevLookup&& prev_of) {
+inline HaloRecord DecodeHaloRecordWith(ByteReader& in, PrevLookup&& prev_of) {
   HaloRecord record;
-  const uint32_t index = ReadScalar<uint32_t>(in);
-  const uint32_t reused = ReadScalar<uint32_t>(in);
+  const auto index = in.Read<uint32_t>();
+  const auto reused = in.Read<uint32_t>();
   record.owner_uid = AgentUid(index, reused);
-  record.is_static = ReadScalar<uint8_t>(in) != 0;
+  record.is_static = in.Read<uint8_t>() != 0;
   const HaloPrev prev = prev_of(record.owner_uid);
   record.position.x = RealFromBits(detail::ReadDeltaScalar(in, prev.bits[0]));
   record.position.y = RealFromBits(detail::ReadDeltaScalar(in, prev.bits[1]));
@@ -137,7 +145,7 @@ inline HaloRecord DecodeHaloRecordWith(std::istream& in, PrevLookup&& prev_of) {
 
 /// Convenience overload for callers that already know the previous bits
 /// (tests, single-record round-trips).
-inline HaloRecord DecodeHaloRecord(std::istream& in, const HaloPrev& prev) {
+inline HaloRecord DecodeHaloRecord(ByteReader& in, const HaloPrev& prev) {
   return DecodeHaloRecordWith(in, [&prev](const AgentUid&) { return prev; });
 }
 

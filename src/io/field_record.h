@@ -13,19 +13,21 @@
 //
 // Unlike agent records, slabs need no per-value key: sender and receiver
 // configure the same slab geometry up front (pairwise owned-box/window
-// intersections), so position in the stream IS the voxel identity, and the
+// intersections), so position in the message IS the voxel identity, and the
 // prev array is indexed in lockstep. The transform is bit-exact: the ghost
 // planes must agree with the owner's voxels bitwise
 // (ConsistencyAudit::CheckShardFields), so no lossy compression is
 // admissible.
+//
+// Like the agent records, slabs and deposits are written to and read from
+// in-memory byte buffers (io::ByteWriter / io::ByteReader). Layouts:
+//   slab section:  [voxel count u32] then per voxel [count u8][XOR bytes]
+//   deposit:       [x u32][y u32][z u32][amount bits u64]
 #ifndef BDM_IO_FIELD_RECORD_H_
 #define BDM_IO_FIELD_RECORD_H_
 
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
-#include <vector>
 
 #include "io/agent_record.h"
 #include "io/binary.h"
@@ -36,7 +38,7 @@ namespace bdm::io {
 /// place to `cur` -- the sender's state for the next exchange). Returns
 /// false without writing anything when every voxel is unchanged, so the
 /// caller can skip the slab section entirely.
-inline bool EncodeFieldSlab(std::ostream& out, const uint64_t* cur,
+inline bool EncodeFieldSlab(ByteWriter& out, const uint64_t* cur,
                             uint32_t count, uint64_t* prev) {
   bool changed = false;
   for (uint32_t i = 0; i < count; ++i) {
@@ -48,7 +50,7 @@ inline bool EncodeFieldSlab(std::ostream& out, const uint64_t* cur,
   if (!changed) {
     return false;
   }
-  WriteScalar<uint32_t>(out, count);
+  out.Write<uint32_t>(count);
   for (uint32_t i = 0; i < count; ++i) {
     detail::WriteDeltaScalar(out, cur[i], prev[i]);
     prev[i] = cur[i];
@@ -59,12 +61,12 @@ inline bool EncodeFieldSlab(std::ostream& out, const uint64_t* cur,
 /// Inverse of EncodeFieldSlab for one written slab section: decodes
 /// `expected` voxels against `prev`, storing the decoded bits back into
 /// `prev` (receiver state doubles as the output -- the caller copies them
-/// into the ghost voxels). Throws when the stream disagrees about the slab
+/// into the ghost voxels). Throws when the message disagrees about the slab
 /// geometry; that can only mean sender and receiver configured different
 /// slabs, and decoding further would misalign every later section.
-inline void DecodeFieldSlab(std::istream& in, uint32_t expected,
+inline void DecodeFieldSlab(ByteReader& in, uint32_t expected,
                             uint64_t* prev) {
-  const uint32_t count = ReadScalar<uint32_t>(in);
+  const auto count = in.Read<uint32_t>();
   if (count != expected) {
     throw std::runtime_error("field slab: voxel count mismatch");
   }
@@ -83,20 +85,20 @@ struct FieldDepositRecord {
   uint64_t amount_bits = 0;
 };
 
-inline void EncodeFieldDeposit(std::ostream& out,
+inline void EncodeFieldDeposit(ByteWriter& out,
                                const FieldDepositRecord& record) {
-  WriteScalar<uint32_t>(out, static_cast<uint32_t>(record.x));
-  WriteScalar<uint32_t>(out, static_cast<uint32_t>(record.y));
-  WriteScalar<uint32_t>(out, static_cast<uint32_t>(record.z));
-  WriteScalar<uint64_t>(out, record.amount_bits);
+  out.Write<uint32_t>(static_cast<uint32_t>(record.x));
+  out.Write<uint32_t>(static_cast<uint32_t>(record.y));
+  out.Write<uint32_t>(static_cast<uint32_t>(record.z));
+  out.Write<uint64_t>(record.amount_bits);
 }
 
-inline FieldDepositRecord DecodeFieldDeposit(std::istream& in) {
+inline FieldDepositRecord DecodeFieldDeposit(ByteReader& in) {
   FieldDepositRecord record;
-  record.x = ReadScalar<uint32_t>(in);
-  record.y = ReadScalar<uint32_t>(in);
-  record.z = ReadScalar<uint32_t>(in);
-  record.amount_bits = ReadScalar<uint64_t>(in);
+  record.x = in.Read<uint32_t>();
+  record.y = in.Read<uint32_t>();
+  record.z = in.Read<uint32_t>();
+  record.amount_bits = in.Read<uint64_t>();
   return record;
 }
 

@@ -1,10 +1,10 @@
 #include "shard/shard.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_set>
 #include <utility>
 
 #include "continuum/diffusion_grid.h"
@@ -12,6 +12,7 @@
 #include "io/binary.h"
 #include "io/checkpoint.h"
 #include "io/field_record.h"
+#include "sched/numa_thread_pool.h"
 #include "shard/ghost_agent.h"
 #include "shard/shard_transport.h"
 
@@ -27,14 +28,42 @@ constexpr uint8_t kHaloMsg = 2;
 constexpr uint8_t kFieldDepositMsg = 3;
 constexpr uint8_t kFieldHaloMsg = 4;
 
-uint8_t ReadKind(std::istream& in, uint8_t expected) {
-  const auto kind = io::ReadScalar<uint8_t>(in);
+void CheckKind(uint8_t kind, uint8_t expected) {
   if (kind != expected) {
     throw std::logic_error("shard exchange: unexpected message kind " +
                            std::to_string(kind) + " (expected " +
                            std::to_string(expected) + ")");
   }
-  return kind;
+}
+
+/// Runs `fn(agent, i, tid)` on the pool for every agent of `rm`, where i is
+/// the agent's position in ForEachAgent order (domain by domain) -- so a
+/// serial walk over per-agent results written at [i] visits them in the
+/// order of a serial scan -- and tid the executing worker.
+template <typename Fn>
+void ParallelAgentScan(const ResourceManager& rm, NumaThreadPool* pool,
+                       const Fn& fn) {
+  // The scans read two cache lines of agents scattered over the heap;
+  // prefetching a few agents ahead overlaps those misses.
+  constexpr int64_t kPrefetchAhead = 8;
+  size_t offset = 0;
+  for (int d = 0; d < rm.GetNumDomains(); ++d) {
+    const std::vector<Agent*>& agents = rm.GetAgentVector(d);
+    pool->ParallelFor(
+        0, static_cast<int64_t>(agents.size()), 2048,
+        [&](int64_t begin, int64_t end, int tid) {
+          for (int64_t i = begin; i < end; ++i) {
+            if (i + kPrefetchAhead < end) {
+              const char* ahead =
+                  reinterpret_cast<const char*>(agents[i + kPrefetchAhead]);
+              __builtin_prefetch(ahead);
+              __builtin_prefetch(ahead + 64);
+            }
+            fn(agents[i], offset + static_cast<size_t>(i), tid);
+          }
+        });
+    offset += agents.size();
+  }
 }
 
 }  // namespace
@@ -46,11 +75,24 @@ Shard::Shard(int id, int num_shards, const spatial::ShardExtent& extent,
       extent_(extent),
       sim_(std::make_unique<Simulation>(name, param, services)),
       ghosts_(num_shards),
-      sent_prev_(num_shards),
-      recv_prev_(num_shards) {}
+      sent_(num_shards) {}
 
 uint64_t Shard::NumOwned() const {
   return sim_->GetResourceManager()->GetNumAgents() - NumGhosts();
+}
+
+real_t Shard::MaxOwnedDiameter() const {
+  // One running max per worker, written only when it grows (so the shared
+  // lines stay clean); a max is exact in any order.
+  NumaThreadPool* pool = sim_->GetThreadPool();
+  std::vector<real_t> max_diameter(static_cast<size_t>(pool->NumThreads()), 0);
+  ParallelAgentScan(
+      *sim_->GetResourceManager(), pool, [&](Agent* agent, size_t, int tid) {
+        if (!agent->IsGhost() && agent->GetDiameter() > max_diameter[tid]) {
+          max_diameter[tid] = agent->GetDiameter();
+        }
+      });
+  return *std::max_element(max_diameter.begin(), max_diameter.end());
 }
 
 void Shard::CollectMigrations(const std::vector<spatial::ShardExtent>& extents,
@@ -59,13 +101,22 @@ void Shard::CollectMigrations(const std::vector<spatial::ShardExtent>& extents,
   auto* rm = sim_->GetResourceManager();
   auto* ctx = sim_->GetExecutionContext(-1);
   const int num_shards = static_cast<int>(extents.size());
+  // Parallel pass: each agent's destination shard (halo copies sit outside
+  // the extent by construction and never migrate).
+  std::vector<int> dest(rm->GetNumAgents(), id_);
+  auto* pool = sim_->GetThreadPool();
+  ParallelAgentScan(*rm, pool, [&](Agent* agent, size_t i, int) {
+    if (!agent->IsGhost()) {
+      dest[i] = spatial::LocateShard(extents, agent->GetPosition());
+    }
+  });
+  // Serial pass in ForEachAgent order: the records, and the removal order,
+  // are exactly those of a serial scan.
   std::vector<std::ostringstream> records(num_shards);
   std::vector<uint32_t> counts(num_shards, 0);
+  size_t i = 0;
   rm->ForEachAgent([&](Agent* agent, AgentHandle) {
-    if (agent->IsGhost()) {
-      return;  // halo copies sit outside the extent by construction
-    }
-    const int dst = spatial::LocateShard(extents, agent->GetPosition());
+    const int dst = dest[i++];
     if (dst == id_) {
       return;
     }
@@ -93,13 +144,17 @@ void Shard::ReceiveMigrations(ShardTransport* transport,
   std::string bytes;
   while (transport->Receive(id_, &src, &bytes)) {
     std::istringstream in(bytes);
-    ReadKind(in, kMigrationMsg);
+    CheckKind(io::ReadScalar<uint8_t>(in), kMigrationMsg);
     const auto count = io::ReadScalar<uint32_t>(in);
     // Fresh uids: the sender recycled the originals into the shared
     // generator when it removed the agents, so keeping them would race the
     // generator's reuse.
     io::Checkpoint::AppendAgentRecords(sim_.get(), in, count,
                                        /*remap_uids=*/true);
+    if (in.peek() != std::istringstream::traits_type::eof()) {
+      throw std::runtime_error(
+          "migration message: trailing bytes after the last record");
+    }
     stats->migrations_in += count;
   }
 }
@@ -109,18 +164,56 @@ void Shard::SendHalos(const std::vector<spatial::ShardExtent>& extents,
                       ExchangeStats* stats) {
   auto* rm = sim_->GetResourceManager();
   const int num_shards = static_cast<int>(extents.size());
-  std::vector<std::vector<const Agent*>> candidates(num_shards);
-  rm->ForEachAgent([&](Agent* agent, AgentHandle) {
+  const uint64_t epoch = ++send_epoch_;
+  // Parallel pass: one destination bitmask per agent (`words` 64-bit words
+  // each) -- bit dst set when the owned agent lies within `halo_width` of
+  // shard dst's extent (face, edge, and corner neighbors alike).
+  const size_t words = (static_cast<size_t>(num_shards) + 63) / 64;
+  std::vector<uint64_t> masks(rm->GetNumAgents() * words, 0);
+  auto* pool = sim_->GetThreadPool();
+  ParallelAgentScan(*rm, pool, [&](Agent* agent, size_t i, int) {
     if (agent->IsGhost()) {
       return;  // only the owner publishes an agent's geometry
     }
     const Real3& pos = agent->GetPosition();
+    uint64_t* mask = &masks[i * words];
     for (int dst = 0; dst < num_shards; ++dst) {
-      if (dst == id_) {
-        continue;
+      if (dst != id_ &&
+          spatial::DistanceToExtent(extents[dst], pos) <= halo_width) {
+        mask[dst / 64] |= uint64_t{1} << (dst % 64);
       }
-      if (spatial::DistanceToExtent(extents[dst], pos) <= halo_width) {
-        candidates[dst].push_back(agent);
+    }
+  });
+
+  // Serial pass in ForEachAgent order, encoding straight into one message
+  // per destination; the record count is patched in at the end.
+  constexpr size_t kCountOffset = 1;  // after the kind tag
+  std::vector<io::ByteWriter> msgs(num_shards);
+  std::vector<uint32_t> counts(num_shards, 0);
+  for (int dst = 0; dst < num_shards; ++dst) {
+    if (dst != id_) {
+      msgs[dst].Write<uint8_t>(kHaloMsg);
+      msgs[dst].Write<uint32_t>(0);
+    }
+  }
+  size_t i = 0;
+  rm->ForEachAgent([&](Agent* agent, AgentHandle) {
+    const uint64_t* mask = &masks[i++ * words];
+    for (size_t w = 0; w < words; ++w) {
+      for (uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+        const int dst = static_cast<int>(w * 64) + std::countr_zero(bits);
+        io::HaloRecord record;
+        record.owner_uid = agent->GetUid();
+        record.position = agent->GetPosition();
+        record.diameter = agent->GetDiameter();
+        record.is_static = agent->IsStatic();
+        // A first-time uid gets a value-initialized entry: zero bits.
+        SentEntry& sent =
+            sent_[dst].try_emplace(record.owner_uid).first->second;
+        io::EncodeHaloRecord(msgs[dst], record, sent.bits);
+        sent.bits = io::BitsOf(record);
+        sent.epoch = epoch;
+        ++counts[dst];
       }
     }
   });
@@ -128,31 +221,18 @@ void Shard::SendHalos(const std::vector<spatial::ShardExtent>& extents,
     if (dst == id_) {
       continue;
     }
-    std::unordered_map<AgentUid, io::HaloPrev> next;
-    next.reserve(candidates[dst].size());
-    std::ostringstream msg;
-    io::WriteScalar<uint8_t>(msg, kHaloMsg);
-    io::WriteScalar<uint32_t>(msg,
-                              static_cast<uint32_t>(candidates[dst].size()));
-    for (const Agent* agent : candidates[dst]) {
-      io::HaloRecord record;
-      record.owner_uid = agent->GetUid();
-      record.position = agent->GetPosition();
-      record.diameter = agent->GetDiameter();
-      record.is_static = agent->IsStatic();
-      auto it = sent_prev_[dst].find(record.owner_uid);
-      const io::HaloPrev prev =
-          it != sent_prev_[dst].end() ? it->second : io::HaloPrev{};
-      io::EncodeHaloRecord(msg, record, prev);
-      next.emplace(record.owner_uid, io::BitsOf(record));
+    // Replace (not merge) semantics: uids absent from this exchange must
+    // encode against zero next time, exactly like the receiver will decode
+    // them (it drops unreported ghosts symmetrically).
+    if (sent_[dst].size() != counts[dst]) {
+      std::erase_if(sent_[dst], [epoch](const auto& kv) {
+        return kv.second.epoch != epoch;
+      });
     }
-    // Replace (not merge) the per-destination state: uids absent from this
-    // exchange must encode against zero next time, exactly like the
-    // receiver will decode them (it drops unseen uids symmetrically).
-    sent_prev_[dst] = std::move(next);
-    if (!candidates[dst].empty()) {
-      transport->Send(id_, dst, std::move(msg).str());
-      stats->halo_records_sent += candidates[dst].size();
+    if (counts[dst] != 0) {
+      msgs[dst].Patch<uint32_t>(kCountOffset, counts[dst]);
+      transport->Send(id_, dst, msgs[dst].Take());
+      stats->halo_records_sent += counts[dst];
     }
   }
 }
@@ -160,29 +240,26 @@ void Shard::SendHalos(const std::vector<spatial::ShardExtent>& extents,
 void Shard::ReceiveHalos(ShardTransport* transport) {
   auto* rm = sim_->GetResourceManager();
   auto* ctx = sim_->GetExecutionContext(-1);
-  std::vector<std::unordered_map<AgentUid, io::HaloPrev>> next_recv(
-      recv_prev_.size());
-  std::vector<std::unordered_set<AgentUid>> seen(ghosts_.size());
+  const uint64_t epoch = ++recv_epoch_;
   bool geometry_touched = false;
   int src = -1;
   std::string bytes;
   while (transport->Receive(id_, &src, &bytes)) {
-    std::istringstream in(bytes);
-    ReadKind(in, kHaloMsg);
-    const auto count = io::ReadScalar<uint32_t>(in);
-    auto& prev_map = recv_prev_[src];
-    auto& next_map = next_recv[src];
+    io::ByteReader in(bytes);
+    CheckKind(in.Read<uint8_t>(), kHaloMsg);
+    const auto count = in.Read<uint32_t>();
+    auto& ghost_map = ghosts_[src];
     for (uint32_t i = 0; i < count; ++i) {
+      // The ghost registry doubles as the receiver's codec state: the bits
+      // last applied to a halo copy are the bits its owner last sent. One
+      // lookup serves both the decode and the apply below.
+      auto git = ghost_map.end();
       const io::HaloRecord record =
-          io::DecodeHaloRecordWith(in, [&prev_map](const AgentUid& uid) {
-            auto it = prev_map.find(uid);
-            return it != prev_map.end() ? it->second : io::HaloPrev{};
+          io::DecodeHaloRecordWith(in, [&](const AgentUid& uid) {
+            git = ghost_map.find(uid);
+            return git != ghost_map.end() ? git->second.bits : io::HaloPrev{};
           });
       const io::HaloPrev bits = io::BitsOf(record);
-      next_map.emplace(record.owner_uid, bits);
-      seen[src].insert(record.owner_uid);
-      auto& ghost_map = ghosts_[src];
-      auto git = ghost_map.find(record.owner_uid);
       if (git == ghost_map.end()) {
         auto* ghost = new GhostAgent();
         ghost->SetDiameter(record.diameter);
@@ -193,6 +270,7 @@ void Shard::ReceiveHalos(ShardTransport* transport) {
         entry.local_uid = ghost->GetUid();
         entry.owner_shard = src;
         entry.bits = bits;
+        entry.epoch = epoch;
         ghost_map.emplace(record.owner_uid, entry);
         geometry_touched = true;
       } else {
@@ -209,10 +287,11 @@ void Shard::ReceiveHalos(ShardTransport* transport) {
         }
         ghost->MirrorStaticness(record.is_static);
         entry.owner_shard = src;
+        entry.epoch = epoch;
       }
     }
+    in.ExpectEnd("halo message");
   }
-  recv_prev_ = std::move(next_recv);
   // A ghost not reported this exchange left every halo zone (or its owner
   // migrated and re-published it under a new uid): drop the copy. Collect
   // the stale entries first and retire them in a DETERMINISTIC order keyed
@@ -222,9 +301,9 @@ void Shard::ReceiveHalos(ShardTransport* transport) {
   // the RM mutation order -- and through agent compaction, downstream FP
   // sums -- diverge across process counts.
   std::vector<const GhostEntry*> stale;
-  for (size_t owner = 0; owner < ghosts_.size(); ++owner) {
-    for (const auto& [owner_uid, entry] : ghosts_[owner]) {
-      if (seen[owner].count(owner_uid) == 0) {
+  for (const auto& ghost_map : ghosts_) {
+    for (const auto& [owner_uid, entry] : ghost_map) {
+      if (entry.epoch != epoch) {
         stale.push_back(&entry);
       }
     }
@@ -245,14 +324,12 @@ void Shard::ReceiveHalos(ShardTransport* transport) {
   for (const GhostEntry* entry : stale) {
     ctx->RemoveAgent(entry->local_uid);
   }
-  for (size_t owner = 0; owner < ghosts_.size(); ++owner) {
-    auto& ghost_map = ghosts_[owner];
-    for (auto it = ghost_map.begin(); it != ghost_map.end();) {
-      it = seen[owner].count(it->first) == 0 ? ghost_map.erase(it)
-                                             : std::next(it);
-    }
-  }
   if (removed_any) {
+    for (auto& ghost_map : ghosts_) {
+      std::erase_if(ghost_map, [epoch](const auto& kv) {
+        return kv.second.epoch != epoch;
+      });
+    }
     rm->Commit(sim_->GetAllExecutionContexts());
   }
   if (geometry_touched || removed_any) {
@@ -280,7 +357,7 @@ void Shard::ConfigureFieldExchange(std::vector<FieldSlab> send,
 void Shard::CollectFieldDeposits(ShardTransport* transport,
                                  FieldStats* stats) {
   const auto& grids = sim_->GetAllDiffusionGrids();
-  const int num_shards = static_cast<int>(sent_prev_.size());
+  const int num_shards = static_cast<int>(ghosts_.size());
   // out[dst][grid] = deposit records owed to shard dst for that substance.
   std::vector<std::vector<std::vector<io::FieldDepositRecord>>> out(
       num_shards,
@@ -322,22 +399,22 @@ void Shard::CollectFieldDeposits(ShardTransport* transport,
     if (sections == 0) {
       continue;
     }
-    std::ostringstream msg;
-    io::WriteScalar<uint8_t>(msg, kFieldDepositMsg);
-    io::WriteScalar<uint32_t>(msg, sections);
+    io::ByteWriter msg;
+    msg.Write<uint8_t>(kFieldDepositMsg);
+    msg.Write<uint32_t>(sections);
     for (uint32_t gi = 0; gi < out[dst].size(); ++gi) {
       const auto& records = out[dst][gi];
       if (records.empty()) {
         continue;
       }
-      io::WriteScalar<uint32_t>(msg, gi);
-      io::WriteScalar<uint32_t>(msg, static_cast<uint32_t>(records.size()));
+      msg.Write<uint32_t>(gi);
+      msg.Write<uint32_t>(static_cast<uint32_t>(records.size()));
       for (const io::FieldDepositRecord& record : records) {
         io::EncodeFieldDeposit(msg, record);
       }
       stats->deposits_forwarded += records.size();
     }
-    transport->Send(id_, dst, std::move(msg).str());
+    transport->Send(id_, dst, msg.Take());
   }
 }
 
@@ -346,15 +423,15 @@ void Shard::ReceiveFieldDeposits(ShardTransport* transport) {
   int src = -1;
   std::string bytes;
   while (transport->Receive(id_, &src, &bytes)) {
-    std::istringstream in(bytes);
-    ReadKind(in, kFieldDepositMsg);
-    const auto sections = io::ReadScalar<uint32_t>(in);
+    io::ByteReader in(bytes);
+    CheckKind(in.Read<uint8_t>(), kFieldDepositMsg);
+    const auto sections = in.Read<uint32_t>();
     for (uint32_t sct = 0; sct < sections; ++sct) {
-      const auto gi = io::ReadScalar<uint32_t>(in);
+      const auto gi = in.Read<uint32_t>();
       if (gi >= grids.size()) {
         throw std::logic_error("field exchange: deposit for unknown grid");
       }
-      const auto count = io::ReadScalar<uint32_t>(in);
+      const auto count = in.Read<uint32_t>();
       for (uint32_t i = 0; i < count; ++i) {
         const io::FieldDepositRecord record = io::DecodeFieldDeposit(in);
         // Bit-exact: the owner adds exactly the amount the depositing
@@ -363,12 +440,16 @@ void Shard::ReceiveFieldDeposits(ShardTransport* transport) {
                                          io::RealFromBits(record.amount_bits));
       }
     }
+    in.ExpectEnd("field deposit message");
   }
 }
 
 void Shard::SendFieldHalos(ShardTransport* transport, FieldStats* stats) {
-  const int num_shards = static_cast<int>(sent_prev_.size());
-  std::vector<std::ostringstream> bodies(num_shards);
+  const int num_shards = static_cast<int>(ghosts_.size());
+  // One message per peer: [kind][section count] then per changed slab
+  // [grid index][slab section]; the count is patched in at the end.
+  constexpr size_t kCountOffset = 1;  // after the kind tag
+  std::vector<io::ByteWriter> msgs(num_shards);
   std::vector<uint32_t> sections(num_shards, 0);
   std::vector<uint64_t> cur;
   for (FieldSlab& slab : field_send_) {
@@ -381,28 +462,31 @@ void Shard::SendFieldHalos(ShardTransport* transport, FieldStats* stats) {
         }
       }
     }
-    std::ostringstream section;
-    if (io::EncodeFieldSlab(section, cur.data(),
-                            static_cast<uint32_t>(cur.size()),
+    io::ByteWriter& msg = msgs[slab.peer];
+    if (msg.empty()) {
+      msg.Write<uint8_t>(kFieldHaloMsg);
+      msg.Write<uint32_t>(0);
+    }
+    const size_t section_start = msg.size();
+    msg.Write<uint32_t>(slab.grid_index);
+    if (io::EncodeFieldSlab(msg, cur.data(), static_cast<uint32_t>(cur.size()),
                             slab.prev.data())) {
-      io::WriteScalar<uint32_t>(bodies[slab.peer], slab.grid_index);
-      bodies[slab.peer] << section.str();
       ++sections[slab.peer];
       ++stats->halo_slabs_sent;
       stats->halo_voxels_sent += cur.size();
+    } else {
+      // Unchanged slab: prev already equals cur voxel-for-voxel; the
+      // receiver keeps its symmetric state and applies it -- missing
+      // section == zero delta.
+      msg.Truncate(section_start);
     }
-    // On skip, prev already equals cur voxel-for-voxel; the receiver keeps
-    // its symmetric state and applies it -- missing section == zero delta.
   }
   for (int dst = 0; dst < num_shards; ++dst) {
     if (sections[dst] == 0) {
       continue;
     }
-    std::ostringstream msg;
-    io::WriteScalar<uint8_t>(msg, kFieldHaloMsg);
-    io::WriteScalar<uint32_t>(msg, sections[dst]);
-    msg << bodies[dst].str();
-    transport->Send(id_, dst, std::move(msg).str());
+    msgs[dst].Patch<uint32_t>(kCountOffset, sections[dst]);
+    transport->Send(id_, dst, msgs[dst].Take());
   }
 }
 
@@ -410,11 +494,11 @@ void Shard::ReceiveFieldHalos(ShardTransport* transport) {
   int src = -1;
   std::string bytes;
   while (transport->Receive(id_, &src, &bytes)) {
-    std::istringstream in(bytes);
-    ReadKind(in, kFieldHaloMsg);
-    const auto sections = io::ReadScalar<uint32_t>(in);
+    io::ByteReader in(bytes);
+    CheckKind(in.Read<uint8_t>(), kFieldHaloMsg);
+    const auto sections = in.Read<uint32_t>();
     for (uint32_t sct = 0; sct < sections; ++sct) {
-      const auto gi = io::ReadScalar<uint32_t>(in);
+      const auto gi = in.Read<uint32_t>();
       FieldSlab* slab = nullptr;
       for (FieldSlab& candidate : field_recv_) {
         if (candidate.peer == src && candidate.grid_index == gi) {
@@ -429,6 +513,7 @@ void Shard::ReceiveFieldHalos(ShardTransport* transport) {
       io::DecodeFieldSlab(in, static_cast<uint32_t>(slab->NumVoxels()),
                           slab->prev.data());
     }
+    in.ExpectEnd("field halo message");
   }
   // Write the codec state into the ghost voxels for EVERY receive slab:
   // decoded slabs carry the owner's new values, skipped slabs carry its

@@ -12,14 +12,24 @@
 //    copies; keyed per owner shard because uid values are only unique
 //    within one process),
 //  * the symmetric delta-codec state (io/agent_record.h): per destination
-//    the bits of every record sent in the previous exchange, per source the
-//    bits of every record received -- sender and receiver keep exactly the
-//    same keys, so the codec's "previous bits" can never diverge.
+//    the bits of every record sent in the previous exchange; per source the
+//    receiver's copy of the same bits is the ghost registry itself (the
+//    bits last applied to each halo copy). Sender and receiver keep exactly
+//    the same keys, so the codec's "previous bits" can never diverge
+//    (ConsistencyAudit::CheckShards verifies it). Both sides are updated in
+//    place: an epoch stamp marks the entries reported in the current
+//    exchange, and the unreported ones are swept afterwards -- "replace,
+//    not merge", without rebuilding the maps every exchange.
 //
 // The four exchange phases are driven by ShardedSimulation::Exchange in
 // lockstep across all shards (all migrations settle before any halo is
 // scanned; see sharded_simulation.h for why the order matters). Each phase
-// requires this shard's simulation to be the active one.
+// requires this shard's simulation to be the active one. The per-agent
+// scans of phases 1 and 3 run on the shared pool, writing one result per
+// agent; a serial walk in ForEachAgent order then writes the records, so
+// message content and order are those of a serial scan. Messages are built
+// in io::ByteWriter buffers and parsed with the bounds-checked
+// io::ByteReader (io/binary.h).
 #ifndef BDM_SHARD_SHARD_H_
 #define BDM_SHARD_SHARD_H_
 
@@ -45,12 +55,21 @@ class ShardTransport;
 class Shard {
  public:
   /// Ghost registry entry: where the halo copy lives locally and what was
-  /// last applied to it (the bits double as the "did it move" test that
-  /// keeps unchanged ghosts from waking their neighbors every exchange).
+  /// last applied to it. The bits are the receiver's delta-codec state and
+  /// double as the "did it move" test that keeps unchanged ghosts from
+  /// waking their neighbors every exchange.
   struct GhostEntry {
     AgentUid local_uid;
     int owner_shard = -1;
     io::HaloPrev bits;
+    uint64_t epoch = 0;  // receive round that last reported this ghost
+  };
+
+  /// Sender-side delta-codec state of one uid published to one peer: the
+  /// bits sent in the last exchange that reported it.
+  struct SentEntry {
+    io::HaloPrev bits;
+    uint64_t epoch = 0;  // send round that last reported this uid
   };
 
   /// Counters accumulated across the exchange phases of one iteration
@@ -110,6 +129,10 @@ class Shard {
   /// Live agents this shard owns (total population minus ghosts).
   uint64_t NumOwned() const;
 
+  /// Largest diameter among the owned agents (0 without any); a parallel
+  /// scan on the shared pool.
+  real_t MaxOwnedDiameter() const;
+
   /// Ghost registry, indexed by owner shard. Keyed per SOURCE because owner
   /// uids are only unique within one process: two ranks' generators issue
   /// the same uid values, so a flat uid-keyed map would collide ghosts from
@@ -118,13 +141,22 @@ class Shard {
     return ghosts_;
   }
 
+  /// Sender delta-codec state, indexed by destination shard: owner uid ->
+  /// bits last sent. After every exchange HaloSendState()[b] holds exactly
+  /// the keys and bits of shard b's Ghosts()[id()].
+  const std::vector<std::unordered_map<AgentUid, SentEntry>>& HaloSendState()
+      const {
+    return sent_;
+  }
+
   // --- exchange phases -------------------------------------------------------
   // ShardedSimulation::Exchange calls these in order, phase-by-phase across
   // all shards; the caller must have made sim() the active simulation.
 
   /// Phase 1: serializes every owned agent whose position left this shard's
-  /// extent (full checkpoint records -- type, geometry, behaviors) into one
-  /// message per destination shard, and removes the originals.
+  /// extent (full checkpoint records -- type, geometry, behaviors -- in the
+  /// checkpoint stream codec) into one message per destination shard, and
+  /// removes the originals.
   void CollectMigrations(const std::vector<spatial::ShardExtent>& extents,
                          ShardTransport* transport, ExchangeStats* stats);
 
@@ -141,7 +173,10 @@ class Shard {
 
   /// Phase 4: drains pending halo messages, updates existing ghosts in
   /// place (only when their bits actually changed), materializes new ones,
-  /// and removes ghosts whose owner no longer reports them.
+  /// and removes ghosts whose owner no longer reports them. Throws
+  /// std::runtime_error on a message that overruns its bytes or has bytes
+  /// left after its last record, std::logic_error on a wrong kind tag
+  /// (the field phases F2 and F4 check their messages the same way).
   void ReceiveHalos(ShardTransport* transport);
 
   // --- field exchange phases -------------------------------------------------
@@ -183,13 +218,17 @@ class Shard {
   spatial::ShardExtent extent_;
   std::unique_ptr<Simulation> sim_;
 
-  /// ghosts_[src]: owner uid -> local halo copy (see Ghosts()).
+  /// ghosts_[src]: owner uid -> local halo copy (see Ghosts()); also the
+  /// receiver's delta-codec state for src.
   std::vector<std::unordered_map<AgentUid, GhostEntry>> ghosts_;
-  /// sent_prev_[dst] / recv_prev_[src]: delta-codec state of the previous
-  /// exchange, rebuilt from scratch every exchange (a missing message is an
-  /// empty record set on both ends).
-  std::vector<std::unordered_map<AgentUid, io::HaloPrev>> sent_prev_;
-  std::vector<std::unordered_map<AgentUid, io::HaloPrev>> recv_prev_;
+  /// sent_[dst]: sender delta-codec state (see HaloSendState()). A missing
+  /// message is an empty record set on both ends: every entry of the
+  /// previous round then goes stale and is swept.
+  std::vector<std::unordered_map<AgentUid, SentEntry>> sent_;
+  /// Halo rounds sent / received so far; the epoch stamps of the entries
+  /// reported in the current round.
+  uint64_t send_epoch_ = 0;
+  uint64_t recv_epoch_ = 0;
 
   /// Field boundary slabs, in (grid, peer) registration order. Sender and
   /// receiver lists pair up across shards by (peer, grid_index).

@@ -348,16 +348,10 @@ real_t ShardedSimulation::HaloWidth() {
   // bigger than the box length must still be published to the neighbor
   // shard -- take the max of both radii. The transport max-reduces the
   // local result so every rank's halo zones agree (identity in-process).
-  real_t max_diameter = 0;
+  real_t local = param_.fixed_box_length;
   for (const auto& shard : shards_) {
-    shard->sim()->GetResourceManager()->ForEachAgent(
-        [&](Agent* agent, AgentHandle) {
-          if (!agent->IsGhost() && agent->GetDiameter() > max_diameter) {
-            max_diameter = agent->GetDiameter();
-          }
-        });
+    local = std::max(local, shard->MaxOwnedDiameter());
   }
-  const real_t local = std::max(param_.fixed_box_length, max_diameter);
   return static_cast<real_t>(
       transport_->AllReduceMax(static_cast<double>(local)));
 }

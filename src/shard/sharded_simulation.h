@@ -22,9 +22,13 @@
 //      agent is published by its *new* owner in the same exchange, so both
 //      sides of every boundary pair see bitwise-identical geometry and the
 //      pairwise forces stay exactly antisymmetric (momentum conservation).
+//      The per-agent scans of a and c (and the halo width's max-diameter
+//      scan) run on the shared pool; the records are then written in
+//      serial-scan order.
 //   2. CheckShards audit (Param::audit_interval cadence): global uid
 //      uniqueness, ghost<->owner bitwise agreement, ownership containment,
-//      and agent-count conservation across the exchange.
+//      delta-codec symmetry, and agent-count conservation across the
+//      exchange.
 //   3. Each shard steps one iteration (Scheduler::Simulate(1), op DAG and
 //      all) with its simulation made active; shards step sequentially and
 //      each uses the full shared pool. With S > 1 the per-shard schedulers

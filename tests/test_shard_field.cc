@@ -3,15 +3,17 @@
 // two-shard run and an unsharded reference (deposits in one shard, gradient
 // readers in the other), ghost-plane corruption detection by the field
 // audit, the "missing message == zero delta" property of the slab codec,
-// and a multi-shard churn run with secretion + migration under audits every
-// iteration. Listed in BDM_TSAN_TESTS: sanitizer builds run the churn under
-// tsan with BDM_AUDIT_INTERVAL=1.
+// golden bytes for the slab and deposit records, rejection of corrupt field
+// messages, and a multi-shard churn run with secretion + migration under
+// audits every iteration. Listed in BDM_TSAN_TESTS: sanitizer builds run
+// the churn under tsan with BDM_AUDIT_INTERVAL=1.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <map>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -95,43 +97,201 @@ TEST(FieldRecordTest, SlabRoundTripIsBitExact) {
                                0xDEADBEEFCAFEull, 42};
   std::vector<uint64_t> sender_prev(cur.size(), 0);
   std::vector<uint64_t> receiver_prev(cur.size(), 0);
-  std::stringstream stream;
-  ASSERT_TRUE(io::EncodeFieldSlab(stream, cur.data(),
+  io::ByteWriter out;
+  ASSERT_TRUE(io::EncodeFieldSlab(out, cur.data(),
                                   static_cast<uint32_t>(cur.size()),
                                   sender_prev.data()));
   EXPECT_EQ(sender_prev, cur);  // encoder advanced its codec state
-  io::DecodeFieldSlab(stream, static_cast<uint32_t>(cur.size()),
+  io::ByteReader in(out.bytes());
+  io::DecodeFieldSlab(in, static_cast<uint32_t>(cur.size()),
                       receiver_prev.data());
   EXPECT_EQ(receiver_prev, cur);
+  EXPECT_EQ(in.Remaining(), 0u);
 }
 
 TEST(FieldRecordTest, UnchangedSlabIsSkippedEntirely) {
   std::vector<uint64_t> cur = {io::RealBits(3.5), io::RealBits(7.25)};
   std::vector<uint64_t> prev = cur;  // steady state
-  std::stringstream stream;
-  EXPECT_FALSE(io::EncodeFieldSlab(stream, cur.data(), 2, prev.data()));
-  EXPECT_TRUE(stream.str().empty());
+  io::ByteWriter out;
+  EXPECT_FALSE(io::EncodeFieldSlab(out, cur.data(), 2, prev.data()));
+  EXPECT_TRUE(out.empty());
   EXPECT_EQ(prev, cur);
 }
 
 TEST(FieldRecordTest, SlabCountMismatchThrows) {
   std::vector<uint64_t> cur = {1, 2, 3};
   std::vector<uint64_t> sender_prev(3, 0), receiver_prev(4, 0);
-  std::stringstream stream;
-  ASSERT_TRUE(io::EncodeFieldSlab(stream, cur.data(), 3, sender_prev.data()));
-  EXPECT_THROW(io::DecodeFieldSlab(stream, 4, receiver_prev.data()),
+  io::ByteWriter out;
+  ASSERT_TRUE(io::EncodeFieldSlab(out, cur.data(), 3, sender_prev.data()));
+  io::ByteReader in(out.bytes());
+  EXPECT_THROW(io::DecodeFieldSlab(in, 4, receiver_prev.data()),
                std::runtime_error);
 }
 
 TEST(FieldRecordTest, DepositRecordRoundTrip) {
   io::FieldDepositRecord record{7, 0, 123, io::RealBits(0.125)};
-  std::stringstream stream;
-  io::EncodeFieldDeposit(stream, record);
-  const io::FieldDepositRecord back = io::DecodeFieldDeposit(stream);
+  io::ByteWriter out;
+  io::EncodeFieldDeposit(out, record);
+  io::ByteReader in(out.bytes());
+  const io::FieldDepositRecord back = io::DecodeFieldDeposit(in);
   EXPECT_EQ(back.x, record.x);
   EXPECT_EQ(back.y, record.y);
   EXPECT_EQ(back.z, record.z);
   EXPECT_EQ(back.amount_bits, record.amount_bits);
+}
+
+std::string Bytes(std::initializer_list<unsigned> values) {
+  std::string bytes;
+  for (const unsigned v : values) {
+    bytes.push_back(static_cast<char>(v));
+  }
+  return bytes;
+}
+
+TEST(FieldRecordTest, SlabAndDepositMatchGoldenBytes) {
+  // Pins the wire format. Slab: voxel count (u32, host order), then per
+  // voxel the count of significant XOR bytes followed by those bytes,
+  // lowest first. Deposit: x, y, z (u32) and the amount's raw bits (u64).
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "golden bytes are written for a little-endian host";
+  }
+  const std::vector<uint64_t> cur = {5, 5, 0x0102};
+  std::vector<uint64_t> prev = {5, 4, 0};  // deltas 0, 0x01, 0x0102
+  io::ByteWriter slab;
+  ASSERT_TRUE(io::EncodeFieldSlab(slab, cur.data(), 3, prev.data()));
+  EXPECT_EQ(slab.bytes(), Bytes({0x03, 0, 0, 0,  // voxel count
+                                 0x00,           // unchanged
+                                 0x01, 0x01,     // delta 0x01
+                                 0x02, 0x02, 0x01}));  // delta 0x0102
+
+  io::ByteWriter deposit;
+  io::EncodeFieldDeposit(deposit,
+                         {7, 0, 123, io::RealBits(real_t{0.125})});
+  EXPECT_EQ(deposit.bytes(),
+            Bytes({0x07, 0, 0, 0, 0, 0, 0, 0, 0x7B, 0, 0, 0,  // x, y, z
+                   0, 0, 0, 0, 0, 0, 0xC0, 0x3F}));           // 0.125
+}
+
+// --- corrupt field messages -------------------------------------------------
+
+/// Feeds hand-built field messages from shard 0 to shard 1 of a two-shard
+/// simulation with one grid through a private mailbox.
+class FieldMessageTest : public ::testing::Test {
+ protected:
+  static constexpr uint8_t kDepositKind = 3;
+  static constexpr uint8_t kHaloKind = 4;
+
+  FieldMessageTest()
+      : sim_("field_msg", FieldParam(1), {0, 0, 0}, {100, 100, 100}, 2) {
+    sim_.AddDiffusionGrid(OxygenFactory(16));
+  }
+
+  /// Voxel count of shard 1's receive slab from shard 0.
+  uint32_t SlabVoxels() {
+    for (const Shard::FieldSlab& slab : sim_.GetShard(1)->FieldRecvSlabs()) {
+      if (slab.peer == 0) {
+        return static_cast<uint32_t>(slab.NumVoxels());
+      }
+    }
+    ADD_FAILURE() << "no receive slab from shard 0";
+    return 0;
+  }
+
+  /// Field halo message with one section for grid 0 carrying `voxels`
+  /// unchanged-voxel entries under a declared count of `declared`.
+  static io::ByteWriter HaloMessage(uint32_t declared, uint32_t voxels) {
+    io::ByteWriter msg;
+    msg.Write<uint8_t>(kHaloKind);
+    msg.Write<uint32_t>(1);  // sections
+    msg.Write<uint32_t>(0);  // grid index
+    msg.Write<uint32_t>(declared);
+    for (uint32_t i = 0; i < voxels; ++i) {
+      msg.Write<uint8_t>(0);  // zero delta
+    }
+    return msg;
+  }
+
+  /// Deposit message with one section for grid 0 declaring `declared`
+  /// records but carrying `records` of them.
+  static io::ByteWriter DepositMessage(uint8_t kind, uint32_t declared,
+                                       uint32_t records) {
+    io::ByteWriter msg;
+    msg.Write<uint8_t>(kind);
+    msg.Write<uint32_t>(1);  // sections
+    msg.Write<uint32_t>(0);  // grid index
+    msg.Write<uint32_t>(declared);
+    for (uint32_t i = 0; i < records; ++i) {
+      io::EncodeFieldDeposit(msg, {8, 8, 8, io::RealBits(real_t{0.5})});
+    }
+    return msg;
+  }
+
+  template <typename Phase>
+  void Deliver(std::string bytes, Phase phase) {
+    MailboxTransport transport(2);
+    transport.Send(0, 1, std::move(bytes));
+    Simulation* previous = Simulation::SetActive(sim_.GetShard(1)->sim());
+    try {
+      phase(sim_.GetShard(1), &transport);
+    } catch (...) {
+      Simulation::SetActive(previous);
+      throw;
+    }
+    Simulation::SetActive(previous);
+  }
+
+  void ReceiveHalo(std::string bytes) {
+    Deliver(std::move(bytes), [](Shard* shard, ShardTransport* transport) {
+      shard->ReceiveFieldHalos(transport);
+    });
+  }
+
+  void ReceiveDeposits(std::string bytes) {
+    Deliver(std::move(bytes), [](Shard* shard, ShardTransport* transport) {
+      shard->ReceiveFieldDeposits(transport);
+    });
+  }
+
+  ShardedSimulation sim_;
+};
+
+TEST_F(FieldMessageTest, WellFormedMessagesAreApplied) {
+  const uint32_t voxels = SlabVoxels();
+  ASSERT_GT(voxels, 0u);
+  EXPECT_NO_THROW(ReceiveHalo(HaloMessage(voxels, voxels).Take()));
+  EXPECT_NO_THROW(ReceiveDeposits(DepositMessage(kDepositKind, 2, 2).Take()));
+}
+
+TEST_F(FieldMessageTest, SlabOverrunningTheBufferThrows) {
+  const uint32_t voxels = SlabVoxels();
+  EXPECT_THROW(ReceiveHalo(HaloMessage(voxels, voxels - 1).Take()),
+               std::runtime_error);
+}
+
+TEST_F(FieldMessageTest, SlabTrailingBytesAreRejected) {
+  const uint32_t voxels = SlabVoxels();
+  EXPECT_THROW(ReceiveHalo(HaloMessage(voxels, voxels + 1).Take()),
+               std::runtime_error);
+}
+
+TEST_F(FieldMessageTest, DepositOverrunningTheBufferThrows) {
+  EXPECT_THROW(ReceiveDeposits(DepositMessage(kDepositKind, 3, 2).Take()),
+               std::runtime_error);
+}
+
+TEST_F(FieldMessageTest, DepositTrailingBytesAreRejected) {
+  io::ByteWriter msg = DepositMessage(kDepositKind, 1, 1);
+  msg.Write<uint8_t>(0);
+  EXPECT_THROW(ReceiveDeposits(msg.Take()), std::runtime_error);
+}
+
+TEST_F(FieldMessageTest, WrongKindTagsThrowLogicError) {
+  EXPECT_THROW(ReceiveDeposits(DepositMessage(kHaloKind, 1, 1).Take()),
+               std::logic_error);
+  const uint32_t voxels = SlabVoxels();
+  io::ByteWriter msg = HaloMessage(voxels, voxels);
+  msg.Patch<uint8_t>(0, kDepositKind);
+  EXPECT_THROW(ReceiveHalo(msg.Take()), std::logic_error);
 }
 
 // --- two-shard vs unsharded, step for step --------------------------------
