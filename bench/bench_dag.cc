@@ -12,9 +12,11 @@
 //     BITWISE between the modes: with one worker both execute the identical
 //     IEEE operation sequence, the DAG merely drives it from a lane thread.
 //  2. The multi-threaded measured runs must agree on position / field
-//     checksums to 1e-3 relative. Parallel pair traversal and deposit-fold
-//     order add run-to-run rounding noise (pre-existing, mode-independent),
-//     but a missed DAG edge or team overlap shows up as O(1) divergence.
+//     checksums to 1e-3 relative. Deposits fold in a schedule-independent
+//     order, but the uniform grid's box lists are built by concurrent CAS
+//     inserts: pair-force sums, hence positions, hence the voxels agents
+//     deposit into, carry run-to-run rounding noise (mode-independent). A
+//     missed DAG edge or team overlap shows up as O(1) divergence.
 //
 // The DAG-vs-sequential speedup depends on hardware concurrency: the
 // overlap can only pay when diffusion's poor scaling (barrier- and

@@ -7,9 +7,9 @@
 // thread pool (static z-slab partition, one dispatch per Step). Both
 // kernels produce bitwise-identical fields, which this harness asserts.
 //
-// Part 2 -- deposit path: the seed's per-deposit CAS loop straight into
-// grid memory against the per-thread deposit logs + slab-partitioned flush
-// that IncreaseConcentrationBy now uses by default.
+// Part 2 -- deposit path: concurrent deposits into the per-thread append
+// logs plus the slab-partitioned flush that folds them in deposit-key
+// order (the only deposit path IncreaseConcentrationBy has).
 //
 // Writes BENCH_diffusion.json via the shared WriteBenchJson harness.
 
@@ -88,11 +88,9 @@ struct DepositConfig {
 };
 
 /// Times `deposits_per_thread` concurrent deposits from every pool worker
-/// (plus the flush for the buffered mode) and returns ns per deposit.
-double TimeDeposits(const DepositConfig& cfg, DiffusionGrid::DepositMode mode,
-                    NumaThreadPool* pool) {
+/// plus the flush and returns ns per deposit.
+double TimeDeposits(const DepositConfig& cfg, NumaThreadPool* pool) {
   DiffusionGrid grid("substance", 0, 0, cfg.resolution);
-  grid.SetDepositMode(mode);
   grid.Initialize({0, 0, 0},
                   {static_cast<real_t>(cfg.resolution - 1),
                    static_cast<real_t>(cfg.resolution - 1),
@@ -101,14 +99,14 @@ double TimeDeposits(const DepositConfig& cfg, DiffusionGrid::DepositMode mode,
   auto deposit_round = [&] {
     pool->Run([&](int tid) {
       for (int k = 0; k < cfg.deposits_per_thread; ++k) {
-        // A hot 16x16 voxel patch: threads collide on the same lines, the
-        // worst case for the CAS baseline.
+        // A hot 16x16 voxel patch: every thread deposits into the same
+        // voxels, which the flush must fold in a fixed order.
         const real_t x = static_cast<real_t>((k + tid) % 16);
         const real_t y = static_cast<real_t>((k * 7 + tid) % 16);
         grid.IncreaseConcentrationBy({x, y, 1}, 0.25);
       }
     });
-    grid.FlushDeposits();  // no-op in atomic mode
+    grid.FlushDeposits();
   };
   deposit_round();  // warmup: grows the per-thread logs to steady capacity
   const double seconds = Seconds([&] {
@@ -169,17 +167,11 @@ int Main() {
   dep.resolution = smoke ? 16 : 64;
   dep.threads = 4;
   dep.deposits_per_thread = smoke ? 20000 : 400000;
-  PrintHeader("Concurrent deposits: CAS vs thread-local buffers (" +
+  PrintHeader("Concurrent deposits: thread-local logs (" +
               std::to_string(dep.threads) + " threads)");
-  const double cas_ns =
-      TimeDeposits(dep, DiffusionGrid::DepositMode::kAtomic, &pool);
-  const double buffered_ns =
-      TimeDeposits(dep, DiffusionGrid::DepositMode::kBuffered, &pool);
-  const double speedup_deposit = cas_ns / buffered_ns;
-  std::printf("%-34s %12.1f ns/deposit\n", "CAS into grid memory (seed)",
-              cas_ns);
-  std::printf("%-34s %12.1f ns/deposit   %.2fx (incl. flush)\n",
-              "thread-local log + slab flush", buffered_ns, speedup_deposit);
+  const double buffered_ns = TimeDeposits(dep, &pool);
+  std::printf("%-34s %12.1f ns/deposit (incl. flush)\n",
+              "thread-local log + slab flush", buffered_ns);
 
   std::vector<JsonRecord> records;
   records.push_back({"stencil_branchy_serial", static_cast<uint64_t>(voxels),
@@ -193,16 +185,11 @@ int Main() {
                      static_cast<uint64_t>(voxels), numa_s * 1e9,
                      {{"resolution", static_cast<double>(cfg.resolution)},
                       {"speedup_vs_branchy", speedup_numa}}});
-  records.push_back({"deposit_cas_4threads",
-                     static_cast<uint64_t>(dep.threads) *
-                         dep.deposits_per_thread,
-                     cas_ns,
-                     {}});
   records.push_back({"deposit_buffered_4threads",
                      static_cast<uint64_t>(dep.threads) *
                          dep.deposits_per_thread,
                      buffered_ns,
-                     {{"speedup_vs_cas", speedup_deposit}}});
+                     {}});
   WriteBenchJson("BENCH_diffusion.json", records);
   return 0;
 }

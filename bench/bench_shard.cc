@@ -33,22 +33,19 @@
 // the same workload plus the exchange counters (migrations, halo records,
 // wire bytes, field halo slabs/bytes -- the delta codecs' compression is
 // visible as bytes/record), then re-times S in {2, 4} with the shards
-// stepping concurrently on DagExecutor lanes (rows shard_par_s*). On a
-// machine with >= 4 hardware threads the S=4 lane leg must beat the
-// sequential loop (speedup > 1.0x) -- skipped when BDM_PARALLEL_SHARDS is
-// set, since that env override turns the "sequential" legs parallel too.
+// stepping concurrently on DagExecutor lanes (rows shard_par_s*). No timing
+// is asserted here: regress.py's strict mode checks that shard_par_s4 beats
+// shard_s4 in the same fresh BENCH_shard.json.
 // Emits BENCH_shard.json; the checked-in smoke baseline under
 // bench/baselines/smoke/ feeds regress.py (presence gate in --smoke CI).
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "continuum/diffusion_grid.h"
@@ -438,7 +435,6 @@ int Run() {
   // --- Parallel lane legs: shards step concurrently on pool-partitioned ---
   // --- DagExecutor lanes (last, so a BDM_TRACE capture of this invocation --
   // --- ends with overlapping per-shard step spans) -------------------------
-  double par_s4_speedup = 0;
   for (const int s : {2, 4}) {
     const ShardedRun run =
         RunSharded(w, s, threads, /*audit_interval=*/0, /*parallel=*/true);
@@ -447,9 +443,6 @@ int Run() {
     const double halo_records =
         static_cast<double>(registry.CounterTotal("shard/halo_agents_sent"));
     const double speedup = sequential_ns[s] / run.ns_per_agent_iter;
-    if (s == 4) {
-      par_s4_speedup = speedup;
-    }
     std::printf(
         "  S=%d lanes: %8.1f ns/agent-iter  (%.2fx vs sequential S=%d)  "
         "%7.0f halo records, %5.0f migrations\n",
@@ -467,31 +460,6 @@ int Run() {
               "iteration); S=2,4 lane stepping bitwise vs sequential\n");
 
   WriteBenchJson("BENCH_shard.json", records);
-
-  // With BDM_PARALLEL_SHARDS set the ctor override turned the "sequential"
-  // legs parallel too, so the ratio above compares parallel to parallel.
-  if (std::getenv("BDM_PARALLEL_SHARDS") == nullptr &&
-      std::thread::hardware_concurrency() >= 4) {
-    if (par_s4_speedup <= 1.0) {
-      // One clean re-measure before failing: a single scheduler hiccup on a
-      // loaded CI box can erase a real but modest speedup.
-      const double seq_ns =
-          RunSharded(w, 4, threads, /*audit_interval=*/0).ns_per_agent_iter;
-      const double par_ns =
-          RunSharded(w, 4, threads, /*audit_interval=*/0, /*parallel=*/true)
-              .ns_per_agent_iter;
-      par_s4_speedup = seq_ns / par_ns;
-      std::printf("  S=4 lanes re-measured: %.2fx vs sequential\n",
-                  par_s4_speedup);
-    }
-    if (par_s4_speedup <= 1.0) {
-      std::fprintf(stderr,
-                   "parallel lane stepping at S=4 is not faster than the "
-                   "sequential loop: %.2fx\n",
-                   par_s4_speedup);
-      return 1;
-    }
-  }
   return 0;
 }
 

@@ -12,6 +12,8 @@ Modes:
                     value above baseline * (1 + tolerance) is a regression.
                     A baseline record may carry a per-record "tol" key to
                     widen its own tolerance (noisy micro-workloads).
+                    Also checks the PAIRED_GATES: within one fresh file,
+                    one workload must be faster than another.
   --smoke           portability mode for CI machines whose absolute timings
                     are meaningless: only checks that every baseline record
                     is present in the fresh run with a positive, finite
@@ -33,6 +35,14 @@ import os
 import sys
 
 DEFAULT_TOLERANCE = 0.15
+
+# (file, faster, slower): in strict mode the `faster` workload must beat the
+# `slower` one in the same fresh file. S=4 shards stepping on parallel lanes
+# must beat the sequential S=4 loop. Checked only on hosts with at least 4
+# CPUs, and only meaningful for a bench_shard run without
+# BDM_PARALLEL_SHARDS (that override makes the sequential legs parallel).
+PAIRED_GATES = [("BENCH_shard.json", "shard_par_s4", "shard_s4")]
+MIN_CPUS_FOR_PAIRED_GATES = 4
 
 
 def load_records(path):
@@ -100,6 +110,28 @@ def compare_file(name, baseline_path, fresh_path, tolerance, smoke):
     return failures
 
 
+def compare_pairs(fresh_files):
+    """Returns a list of failure strings for the PAIRED_GATES."""
+    failures = []
+    if (os.cpu_count() or 1) < MIN_CPUS_FOR_PAIRED_GATES:
+        return failures
+    for name, faster, slower in PAIRED_GATES:
+        path = fresh_files.get(name)
+        if path is None:
+            continue  # the baseline comparison reports the missing file
+        by_workload = {key[0]: r for key, r in load_records(path).items()}
+        if faster not in by_workload or slower not in by_workload:
+            failures.append(f"{name}: needs both {faster} and {slower}")
+            continue
+        fast_ns = by_workload[faster].get("ns_per_iter", math.inf)
+        slow_ns = by_workload[slower].get("ns_per_iter", 0)
+        if not fast_ns < slow_ns:
+            failures.append(
+                f"{name}: {faster} ({fast_ns:.1f} ns/iter) is not faster "
+                f"than {slower} ({slow_ns:.1f} ns/iter) in the same run")
+    return failures
+
+
 def run_compare(args):
     base_files = bench_files(args.baseline)
     if not base_files:
@@ -118,6 +150,8 @@ def run_compare(args):
             compare_file(name, baseline_path, fresh_path, args.tolerance,
                          args.smoke))
         compared += 1
+    if not args.smoke:
+        failures.extend(compare_pairs(fresh_files))
     mode = "smoke" if args.smoke else "strict"
     if failures:
         print(f"regress ({mode}): {len(failures)} failure(s) across "

@@ -1,7 +1,6 @@
 #include "continuum/diffusion_grid.h"
 
 #include <algorithm>
-#include <atomic>
 #include <barrier>
 #include <cassert>
 #include <cmath>
@@ -10,21 +9,6 @@
 #include "sched/numa_thread_pool.h"
 
 namespace bdm {
-
-namespace {
-
-/// Lock-free add for real_t values written concurrently by many threads.
-/// Retained for DepositMode::kAtomic (the seed behavior and the baseline of
-/// the bench_diffusion deposit A/B).
-void AtomicAdd(real_t* target, real_t value) {
-  std::atomic_ref<real_t> ref(*target);
-  real_t expected = ref.load(std::memory_order_relaxed);
-  while (!ref.compare_exchange_weak(expected, expected + value,
-                                    std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
 
 /// std::barrier completion functor for the parallel Step (must be noexcept).
 struct DiffusionStepBarrierAction {
@@ -96,12 +80,7 @@ void DiffusionGrid::AllocateAndZero(NumaThreadPool* pool) {
   const int64_t plane = dims_[0] * dims_[1];
   c1_.Reset(plane * dims_[2]);
   c2_.Reset(plane * dims_[2]);
-  for (DepositLog& log : deposit_logs_) {
-    if (log.dirty) {
-      log.Clear();
-    }
-  }
-  deposits_pending_.store(false, std::memory_order_relaxed);
+  ClearDepositLogs();
   outbound_deposits_.clear();
   slab_threads_ = 0;  // dims may have changed; force partition recompute
   EnsureSlabPartition(pool != nullptr ? pool->NumThreads() : 1);
@@ -173,72 +152,36 @@ real_t DiffusionGrid::GetConcentration(const Real3& position) const {
   return c1_[VoxelIndex(position)];
 }
 
-void DiffusionGrid::DepositLog::Prepare() {
-  if (slots.empty()) {  // first deposit from this thread: allocate the table
-    slots.assign(kNumSlots, Entry{-1, 0});
-    used.reserve(kNumSlots);
-  }
-}
-
-void DiffusionGrid::DepositLog::Add(int64_t index, real_t amount) {
-  // Fibonacci hash, linear probing over a handful of slots.
-  const uint64_t hash =
-      static_cast<uint64_t>(index) * UINT64_C(0x9E3779B97F4A7C15);
-  const auto home = static_cast<int>(hash >> (64 - kSlotBits));
-  for (int probe = 0; probe < kMaxProbes; ++probe) {
-    const int s = (home + probe) & (kNumSlots - 1);
-    Entry& e = slots[s];
-    if (e.key == index) {
-      e.sum += amount;
-      return;
-    }
-    if (e.key < 0) {
-      e.key = index;
-      e.sum = amount;
-      used.push_back(s);
-      return;
-    }
-  }
-  overflow.emplace_back(index, amount);
-}
-
-void DiffusionGrid::DepositLog::Clear() {
-  for (const int s : used) {
-    slots[s].key = -1;
-  }
-  used.clear();
-  overflow.clear();
-  dirty = false;
-}
-
 void DiffusionGrid::IncreaseConcentrationBy(const Real3& position,
                                             real_t amount) {
   assert(initialized_);
   const int64_t index = VoxelIndex(position);
-  // Shard views must route every deposit through the buffered flush: that
-  // is where ghost-voxel deposits are captured for forwarding to the owner
-  // shard. A CAS straight into ghost memory would be erased (mass lost) by
-  // the next halo overwrite.
-  if (deposit_mode_ == DepositMode::kAtomic && !shard_view_) {
-    AtomicAdd(&c1_[index], amount);
-    return;
-  }
-  // Per-thread combining log: no contention, no atomics on grid memory.
-  // Slot 0 is the main thread; DAG lane threads carry their own slots past
-  // the workers, so two concurrently-running ops never share a log.
+  // Per-thread append log: no atomics on grid memory, and the pool lock only
+  // once per kDepositChunk deposits. Slot 0 is the main thread; DAG lane
+  // threads carry their own slots past the workers, so two
+  // concurrently-running ops never share a log.
   const int slot = NumaThreadPool::CurrentThreadSlot();
   assert(slot >= 0 && slot < kMaxDepositSlots);
   DepositLog& log = deposit_logs_[slot];
-  if (!log.dirty) {
-    // Once per thread per flush cycle: allocate the table if needed and
-    // publish "something is pending". Publishing once instead of per
-    // deposit keeps the shared flag from ping-ponging between the
-    // depositing cores.
-    log.Prepare();
-    log.dirty = true;
-    deposits_pending_.store(true, std::memory_order_relaxed);
+  const uint64_t key = NumaThreadPool::CurrentDepositKey();
+  if (log.runs.empty() || log.runs.back().key != key) {
+    if (log.runs.empty()) {
+      // Once per thread per flush cycle: publish "something is pending".
+      // Publishing once instead of per deposit keeps the shared flag from
+      // ping-ponging between the depositing cores.
+      deposits_pending_.store(true, std::memory_order_relaxed);
+    }
+    log.runs.push_back({key, log.size});
   }
-  log.Add(index, amount);
+  if (log.size == log.chunks.size() * kDepositChunk) {
+    // Lend the log a pooled chunk, allocating one if every chunk is lent.
+    std::lock_guard<std::mutex> lock(chunk_mutex_);
+    if (chunks_lent_ == chunk_pool_.size()) {
+      chunk_pool_.push_back(std::make_unique<DepositEntry[]>(kDepositChunk));
+    }
+    log.chunks.push_back(chunk_pool_[chunks_lent_++].get());
+  }
+  log.chunks.back()[log.size++ % kDepositChunk] = {index, amount};
 }
 
 bool DiffusionGrid::IsGhostLocal(int64_t flat) const {
@@ -253,68 +196,73 @@ bool DiffusionGrid::IsGhostLocal(int64_t flat) const {
          z + offset_[2] < owned_lo_[2] || z + offset_[2] >= owned_hi_[2];
 }
 
-void DiffusionGrid::ApplyDepositsInRange(int64_t lo, int64_t hi) const {
+void DiffusionGrid::BuildFoldOrder() const {
+  fold_order_.clear();
+  for (int slot = 0; slot < kMaxDepositSlots; ++slot) {
+    const DepositLog& log = deposit_logs_[slot];
+    for (size_t r = 0; r < log.runs.size(); ++r) {
+      const size_t last =
+          r + 1 < log.runs.size() ? log.runs[r + 1].first : log.size;
+      fold_order_.push_back({log.runs[r].key, slot, log.runs[r].first, last});
+    }
+  }
+  // Spans were appended in (slot, position) order; a stable sort by key
+  // alone completes the (key, slot, position) order. A block runs on one
+  // thread, so each key > 0 of one agent loop maps to a single run.
+  std::stable_sort(fold_order_.begin(), fold_order_.end(),
+                   [](const DepositSpan& a, const DepositSpan& b) {
+                     return a.key < b.key;
+                   });
+}
+
+void DiffusionGrid::ApplyDepositsInRange(int64_t lo, int64_t hi,
+                                         bool capture_ghosts) const {
   real_t* field = c1_.data();
-  for (const DepositLog& log : deposit_logs_) {
-    if (!log.dirty) {
-      continue;
-    }
-    for (const int s : log.used) {
-      const DepositLog::Entry& e = log.slots[s];
-      if (e.key >= lo && e.key < hi) {
-        field[e.key] += e.sum;
+  const int64_t plane = dims_[0] * dims_[1];
+  for (const DepositSpan& span : fold_order_) {
+    const DepositLog& log = deposit_logs_[span.slot];
+    for (size_t i = span.first; i < span.last; ++i) {
+      const auto& [index, amount] =
+          log.chunks[i / kDepositChunk][i % kDepositChunk];
+      if (index < lo || index >= hi) {
+        continue;
       }
-    }
-    for (const auto& [index, amount] : log.overflow) {
-      if (index >= lo && index < hi) {
-        field[index] += amount;
+      field[index] += amount;
+      if (capture_ghosts && IsGhostLocal(index)) {
+        const int64_t x = index % dims_[0];
+        const int64_t y = (index / dims_[0]) % dims_[1];
+        outbound_deposits_.push_back({x + offset_[0], y + offset_[1],
+                                      index / plane + offset_[2], amount});
       }
     }
   }
+}
+
+void DiffusionGrid::ClearDepositLogs() const {
+  for (DepositLog& log : deposit_logs_) {
+    log.chunks.clear();
+    log.size = 0;
+    log.runs.clear();
+  }
+  chunks_lent_ = 0;
+  fold_order_.clear();
+  deposits_pending_.store(false, std::memory_order_relaxed);
 }
 
 void DiffusionGrid::FlushDeposits() const {
   if (!deposits_pending_.load(std::memory_order_relaxed)) {
     return;
   }
-  if (shard_view_) {
-    // Same application as the plain path -- deposits into ghost voxels are
-    // applied locally too, preserving read-your-write for agents secreting
-    // right at a shard face -- but those ghost amounts are ALSO captured for
-    // the field exchange to forward to the owner shard. The local copy is
-    // overwritten by the next halo apply, so the forwarded one is the only
-    // one that survives: mass is counted exactly once globally.
-    const int64_t plane = dims_[0] * dims_[1];
-    auto apply = [&](int64_t index, real_t amount) {
-      c1_.data()[index] += amount;
-      if (IsGhostLocal(index)) {
-        const int64_t x = index % dims_[0];
-        const int64_t y = (index / dims_[0]) % dims_[1];
-        const int64_t z = index / plane;
-        outbound_deposits_.push_back({x + offset_[0], y + offset_[1],
-                                      z + offset_[2], amount});
-      }
-    };
-    for (const DepositLog& log : deposit_logs_) {
-      if (!log.dirty) {
-        continue;
-      }
-      for (const int s : log.used) {
-        apply(log.slots[s].key, log.slots[s].sum);
-      }
-      for (const auto& [index, amount] : log.overflow) {
-        apply(index, amount);
-      }
-    }
-  } else {
-    ApplyDepositsInRange(0, GetNumVolumes());
-  }
-  for (DepositLog& log : deposit_logs_) {
-    if (log.dirty) {
-      log.Clear();
-    }
-  }
-  deposits_pending_.store(false, std::memory_order_relaxed);
+  BuildFoldOrder();
+  // A shard view applies deposits into ghost voxels locally too, preserving
+  // read-your-write for agents secreting right at a shard face, but ALSO
+  // captures those ghost amounts for the field exchange to forward to the
+  // owner shard. The local copy is overwritten by the next halo apply, so
+  // the forwarded one is the only one that survives: mass is counted
+  // exactly once globally. The fold order makes the outbound list's order
+  // schedule-independent too.
+  ApplyDepositsInRange(0, GetNumVolumes(), /*capture_ghosts=*/shard_view_);
+  ClearDepositLogs();
 }
 
 void DiffusionGrid::MaybeFlushForRead() const {
@@ -457,12 +405,7 @@ void DiffusionGrid::OnStepBarrier() {
   // Runs on exactly one thread while every worker waits at the barrier.
   if (!step_flush_done_) {
     // The deposit logs were applied (range-partitioned) by the workers.
-    for (DepositLog& log : deposit_logs_) {
-      if (log.dirty) {
-        log.Clear();
-      }
-    }
-    deposits_pending_.store(false, std::memory_order_relaxed);
+    ClearDepositLogs();
     step_flush_done_ = true;
   } else {
     swap(c1_, c2_);  // publish the substep result
@@ -536,6 +479,9 @@ void DiffusionGrid::Step(real_t dt, NumaThreadPool* pool) {
   EnsureSlabPartition(team.size());
   const int64_t plane = dims_[0] * dims_[1];
   const bool flush = deposits_pending_.load(std::memory_order_relaxed);
+  if (flush) {
+    BuildFoldOrder();
+  }
   step_flush_done_ = !flush;
   std::barrier sync(team.size(), DiffusionStepBarrierAction{this});
   pool->RunOn(team, [&](int tid) {
@@ -543,10 +489,12 @@ void DiffusionGrid::Step(real_t dt, NumaThreadPool* pool) {
     const int64_t z_lo = slab_bounds_[rank];
     const int64_t z_hi = slab_bounds_[rank + 1];
     if (flush) {
-      // Parallel reduction of the per-thread logs: every worker scans all
-      // logs but applies only the deposits landing in its own slab, so no
-      // two threads ever write the same voxel.
-      ApplyDepositsInRange(z_lo * plane, z_hi * plane);
+      // Parallel reduction of the per-thread logs: every worker walks the
+      // whole fold order but applies only the deposits landing in its own
+      // slab, so no two threads ever write the same voxel and every voxel
+      // sums in fold order.
+      ApplyDepositsInRange(z_lo * plane, z_hi * plane,
+                           /*capture_ghosts=*/false);
       sync.arrive_and_wait();
     }
     for (int s = 0; s < substeps; ++s) {

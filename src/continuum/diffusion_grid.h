@@ -12,12 +12,20 @@
 //  - The sweep is split into a branch-free vectorizable interior kernel and
 //    peeled boundary loops (continuum/diffusion_kernels.*). The seed's
 //    branchy kernel is retained as a bitwise-identical reference.
-//  - Agent deposits (IncreaseConcentrationBy) append to per-thread scratch
-//    logs instead of CASing grid memory; the logs are flushed by a parallel
+//  - Agent deposits (IncreaseConcentrationBy) append to per-thread logs
+//    instead of writing grid memory; the logs are flushed by a parallel
 //    slab-partitioned reduction at the start of Step. During a parallel
 //    phase, readers therefore see the deterministic end-of-previous-step
 //    field; reads from outside a pool (tests, analysis code) flush lazily
 //    and keep the historical read-your-write semantics.
+//  - The fold order does not depend on the schedule. Each deposit is keyed
+//    by the agent iteration block that issued it, and every flush applies
+//    the logs in (block, thread slot) order: per voxel that is the serial
+//    dense-order sum, bitwise the same at any thread count, team size, DAG
+//    lane or shard lane, as long as one agent loop deposits between two
+//    flushes (the scheduler's fused agent stage is that loop). Deposits
+//    from pool workers outside an agent loop (key 0) come first and fold
+//    by slot.
 //  - Parallel stepping uses NumaThreadPool's static z-slab partition: each
 //    worker first-touches, flushes and steps the same contiguous run of
 //    planes every substep (one pool dispatch per Step, with a barrier
@@ -43,6 +51,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -65,12 +75,6 @@ class DiffusionGrid {
   enum class KernelMode {
     kPeeledVectorized,  // default: peeled boundaries, vectorized interior
     kBranchyReference,  // seed kernel: per-voxel boundary branches
-  };
-
-  /// How IncreaseConcentrationBy publishes deposits.
-  enum class DepositMode {
-    kBuffered,  // default: per-thread logs, flushed at Step / first read
-    kAtomic,    // seed behavior: CAS loop straight into grid memory
   };
 
   /// `resolution` is the number of grid points per axis of the GLOBAL
@@ -111,9 +115,6 @@ class DiffusionGrid {
   void SetKernelMode(KernelMode mode) { kernel_mode_ = mode; }
   KernelMode GetKernelMode() const { return kernel_mode_; }
 
-  void SetDepositMode(DepositMode mode) { deposit_mode_ = mode; }
-  DepositMode GetDepositMode() const { return deposit_mode_; }
-
   /// Advances the field by `dt` (internally substepped for stability).
   /// Pending deposits are folded in first.
   void Step(real_t dt, NumaThreadPool* pool);
@@ -130,6 +131,7 @@ class DiffusionGrid {
   /// faces read the ghost plane instead of degrading to one-sided.
   Real3 GetGradient(const Real3& position) const;
   /// Thread-safe deposit used by secretion behaviors running in parallel.
+  /// Logged, and folded at the next flush in deposit-key order.
   void IncreaseConcentrationBy(const Real3& position, real_t amount);
 
   /// Applies all buffered deposits to the field. Must not be called while
@@ -188,34 +190,31 @@ class DiffusionGrid {
   int64_t VoxelIndex(const Real3& position) const;
 
  private:
-  // One deposit log per potential depositor thread, cache-line separated so
-  // concurrent appends never share a line. Slot 0 is the main thread (pool
-  // CurrentThreadId() == -1), slot t+1 is pool worker t.
-  //
-  // The log is a small open-addressing combining table: repeated deposits
-  // into the same voxel (the common secretion pattern -- many agents per
-  // neighborhood) accumulate in an L1-resident slot instead of streaming an
-  // ever-growing append log to memory. Deposits that miss kMaxProbes slots
-  // spill to the plain {index, amount} overflow vector. Storage is
-  // allocated lazily on a thread's first deposit.
+  using DepositEntry = std::pair<int64_t, real_t>;  // {voxel, amount}
+  static constexpr size_t kDepositChunk = 4096;     // entries per chunk
+
+  // One append log per potential depositor thread, cache-line separated so
+  // concurrent appends never share a line. Slot 0 is the main thread, slot
+  // t+1 is pool worker t, DAG lane threads bind slots past the workers.
+  // A log is cut into runs, one per change of the thread's deposit key
+  // (NumaThreadPool::CurrentDepositKey: 1 + agent iteration block, 0
+  // outside an agent loop). Entries live in fixed-size chunks lent by the
+  // grid's chunk pool, so the logs' memory follows the number of deposits
+  // per flush, not how the schedule spread them over threads.
   struct alignas(64) DepositLog {
-    static constexpr int kSlotBits = 12;
-    static constexpr int kNumSlots = 1 << kSlotBits;
-    static constexpr int kMaxProbes = 8;
-
-    struct Entry {
-      int64_t key;  // voxel index, -1 = empty slot
-      real_t sum;   // accumulated amount
+    struct Run {
+      uint64_t key;
+      size_t first;  // index of the run's first entry
     };
-
-    bool dirty = false;  // this thread logged something since the last flush
-    std::vector<Entry> slots;  // kNumSlots entries (key and sum share a line)
-    std::vector<int> used;     // occupied slot ids, in first-use order
-    std::vector<std::pair<int64_t, real_t>> overflow;
-
-    void Prepare();  // lazily allocates the table on first use
-    void Add(int64_t index, real_t amount);
-    void Clear();
+    std::vector<DepositEntry*> chunks;
+    size_t size = 0;
+    std::vector<Run> runs;
+  };
+  /// One run of one log, placed in the fold order.
+  struct DepositSpan {
+    uint64_t key;
+    int slot;
+    size_t first, last;  // entries [first, last) of deposit_logs_[slot]
   };
   static constexpr int kMaxDepositSlots = 1 + 256;
 
@@ -232,8 +231,16 @@ class DiffusionGrid {
   /// the last call. Setup passes the full pool width; a DAG-mode Step
   /// passes its worker team's size.
   void EnsureSlabPartition(int participants);
-  /// Applies every logged deposit whose flat index falls in [lo, hi).
-  void ApplyDepositsInRange(int64_t lo, int64_t hi) const;
+  /// Sorts every logged run into fold_order_: by key, then slot, then
+  /// position in the log.
+  void BuildFoldOrder() const;
+  /// Applies, in fold order, every logged deposit whose flat index falls in
+  /// [lo, hi); with `capture_ghosts`, deposits into ghost voxels are also
+  /// appended to the outbound list. BuildFoldOrder must have run since the
+  /// last deposit.
+  void ApplyDepositsInRange(int64_t lo, int64_t hi, bool capture_ghosts) const;
+  /// Empties every log and the fold order and returns every chunk.
+  void ClearDepositLogs() const;
   /// Flush from a read accessor: only safe (and only done) when the calling
   /// thread is not a pool worker, i.e. no parallel phase is running.
   void MaybeFlushForRead() const;
@@ -264,7 +271,6 @@ class DiffusionGrid {
   bool initialized_ = false;
   BoundaryCondition boundary_ = BoundaryCondition::kClosed;
   KernelMode kernel_mode_ = KernelMode::kPeeledVectorized;
-  DepositMode deposit_mode_ = DepositMode::kBuffered;
 
   // Field storage. c1_ is mutable because flushing deposits into it does
   // not change the grid's logical state (deposits are part of that state
@@ -273,6 +279,10 @@ class DiffusionGrid {
   AlignedBuffer<real_t> c2_;          // scratch buffer (swapped every substep)
 
   mutable std::vector<DepositLog> deposit_logs_;
+  mutable std::mutex chunk_mutex_;
+  mutable std::vector<std::unique_ptr<DepositEntry[]>> chunk_pool_;
+  mutable size_t chunks_lent_ = 0;  // chunk_pool_[0, chunks_lent_) are lent
+  mutable std::vector<DepositSpan> fold_order_;
   mutable std::atomic<bool> deposits_pending_{false};
   mutable std::vector<OutboundDeposit> outbound_deposits_;
 

@@ -153,13 +153,18 @@ void ResourceManager::ForEachAgent(
 void ResourceManager::ForEachAgentParallel(const AgentFn& fn) const {
   const int64_t block_size = std::max<int64_t>(param_.iteration_block_size, 1);
   std::vector<int64_t> blocks_per_domain(agents_.size());
+  // Global index of each domain's first block: blocks are numbered in dense
+  // (domain-major) order, which keys their diffusion deposits.
+  std::vector<int64_t> first_block(agents_.size() + 1, 0);
   for (size_t d = 0; d < agents_.size(); ++d) {
     blocks_per_domain[d] =
         (static_cast<int64_t>(agents_[d].size()) + block_size - 1) / block_size;
+    first_block[d + 1] = first_block[d] + blocks_per_domain[d];
   }
   pool_->ForEachBlock(
       blocks_per_domain, param_.numa_aware_iteration,
       [&](int d, int64_t block, int tid) {
+        const ScopedDepositKey key(1 + first_block[d] + block);
         const auto& domain = agents_[d];
         const uint64_t lo = static_cast<uint64_t>(block) * block_size;
         const uint64_t hi =

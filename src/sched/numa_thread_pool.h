@@ -67,7 +67,31 @@ inline thread_local LaneBinding* t_lane = nullptr;
 /// the thread that dispatched to it -- the property that lets S lanes step
 /// S different simulations on disjoint teams of ONE pool concurrently.
 inline thread_local void* t_dispatch_context = nullptr;
+/// Deposit key of the calling thread: 1 + the global index of the agent
+/// iteration block it is running (ResourceManager::ForEachAgentParallel),
+/// 0 outside an agent loop. DiffusionGrid folds deposits in key order, so
+/// the fold does not depend on which worker ran which block.
+inline thread_local uint64_t t_deposit_key = 0;
 }  // namespace internal
+
+/// Publishes `key` as the calling thread's deposit key for one agent block
+/// and restores the previous key on exit. A block of a nested (inline)
+/// agent loop keeps the enclosing block's key, so its deposits stay in that
+/// block's serial order.
+class ScopedDepositKey {
+ public:
+  explicit ScopedDepositKey(uint64_t key) : outer_(internal::t_deposit_key) {
+    if (outer_ == 0) {
+      internal::t_deposit_key = key;
+    }
+  }
+  ~ScopedDepositKey() { internal::t_deposit_key = outer_; }
+  ScopedDepositKey(const ScopedDepositKey&) = delete;
+  ScopedDepositKey& operator=(const ScopedDepositKey&) = delete;
+
+ private:
+  uint64_t outer_;
+};
 
 class NumaThreadPool {
  public:
@@ -169,6 +193,9 @@ class NumaThreadPool {
   /// Per-thread shard slot of the calling thread (0 = main/unbound,
   /// t+1 = pool worker t, lane threads as bound via BindLane).
   static int CurrentThreadSlot() { return internal::t_thread_slot; }
+
+  /// Deposit key of the calling thread (see internal::t_deposit_key).
+  static uint64_t CurrentDepositKey() { return internal::t_deposit_key; }
 
   /// True when the calling thread is a lane thread bound via BindLane (its
   /// dispatches are scoped to a team). The scheduler uses this to keep a

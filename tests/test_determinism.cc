@@ -1,11 +1,16 @@
 // Cross-configuration equivalence: the optimizations must change performance
 // only, never results. Single-threaded runs are compared exactly; the
-// multi-threaded checks compare conserved quantities (floating-point
-// summation order differs across thread interleavings).
+// multi-threaded position checks compare conserved quantities (the parallel
+// grid insert order, and with it the pair-force summation order, differs
+// across thread interleavings). Diffusion fields are compared bitwise at
+// four threads: deposits fold in agent-block order whatever the schedule.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
+#include <vector>
 
+#include "continuum/diffusion_grid.h"
 #include "core/agent_pointer.h"
 #include "core/cell.h"
 #include "core/resource_manager.h"
@@ -116,6 +121,54 @@ TEST(DeterminismTest, ParallelCommitPreservesPopulationDynamics) {
   const auto a = RunProliferation(serial_commit, 30);
   const auto b = RunProliferation(parallel_commit, 30);
   EXPECT_EQ(a.size(), b.size());
+}
+
+// --- diffusion-field repeatability (ctest label: determinism) -----------------
+
+/// Bit patterns of every voxel of every grid after `iterations` of the
+/// secreting, chemotaxing clustering model at `threads` threads.
+std::vector<uint64_t> ClusteringFieldBits(int threads, int iterations) {
+  const models::ModelInfo* model = models::FindModel("clustering");
+  Param param;
+  param.num_threads = threads;
+  if (model->configure != nullptr) {
+    model->configure(&param);
+  }
+  Simulation sim("field_repeatability", param);
+  model->build(&sim, 10000);
+  sim.Simulate(iterations);
+  std::vector<uint64_t> bits;
+  for (const DiffusionGrid* grid : sim.GetAllDiffusionGrids()) {
+    const int n = grid->GetResolution();
+    for (int z = 0; z < n; ++z) {
+      for (int y = 0; y < n; ++y) {
+        for (int x = 0; x < n; ++x) {
+          bits.push_back(std::bit_cast<uint64_t>(
+              static_cast<double>(grid->AtGlobal(x, y, z))));
+        }
+      }
+    }
+  }
+  return bits;
+}
+
+TEST(FieldRepeatabilityTest, ClusteringFieldIsBitwiseAtFourThreads) {
+  // Work stealing decides which worker runs which agent block, so this
+  // holds only if every voxel sums its deposits in an order the schedule
+  // cannot change. Three 4-thread runs and a 1-thread run must agree.
+  constexpr int kIterations = 30;
+  const std::vector<uint64_t> reference = ClusteringFieldBits(1, kIterations);
+  ASSERT_FALSE(reference.empty());
+  for (int run = 0; run < 3; ++run) {
+    const std::vector<uint64_t> field = ClusteringFieldBits(4, kIterations);
+    ASSERT_EQ(field.size(), reference.size());
+    size_t differing = 0;
+    for (size_t i = 0; i < field.size(); ++i) {
+      differing += field[i] != reference[i] ? 1 : 0;
+    }
+    EXPECT_EQ(differing, 0u) << "4-thread run " << run << " differs from the "
+                             << "1-thread run in " << differing << " voxels";
+  }
 }
 
 // --- AgentPointer (needs an active simulation) --------------------------------

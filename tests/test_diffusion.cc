@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
+#include <vector>
 
+#include "core/cell.h"
+#include "core/resource_manager.h"
+#include "core/simulation.h"
 #include "sched/numa_thread_pool.h"
 
 namespace bdm {
@@ -415,18 +420,121 @@ TEST(DiffusionGridTest, ConcurrentDepositsFlushLosslesslyThroughRead) {
   EXPECT_DOUBLE_EQ(total, kThreads * kDepositsPerThread * 0.25);
 }
 
-TEST(DiffusionGridTest, AtomicDepositModeKeepsSeedSemantics) {
-  NumaThreadPool pool(Topology(4, 2));
-  DiffusionGrid grid("s", 0, 0, 8);
-  grid.SetDepositMode(DiffusionGrid::DepositMode::kAtomic);
-  grid.Initialize({0, 0, 0}, {7, 7, 7});
-  pool.Run([&](int) {
-    for (int k = 0; k < 500; ++k) {
-      grid.IncreaseConcentrationBy({3, 3, 3}, 0.5);
+// --- deposit fold order ------------------------------------------------------
+
+/// A 4-thread simulation whose agents deposit through ForEachAgentParallel.
+/// Small iteration blocks give work stealing many blocks to reorder.
+struct DepositFixture {
+  static constexpr int kAgents = 3000;
+  Simulation sim{"deposit_order", [] {
+                   Param param;
+                   param.num_threads = 4;
+                   param.iteration_block_size = 16;
+                   return param;
+                 }()};
+
+  explicit DepositFixture(const std::function<Real3(int)>& position) {
+    for (int i = 0; i < kAgents; ++i) {
+      sim.GetResourceManager()->AddAgent(new Cell(position(i), 1));
     }
+  }
+
+  /// Amount agent i deposits: mixed signs, magnitudes from 2^-20 up to
+  /// 1e16, so a voxel's sum depends on the order its deposits are added in.
+  static real_t Amount(uint64_t i) {
+    const real_t mantissa = 1 + static_cast<real_t>(i % 97) / 97;
+    const real_t magnitude =
+        i % 5 == 0 ? real_t{1e16} * mantissa
+                   : std::ldexp(mantissa, static_cast<int>(i % 41) - 20);
+    return i % 2 == 0 ? magnitude : -magnitude;
+  }
+
+  void DepositAll(DiffusionGrid* grid) {
+    sim.GetResourceManager()->ForEachAgentParallel(
+        [&](Agent* agent, AgentHandle handle, int) {
+          grid->IncreaseConcentrationBy(agent->GetPosition(),
+                                        Amount(handle.index));
+        });
+  }
+};
+
+TEST(DiffusionGridTest, OrderSensitiveDepositsFoldInDenseOrder) {
+  DepositFixture fixture([](int) { return Real3{3, 3, 3}; });
+  NumaThreadPool* pool = fixture.sim.GetThreadPool();
+  ASSERT_EQ(pool->NumThreads(), 4);
+  DiffusionGrid grid("s", 0, 0, 8);  // identity stencil: pure flush check
+  grid.Initialize({0, 0, 0}, {7, 7, 7}, pool);
+  // The serial fold in dense agent order, starting from an empty voxel.
+  real_t expected = 0;
+  for (uint64_t i = 0; i < DepositFixture::kAgents; ++i) {
+    expected += DepositFixture::Amount(i);
+  }
+  for (int round = 0; round < 5; ++round) {
+    // Serial flush on the first out-of-pool read.
+    DiffusionGrid lazy("s", 0, 0, 8);
+    lazy.Initialize({0, 0, 0}, {7, 7, 7}, pool);
+    fixture.DepositAll(&lazy);
+    EXPECT_EQ(lazy.GetConcentration({3, 3, 3}), expected) << round;
+    // Slab-parallel flush at the start of Step.
+    grid.SetInitialValue([](const Real3&) { return real_t{0}; }, pool);
+    fixture.DepositAll(&grid);
+    grid.Step(0.1, pool);
+    EXPECT_EQ(grid.GetConcentration({3, 3, 3}), expected) << round;
+  }
+}
+
+TEST(DiffusionGridTest, ShardViewOutboundDepositsKeepDenseOrder) {
+  // A shard view owning x planes [0, 4) of an 8^3 lattice with 2 ghost
+  // planes past x = 4; every agent deposits into a ghost voxel.
+  DepositFixture fixture([](int i) {
+    return Real3{static_cast<real_t>(4 + i % 2), static_cast<real_t>(i % 8),
+                 static_cast<real_t>(i / 8 % 8)};
   });
-  // CAS deposits are immediately visible, no flush involved.
-  EXPECT_DOUBLE_EQ(grid.GetConcentration({3, 3, 3}), 4 * 500 * 0.5);
+  NumaThreadPool* pool = fixture.sim.GetThreadPool();
+  const int64_t owned_lo[3] = {0, 0, 0};
+  const int64_t owned_hi[3] = {4, 8, 8};
+  const int64_t ghost_lo[3] = {0, 0, 0};
+  const int64_t ghost_hi[3] = {2, 0, 0};
+  // Deposits in dense agent order: the one order the flush may emit.
+  std::vector<DiffusionGrid::OutboundDeposit> expected;
+  fixture.sim.GetResourceManager()->ForEachAgent(
+      [&](Agent* agent, AgentHandle handle) {
+        const Real3& p = agent->GetPosition();
+        expected.push_back({static_cast<int64_t>(p.x),
+                            static_cast<int64_t>(p.y),
+                            static_cast<int64_t>(p.z),
+                            DepositFixture::Amount(handle.index)});
+      });
+  for (int round = 0; round < 5; ++round) {
+    DiffusionGrid grid("s", 0, 0, 8);
+    grid.InitializeShardView({0, 0, 0}, {7, 7, 7}, owned_lo, owned_hi,
+                             ghost_lo, ghost_hi, pool);
+    fixture.DepositAll(&grid);
+    grid.FlushDeposits();
+    const auto outbound = grid.DrainOutboundDeposits();
+    ASSERT_EQ(outbound.size(), expected.size()) << round;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(outbound[i].x, expected[i].x) << round << " #" << i;
+      EXPECT_EQ(outbound[i].y, expected[i].y) << round << " #" << i;
+      EXPECT_EQ(outbound[i].z, expected[i].z) << round << " #" << i;
+      EXPECT_EQ(outbound[i].amount, expected[i].amount) << round << " #" << i;
+    }
+  }
+}
+
+TEST(DiffusionGridTest, DepositsBeyondOneLogChunkFoldInOrder) {
+  // 10000 deposits from one thread fill several pooled log chunks; the
+  // second flush cycle runs on chunks returned to the pool by the first.
+  DiffusionGrid grid("s", 0, 0, 8);
+  grid.Initialize({0, 0, 0}, {7, 7, 7});
+  real_t expected = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (uint64_t i = 0; i < 10000; ++i) {
+      grid.IncreaseConcentrationBy({3, 3, 3}, DepositFixture::Amount(i));
+      expected += DepositFixture::Amount(i);
+    }
+    EXPECT_EQ(grid.GetConcentration({3, 3, 3}), expected) << round;
+  }
 }
 
 class DiffusionResolutionSweep : public ::testing::TestWithParam<int> {};

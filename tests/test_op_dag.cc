@@ -264,11 +264,10 @@ TEST(SchedulerDagTest, SingleThreadTrajectoryBitwiseMatchesSequential) {
 
 TEST(SchedulerDagTest, MultiThreadTrajectoryMatchesSequential) {
   // Multithreaded bitwise comparison needs a workload without the engine's
-  // pre-existing cross-run nondeterminism (parallel grid insert order under
-  // contact forces, deposit-log fold order under secretion): sparse cells
-  // that never collide, chemotaxing over a fixed field. Diffusion stepping
-  // is per-voxel independent, so slab partitions of different team widths
-  // produce bitwise-equal fields.
+  // remaining cross-run nondeterminism (parallel grid insert order under
+  // contact forces): sparse cells that never collide, chemotaxing over a
+  // fixed field. Diffusion stepping is per-voxel independent, so slab
+  // partitions of different team widths produce bitwise-equal fields.
   std::map<AgentUid, Real3> positions[2];
   std::vector<real_t> field[2];
   for (const bool use_dag : {false, true}) {
