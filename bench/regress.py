@@ -37,11 +37,11 @@ import sys
 DEFAULT_TOLERANCE = 0.15
 
 # (file, faster, slower): in strict mode the `faster` workload must beat the
-# `slower` one in the same fresh file. S=4 shards stepping on parallel lanes
-# must beat the sequential S=4 loop. Checked only on hosts with at least 4
-# CPUs, and only meaningful for a bench_shard run without
-# BDM_PARALLEL_SHARDS (that override makes the sequential legs parallel).
-PAIRED_GATES = [("BENCH_shard.json", "shard_par_s4", "shard_s4")]
+# `slower` one in the same fresh file. The engine's S=4 run (shards stepping
+# concurrently on lanes) must beat the test-side sequential reference
+# stepping the same S=4 shards one after another. Checked only on hosts with
+# at least 4 CPUs.
+PAIRED_GATES = [("BENCH_shard.json", "shard_s4", "shard_seq_s4")]
 MIN_CPUS_FOR_PAIRED_GATES = 4
 
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/timing.h"
@@ -103,11 +104,16 @@ DagExecutor::DagExecutor(NumaThreadPool* pool, int max_lanes, int slot_base,
     : pool_(pool) {
   const int workers = pool_->NumThreads();
   slot_base_ = slot_base >= 0 ? slot_base : workers + 1;
-  int lanes = std::min(max_lanes, workers);
   // Every lane occupies the thread slot slot_base_+lane in the metrics /
   // timing / trace / deposit-log shard spaces, all capped at kMaxSlots.
-  lanes = std::min(lanes, MetricsRegistry::kMaxSlots - slot_base_);
-  lanes = std::max(lanes, 1);
+  if (slot_base_ >= MetricsRegistry::kMaxSlots) {
+    throw std::invalid_argument(
+        "DagExecutor: lane slot base " + std::to_string(slot_base_) +
+        " leaves no thread slot below " +
+        std::to_string(MetricsRegistry::kMaxSlots));
+  }
+  const int lanes = std::clamp(std::min(max_lanes, workers), 1,
+                               MetricsRegistry::kMaxSlots - slot_base_);
   lanes_ = std::vector<Lane>(static_cast<size_t>(lanes));
   MetricsRegistry::Get().ConfigureSlots(slot_base_ + lanes);
   for (int l = 0; l < lanes; ++l) {

@@ -87,7 +87,8 @@ class DagExecutor {
   /// concurrently -- the shard driver's lanes each stepping a shard whose
   /// scheduler owns its own per-shard executor -- must give them disjoint
   /// slot ranges. `track_prefix` names the lanes' trace tracks
-  /// ("<prefix> <lane>").
+  /// ("<prefix> <lane>"). Throws std::invalid_argument when `slot_base`
+  /// leaves no slot below MetricsRegistry::kMaxSlots for even one lane.
   DagExecutor(NumaThreadPool* pool, int max_lanes, int slot_base = -1,
               const std::string& track_prefix = "op lane");
   ~DagExecutor();

@@ -3,10 +3,17 @@
 // Every optimization the paper evaluates is an independent toggle here, so
 // the benchmark harnesses can reproduce the "progressively switched on"
 // studies (Figures 7b, 8, 9) and the parameter sweeps (Figures 11, 12, 13).
+// A post-paper path keeps a toggle only while an A/B comparison still needs
+// it (soa_primary, op_dag). The sharded engine has none: it always steps
+// two or more local shards on concurrent lanes, and its sequential
+// reference lives test-side (tests/support/sequential_shard_step.h).
+// ApplyEnvOverrides below is the one place environment variables reach a
+// Param.
 #ifndef BDM_CORE_PARAM_H_
 #define BDM_CORE_PARAM_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <thread>
 
 #include "math/real.h"
@@ -78,16 +85,6 @@ struct Param {
   /// the sequential op loop runs -- the A/B reference for bench_dag. The
   /// env var BDM_OP_DAG=0/1 overrides this without a code change.
   bool op_dag = true;
-  /// Parallel shard stepping (src/shard/sharded_simulation.h): step the S
-  /// shards of a ShardedSimulation concurrently on disjoint worker teams
-  /// carved from the shared pool (one DagExecutor lane per in-flight shard,
-  /// team shares proportional to shard population, grow-only widening when
-  /// a shard finishes early). The lockstep exchange and the shard audits
-  /// stay on the main thread as the barrier between iterations. When false,
-  /// shards step sequentially, each using the full pool -- the A/B
-  /// reference for bench_shard's parallel legs. The env var
-  /// BDM_PARALLEL_SHARDS=0/1 overrides this without a code change.
-  bool parallel_shards = false;
 
   // --- memory manager ------------------------------------------------------
   NumaPoolAllocator::Config memory;  // mem_mgr_growth_rate & friends
@@ -138,6 +135,30 @@ struct Param {
     return hw == 0 ? 1 : static_cast<int>(hw);
   }
 };
+
+/// Applies the environment-variable overrides to `param`; every
+/// Simulation and ShardedSimulation constructor calls this on its copy.
+///   BDM_AUDIT_INTERVAL=N (N > 0) sets audit_interval: debug/tsan test runs
+///     export 1 so every simulation self-checks each iteration without the
+///     test code opting in (see tests/CMakeLists.txt);
+///   BDM_METRICS=0 turns collect_metrics off;
+///   BDM_OP_DAG=0/1 pins op_dag (bench_dag and the tsan job use it).
+inline void ApplyEnvOverrides(Param* param) {
+  if (const char* audit = std::getenv("BDM_AUDIT_INTERVAL")) {
+    const int interval = std::atoi(audit);
+    if (interval > 0) {
+      param->audit_interval = interval;
+    }
+  }
+  if (const char* metrics = std::getenv("BDM_METRICS")) {
+    if (metrics[0] == '0') {
+      param->collect_metrics = false;
+    }
+  }
+  if (const char* dag = std::getenv("BDM_OP_DAG")) {
+    param->op_dag = dag[0] != '0';
+  }
+}
 
 }  // namespace bdm
 

@@ -45,7 +45,7 @@ Simulation::Simulation(std::string name, const Param& param)
          "only one Simulation may be active at a time (see class comment)");
   active_ = this;
 
-  ApplyEnvOverrides();
+  ApplyEnvOverrides(&param_);
 
   // Observability hooks (DESIGN.md Section 7). BDM_METRICS=0 forces the
   // counter layer off (overhead A/B runs); BDM_TRACE=<path> records every
@@ -85,35 +85,12 @@ Simulation::Simulation(std::string name, const Param& param,
       uid_generator_(services.uid_generator) {
   assert(pool_ != nullptr && uid_generator_ != nullptr &&
          "shared-service simulations need an external pool and uid generator");
-  ApplyEnvOverrides();
+  ApplyEnvOverrides(&param_);
   // No metrics slot reconfiguration / reset and no trace start here: the
   // owner of the shared services (ShardedSimulation) performs the
   // process-global observability setup exactly once -- a per-shard reset
   // would wipe the counters of every sibling shard.
   BuildComponents();
-}
-
-void Simulation::ApplyEnvOverrides() {
-  // CI hook: debug/tsan test runs export BDM_AUDIT_INTERVAL=1 so every
-  // simulation they construct self-checks each iteration without the test
-  // code opting in (see tests/CMakeLists.txt).
-  if (const char* audit = std::getenv("BDM_AUDIT_INTERVAL")) {
-    const int interval = std::atoi(audit);
-    if (interval > 0) {
-      param_.audit_interval = interval;
-    }
-  }
-  if (const char* metrics = std::getenv("BDM_METRICS")) {
-    if (metrics[0] == '0') {
-      param_.collect_metrics = false;
-    }
-  }
-  // A/B hook: BDM_OP_DAG=0 forces the sequential op loop, =1 forces the
-  // operation DAG, without a code change (bench_dag and the tsan job use
-  // it to pin the mode).
-  if (const char* dag = std::getenv("BDM_OP_DAG")) {
-    param_.op_dag = dag[0] != '0';
-  }
 }
 
 void Simulation::BuildComponents() {

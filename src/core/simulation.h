@@ -127,7 +127,6 @@ class Simulation {
   void Simulate(uint64_t iterations);
 
  private:
-  void ApplyEnvOverrides();
   void BuildComponents();
 
   static Simulation* active_;

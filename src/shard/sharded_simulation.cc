@@ -50,23 +50,9 @@ ShardedSimulation::ShardedSimulation(const std::string& name,
         "ShardedSimulation: local shard range [" + std::to_string(local_begin) +
         ", " + std::to_string(local_end) + ") out of bounds");
   }
-  // Mirror Simulation::ApplyEnvOverrides for the knobs the shard layer
-  // itself consumes (the per-shard simulations re-apply them for their own
-  // schedulers).
-  if (const char* audit = std::getenv("BDM_AUDIT_INTERVAL")) {
-    const int interval = std::atoi(audit);
-    if (interval > 0) {
-      param_.audit_interval = interval;
-    }
-  }
-  if (const char* metrics = std::getenv("BDM_METRICS")) {
-    if (metrics[0] == '0') {
-      param_.collect_metrics = false;
-    }
-  }
-  if (const char* parallel = std::getenv("BDM_PARALLEL_SHARDS")) {
-    param_.parallel_shards = parallel[0] != '0';
-  }
+  // The per-shard simulations re-apply the overrides for their own
+  // schedulers; this copy feeds the knobs the shard layer itself consumes.
+  ApplyEnvOverrides(&param_);
 
   // Process-global observability setup, done exactly once for all shards
   // (the shards' service-sharing constructors skip it; see simulation.cc).
@@ -87,6 +73,27 @@ ShardedSimulation::ShardedSimulation(const std::string& name,
       registry.RegisterCounter("shard/field_deposits_forwarded");
 
   pool_ = std::make_unique<NumaThreadPool>(topology_);
+  const int num_local = local_end - local_begin;
+  if (num_local > 1) {
+    // Shard lanes live in the thread-slot range past the workers AND past
+    // the 4 op-DAG lane slots a shard stepped on the main thread uses, so
+    // the two executor kinds never share a metrics/timing/allocator slot.
+    // The executor throws std::invalid_argument when the pool is too wide
+    // to leave a slot for even one lane.
+    shard_exec_ = std::make_unique<DagExecutor>(
+        pool_.get(), num_local, pool_->NumThreads() + 1 + 4, "shard lane");
+    // Edgeless DAG: the exchange barrier (Exchange/FieldExchange run before
+    // and after on the main thread) is the only ordering the shards need
+    // within an iteration -- every node is immediately ready.
+    std::vector<OpDagNode> nodes(static_cast<size_t>(num_local));
+    for (int s = 0; s < num_local; ++s) {
+      nodes[static_cast<size_t>(s)].name =
+          "shard" + std::to_string(local_begin + s);
+      nodes[static_cast<size_t>(s)].reads = 0;
+      nodes[static_cast<size_t>(s)].writes = 0;
+    }
+    shard_dag_ = OpDag::FromEdges(std::move(nodes), {});
+  }
   if (param_.use_bdm_memory_manager) {
     memory_manager_ = std::make_unique<MemoryManager>(topology_, param_.memory);
     MemoryManager::SetGlobal(memory_manager_.get());
@@ -103,7 +110,7 @@ ShardedSimulation::ShardedSimulation(const std::string& name,
   services.memory_manager = memory_manager_.get();
   services.uid_generator = uid_generator_.get();
   Simulation* previous = Simulation::GetActive();
-  shards_.reserve(static_cast<size_t>(local_end - local_begin));
+  shards_.reserve(static_cast<size_t>(num_local));
   for (int s = local_begin; s < local_end; ++s) {
     auto shard = std::make_unique<Shard>(s, num_shards, extents_[s],
                                          name_ + "_shard" + std::to_string(s),
@@ -498,83 +505,71 @@ void ShardedSimulation::RunFieldAudit(Simulation* previous) {
   }
 }
 
-bool ShardedSimulation::UsesParallelStepping() const {
-  if (!param_.parallel_shards || shards_.size() < 2) {
-    return false;
-  }
-  // Shard lanes live in the thread-slot range past the workers AND past the
-  // 4 op-DAG lane slots a sequentially-stepped shard's scheduler uses, so
-  // the two executor kinds never share a metrics/timing/allocator slot.
-  const int slot_base = pool_->NumThreads() + 1 + 4;
-  return slot_base + 1 <= MetricsRegistry::kMaxSlots;
-}
-
-void ShardedSimulation::StepShardsParallel() {
+void ShardedSimulation::StepShards() {
   const int num_local = static_cast<int>(shards_.size());
-  if (shard_exec_ == nullptr) {
-    const int slot_base = pool_->NumThreads() + 1 + 4;
-    shard_exec_ = std::make_unique<DagExecutor>(pool_.get(), num_local,
-                                                slot_base, "shard lane");
-    // Edgeless DAG: the exchange barrier (Exchange/FieldExchange run before
-    // and after on the main thread) is the only ordering the shards need
-    // within an iteration -- every node is immediately ready.
-    std::vector<OpDagNode> nodes(static_cast<size_t>(num_local));
-    for (int s = 0; s < num_local; ++s) {
-      nodes[static_cast<size_t>(s)].name =
-          "shard" + std::to_string(local_begin_ + s);
-      nodes[static_cast<size_t>(s)].reads = 0;
-      nodes[static_cast<size_t>(s)].writes = 0;
+  // Steps local shard `s` on the calling thread, which must already resolve
+  // GetActive() to that shard's simulation.
+  const auto step = [this](int s) {
+    const auto step_start = TraceRecorder::Clock::now();
+    shards_[static_cast<size_t>(s)]->sim()->Simulate(1);
+    if (TraceRecorder::Active()) {
+      TraceRecorder::Get().RecordSpan(
+          "step", step_start, TraceRecorder::Clock::now(),
+          kShardTraceSlotBase + local_begin_ + s, iteration_);
     }
-    shard_dag_ = OpDag::FromEdges(std::move(nodes), {});
-  }
-  // Population-proportional team shares (+1 keeps empty shards schedulable);
-  // a shard finishing early donates its workers to the still-running lanes
-  // (grow-only widening inside the executor).
-  std::vector<double> weights(static_cast<size_t>(num_local));
-  for (int s = 0; s < num_local; ++s) {
-    weights[static_cast<size_t>(s)] =
-        static_cast<double>(shards_[static_cast<size_t>(s)]->NumOwned()) + 1.0;
-  }
-  // Sticky dirty mode for the whole parallel region: shard A's behaviors
-  // raise the process-global AoS-dirty flag, and without stickiness shard
-  // B's EnsureCurrent could consume (clear) it before A's own mechanics
-  // read it. While sticky, every EnsureCurrent refreshes conservatively --
-  // bitwise-identical, merely not skipping clean refreshes.
-  const bool sticky_previous =
-      soa::g_dirty_sticky.exchange(true, std::memory_order_relaxed);
-  try {
-    shard_exec_->Execute(
-        shard_dag_,
-        [&](int s) {
-          Shard* shard = shards_[static_cast<size_t>(s)].get();
-          // Thread-scoped activation: this lane (and every pool worker it
-          // dispatches to) resolves GetActive() to this shard's simulation.
-          Simulation* lane_previous =
-              Simulation::SwapThreadActive(shard->sim());
-          const auto step_start = TraceRecorder::Clock::now();
-          try {
-            shard->sim()->Simulate(1);
-          } catch (...) {
+  };
+  if (num_local == 1) {
+    // One local shard: step it inline with the whole pool (and its op
+    // DAG) -- S=1 stays bitwise a plain Simulation.
+    Simulation::SetActive(shards_.front()->sim());
+    step(0);
+  } else {
+    // Population-proportional team shares (+1 keeps empty shards
+    // schedulable); a shard finishing early donates its workers to the
+    // still-running lanes (grow-only widening inside the executor).
+    std::vector<double> weights(static_cast<size_t>(num_local));
+    for (int s = 0; s < num_local; ++s) {
+      weights[static_cast<size_t>(s)] =
+          static_cast<double>(shards_[static_cast<size_t>(s)]->NumOwned()) +
+          1.0;
+    }
+    // Sticky dirty mode for the whole parallel region: shard A's behaviors
+    // raise the process-global AoS-dirty flag, and without stickiness
+    // shard B's EnsureCurrent could consume (clear) it before A's own
+    // mechanics read it. While sticky, every EnsureCurrent refreshes
+    // conservatively -- bitwise-identical, merely not skipping clean
+    // refreshes.
+    const bool sticky_previous =
+        soa::g_dirty_sticky.exchange(true, std::memory_order_relaxed);
+    try {
+      shard_exec_->Execute(
+          shard_dag_,
+          [&](int s) {
+            // Thread-scoped activation: this lane (and every pool worker it
+            // dispatches to) resolves GetActive() to this shard.
+            Simulation* lane_previous = Simulation::SwapThreadActive(
+                shards_[static_cast<size_t>(s)]->sim());
+            try {
+              step(s);
+            } catch (...) {
+              Simulation::SwapThreadActive(lane_previous);
+              throw;
+            }
             Simulation::SwapThreadActive(lane_previous);
-            throw;
-          }
-          Simulation::SwapThreadActive(lane_previous);
-          if (TraceRecorder::Active()) {
-            TraceRecorder::Get().RecordSpan(
-                "step", step_start, TraceRecorder::Clock::now(),
-                kShardTraceSlotBase + local_begin_ + s, iteration_);
-          }
-        },
-        weights);
-  } catch (...) {
+          },
+          weights);
+    } catch (...) {
+      soa::g_dirty_sticky.store(sticky_previous, std::memory_order_relaxed);
+      throw;
+    }
     soa::g_dirty_sticky.store(sticky_previous, std::memory_order_relaxed);
-    throw;
   }
-  soa::g_dirty_sticky.store(sticky_previous, std::memory_order_relaxed);
-  if (soa::g_aos_geometry_dirty.load(std::memory_order_relaxed)) {
-    // Some shard's behaviors moved agents but the global flag cannot say
-    // whose; pin the stale mark to every store so no shard's refresh is
-    // starved by a sibling consuming the flag first next iteration.
+  if (num_shards_ > 1 &&
+      soa::g_aos_geometry_dirty.load(std::memory_order_relaxed)) {
+    // Some shard's behaviors moved agents but the process-global flag
+    // cannot say whose; pin the stale mark to every local store so no
+    // shard's refresh is starved by a sibling (or the exchange) consuming
+    // the flag first next iteration.
     for (auto& shard : shards_) {
       shard->sim()->GetResourceManager()->GetSoaStore().MarkGeometryStale();
     }
@@ -606,34 +601,11 @@ void ShardedSimulation::Simulate(uint64_t iterations) {
         }
       }
     }
-    if (UsesParallelStepping()) {
-      try {
-        StepShardsParallel();
-      } catch (...) {
-        Simulation::SetActive(previous);
-        throw;
-      }
-    } else {
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        Shard* shard = shards_[s].get();
-        Simulation::SetActive(shard->sim());
-        const auto step_start = TraceRecorder::Clock::now();
-        shard->sim()->Simulate(1);
-        if (TraceRecorder::Active()) {
-          TraceRecorder::Get().RecordSpan(
-              "step", step_start, TraceRecorder::Clock::now(),
-              kShardTraceSlotBase + local_begin_ + static_cast<int>(s),
-              iteration_);
-        }
-        // The process-global AoS-dirty flag cannot say *which* shard's
-        // behaviors moved agents; if it is up after this shard's step, pin
-        // the refresh to this shard's own store so a sibling consuming the
-        // global flag cannot starve it.
-        if (sharded &&
-            soa::g_aos_geometry_dirty.load(std::memory_order_relaxed)) {
-          shard->sim()->GetResourceManager()->GetSoaStore().MarkGeometryStale();
-        }
-      }
+    try {
+      StepShards();
+    } catch (...) {
+      Simulation::SetActive(previous);
+      throw;
     }
     // Field tail of the iteration (the shards stepped without their
     // DiffusionOp): forward deposits + refresh ghost planes, audit the

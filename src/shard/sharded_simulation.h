@@ -29,9 +29,11 @@
 //      uniqueness, ghost<->owner bitwise agreement, ownership containment,
 //      delta-codec symmetry, and agent-count conservation across the
 //      exchange.
-//   3. Each shard steps one iteration (Scheduler::Simulate(1), op DAG and
-//      all) with its simulation made active; shards step sequentially and
-//      each uses the full shared pool. With S > 1 the per-shard schedulers
+//   3. Each local shard steps one iteration (Scheduler::Simulate(1)) with
+//      its simulation made active. Two or more local shards step
+//      concurrently, one DagExecutor lane each, on disjoint worker teams
+//      carved from the shared pool; a single local shard steps inline with
+//      the whole pool and its op DAG. With S > 1 the per-shard schedulers
 //      run WITHOUT their DiffusionOp -- behaviors deposit into the fields
 //      but the fields do not advance yet.
 //   4. Field halo exchange + field step (S > 1, diffusion grids present):
@@ -189,15 +191,12 @@ class ShardedSimulation {
   /// halo zones agree.
   real_t HaloWidth();
   void RunFieldAudit(Simulation* previous);
-  /// True when this iteration's shard steps run concurrently on lane
-  /// threads (Param::parallel_shards, S > 1, slot budget fits).
-  bool UsesParallelStepping() const;
-  /// Steps every local shard for one iteration, concurrently: each shard
-  /// runs on one lane of shard_exec_ on a disjoint worker team sized
-  /// proportional to the shard's owned population (grow-only widened as
-  /// shards finish early). Blocks until all shards stepped; rethrows the
-  /// first lane exception.
-  void StepShardsParallel();
+  /// Steps every local shard for one iteration. A single local shard steps
+  /// inline on the calling thread. Two or more step concurrently, one lane
+  /// of shard_exec_ each, on disjoint worker teams sized proportional to
+  /// the shards' owned populations (grow-only widened as shards finish
+  /// early); blocks until all stepped and rethrows the first lane exception.
+  void StepShards();
 
   std::string name_;
   Param param_;
@@ -211,9 +210,9 @@ class ShardedSimulation {
   int local_begin_ = 0;
   std::vector<spatial::ShardExtent> extents_;
   std::unique_ptr<ShardTransport> transport_;
-  // Lane executor for parallel shard stepping (lazily created on the first
-  // parallel iteration; null in sequential mode). Declared after pool_ so
-  // its lane threads join before the pool tears down.
+  // Lane executor and its edgeless S-node DAG (null/empty with a single
+  // local shard). Declared after pool_ so its lane threads join before the
+  // pool tears down.
   std::unique_ptr<DagExecutor> shard_exec_;
   OpDag shard_dag_;
   // Declared after the services: shards (and the agents they own) are torn

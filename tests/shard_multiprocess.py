@@ -9,9 +9,9 @@ the spatial decomposition -- and therefore the physics -- is the same; only
 the process boundary moves). Every value is printed as %a hex, so "equal"
 means equal down to the last mantissa bit.
 
-Runs the 2-rank leg twice: once stepping each rank's local shards
-sequentially and once on parallel DagExecutor lanes (BDM_PARALLEL_SHARDS=1),
-so the CI job covers the socket transport and the parallel stepper composed.
+Each rank steps its two local shards concurrently on DagExecutor lanes, as
+the single-process run steps its four, so the check covers the socket
+transport and the lane stepper composed.
 
 Usage: shard_multiprocess.py <path-to-bdm_shard_worker>
 """
@@ -33,18 +33,11 @@ WORKLOAD = [
 ]
 
 
-def clean_env():
-    env = dict(os.environ)
-    env.pop("BDM_PARALLEL_SHARDS", None)
-    return env
-
-
-def run_rank(worker, extra, env):
+def run_rank(worker, extra):
     return subprocess.Popen(
         [worker] + WORKLOAD + extra,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
     )
 
 
@@ -81,44 +74,35 @@ def main():
 
     with tempfile.TemporaryDirectory(prefix="bdm_mp_") as tmp:
         ref_out = os.path.join(tmp, "ref.txt")
-        ref = run_rank(worker, ["--ranks=1", "--rank=0", f"--out={ref_out}"],
-                       clean_env())
+        ref = run_rank(worker, ["--ranks=1", "--rank=0", f"--out={ref_out}"])
         wait_all([ref], "reference")
         reference = read_sorted([ref_out])
         if not reference:
             raise SystemExit("reference run produced no output")
 
-        for leg, parallel in (("sequential", False), ("parallel", True)):
-            sock_dir = os.path.join(tmp, f"sock_{leg}")
-            os.mkdir(sock_dir)
-            env = clean_env()
-            if parallel:
-                env["BDM_PARALLEL_SHARDS"] = "1"
-            outs = [os.path.join(tmp, f"{leg}_r{r}.txt") for r in range(2)]
-            ranks = [
-                run_rank(
-                    worker,
-                    ["--ranks=2", f"--rank={r}", f"--socket-dir={sock_dir}",
-                     f"--out={outs[r]}"],
-                    env,
-                )
-                for r in range(2)
-            ]
-            wait_all(ranks, leg)
-            stitched = read_sorted(outs)
-            if stitched != reference:
-                diff = [
-                    (a, b) for a, b in zip(reference, stitched) if a != b
-                ]
-                print(f"{leg}: {len(reference)} reference lines, "
-                      f"{len(stitched)} stitched lines, "
-                      f"{len(diff)} differing pairs")
-                for a, b in diff[:10]:
-                    print(f"  ref: {a}\n  got: {b}")
-                raise SystemExit(f"{leg}: stitched 2-rank output differs "
-                                 "from single-process reference")
-            print(f"{leg}: 2-rank output bitwise-identical to reference "
-                  f"({len(reference)} lines)")
+        sock_dir = os.path.join(tmp, "sock")
+        os.mkdir(sock_dir)
+        outs = [os.path.join(tmp, f"rank{r}.txt") for r in range(2)]
+        ranks = [
+            run_rank(
+                worker,
+                ["--ranks=2", f"--rank={r}", f"--socket-dir={sock_dir}",
+                 f"--out={outs[r]}"],
+            )
+            for r in range(2)
+        ]
+        wait_all(ranks, "2-rank")
+        stitched = read_sorted(outs)
+        if stitched != reference:
+            diff = [(a, b) for a, b in zip(reference, stitched) if a != b]
+            print(f"{len(reference)} reference lines, {len(stitched)} "
+                  f"stitched lines, {len(diff)} differing pairs")
+            for a, b in diff[:10]:
+                print(f"  ref: {a}\n  got: {b}")
+            raise SystemExit("stitched 2-rank output differs from "
+                             "single-process reference")
+        print("2-rank output bitwise-identical to reference "
+              f"({len(reference)} lines)")
 
     print("OK")
 

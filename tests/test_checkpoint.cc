@@ -16,6 +16,7 @@
 #include "models/neuroscience.h"
 #include "neuro/neurite_element.h"
 #include "neuro/neuron_soma.h"
+#include "support/temp_path.h"
 
 namespace bdm {
 namespace {
@@ -32,7 +33,7 @@ Param SmallParam() {
 class CheckpointTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = "/tmp/bdm_checkpoint_test.bin";
+  std::string path_ = test::TempPath("checkpoint.bin");
 };
 
 TEST_F(CheckpointTest, CellPopulationRoundTrip) {
@@ -188,7 +189,7 @@ TEST_F(CheckpointTest, CorruptMagicThrows) {
 class EveryModelCheckpoint : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(EveryModelCheckpoint, SaveLoadContinue) {
-  const std::string path = std::string("/tmp/bdm_ckpt_") + GetParam() + ".bin";
+  const std::string path = test::TempPath("ckpt.bin");
   const auto* info = models::FindModel(GetParam());
   ASSERT_NE(info, nullptr);
   Param param = SmallParam();

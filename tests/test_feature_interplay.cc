@@ -15,6 +15,7 @@
 #include "io/time_series.h"
 #include "math/random.h"
 #include "models/common_behaviors.h"
+#include "support/temp_path.h"
 
 namespace bdm {
 namespace {
@@ -63,7 +64,7 @@ TEST(FeatureInterplayTest, HilbertSortingInFullSimulation) {
 }
 
 TEST(FeatureInterplayTest, CheckpointAfterSortingRestoresConsistently) {
-  const std::string path = "/tmp/bdm_interplay_ckpt.bin";
+  const std::string path = test::TempPath("ckpt.bin");
   uint64_t saved = 0;
   {
     Param param;
@@ -110,15 +111,16 @@ TEST(FeatureInterplayTest, ExportAndTimeSeriesDuringSortedStaticRun) {
   });
   sim.GetScheduler()->AppendPostOp(
       std::make_unique<io::TimeSeriesOp>(&series, 1));
+  const std::string prefix = test::TempPath("interplay");
   sim.GetScheduler()->AppendPostOp(
-      std::make_unique<io::ExportOp>("/tmp/bdm_interplay", io::Format::kVtk, 10));
+      std::make_unique<io::ExportOp>(prefix, io::Format::kVtk, 10));
   sim.Simulate(20);
   ASSERT_EQ(series.NumSamples(), 20u);
   // Staticness flags survive the sorting copies: the fraction climbs as
   // the random packing relaxes.
   EXPECT_GT(series.Get("static_fraction").back(), 0.0);
-  std::remove("/tmp/bdm_interplay_0.vtk");
-  std::remove("/tmp/bdm_interplay_1.vtk");
+  std::remove((prefix + "_0.vtk").c_str());
+  std::remove((prefix + "_1.vtk").c_str());
 }
 
 TEST(FeatureInterplayTest, LoadBalanceOpHonorsPairEnginePositions) {

@@ -23,8 +23,10 @@
 #include "core/simulation.h"
 #include "math/random.h"
 #include "models/common_behaviors.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sched/numa_thread_pool.h"
+#include "support/temp_path.h"
 
 namespace bdm {
 namespace {
@@ -124,6 +126,18 @@ TEST(OpDagTest, FromEdgesAcceptsDiamond) {
   EXPECT_EQ(dag.num_predecessors(3), 2);
   const std::vector<int> order = dag.TopologicalOrder();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(DagExecutorTest, SlotBaseAtCapacityThrows) {
+  // A lane's thread slot indexes the kMaxSlots-sized metrics and timing
+  // shard arrays; a slot base at capacity leaves room for no lane at all.
+  NumaThreadPool pool(Topology(2, 1));
+  EXPECT_THROW(DagExecutor(&pool, 2, MetricsRegistry::kMaxSlots),
+               std::invalid_argument);
+  // One slot left: the executor clamps to a single lane.
+  DagExecutor last(&pool, 2, MetricsRegistry::kMaxSlots - 1);
+  EXPECT_EQ(last.NumLanes(), 1);
+  EXPECT_EQ(last.LaneThreadSlot(0), MetricsRegistry::kMaxSlots - 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -456,7 +470,7 @@ bool JsonBalanced(const std::string& text) {
 }
 
 TEST(DagTraceTest, DagModeTraceIsWellFormedAndNamesLaneTracks) {
-  const std::string path = ::testing::TempDir() + "bdm_dag.trace.json";
+  const std::string path = test::TempPath("dag.trace.json");
   setenv("BDM_TRACE", path.c_str(), 1);
   {
     Param param = DagParam(4, true);

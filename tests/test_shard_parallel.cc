@@ -1,6 +1,7 @@
-// Tests for parallel shard stepping (Param::parallel_shards) and the
-// multi-process transport plumbing: lane-driven steps must be BITWISE
-// identical to the sequential reference loop, lane exceptions must surface
+// Tests for lane shard stepping and the multi-process transport plumbing:
+// ShardedSimulation::Simulate's lane-driven steps must be BITWISE identical
+// to the test-side sequential reference (support/sequential_shard_step.h)
+// at the same thread count, lane exceptions must surface
 // out of ShardedSimulation::Simulate, the mailbox transport must deliver
 // concurrent senders in the contract order, and the socket transport's
 // frame codec and phase barrier must round-trip bytes exactly. Listed in
@@ -31,6 +32,7 @@
 #include "shard/shard_transport.h"
 #include "shard/sharded_simulation.h"
 #include "shard/socket_transport.h"
+#include "support/sequential_shard_step.h"
 
 namespace bdm::shard {
 namespace {
@@ -91,8 +93,8 @@ class ParallelDriftBehavior : public Behavior {
 
 BDM_REGISTER_BEHAVIOR(ParallelDriftBehavior);
 
-/// Throws once the owner has stepped `fuse` times -- on a lane thread in
-/// parallel mode.
+/// Throws once the owner has stepped `fuse` times -- on a pool worker
+/// driven by a shard lane.
 class FuseBehavior : public Behavior {
  public:
   FuseBehavior() = default;
@@ -135,18 +137,15 @@ struct RunResult {
   std::vector<uint64_t> field_bits;  // owned voxels, shard-major
 };
 
-/// The A/B workload: churn + cross-face secretion over S shards, stepping
-/// sequentially or on parallel lanes. Both modes share one process, so the
-/// per-run uid generators produce identical uid sequences and positions can
-/// be compared keyed by uid.
-RunResult RunChurn(int num_shards, bool parallel, uint64_t iterations) {
-  // The constructor mirrors BDM_PARALLEL_SHARDS over the passed param; the
-  // A/B comparison needs the in-binary flag to win.
-  unsetenv("BDM_PARALLEL_SHARDS");
-  Param param = ShardParam(4);
-  param.parallel_shards = parallel;
-  ShardedSimulation sim(parallel ? "churn_par" : "churn_seq", param,
-                        {0, 0, 0}, {100, 100, 100}, num_shards);
+/// The A/B workload: churn + cross-face secretion over S shards, stepped by
+/// the engine (lanes) or by the test-side sequential reference. Both modes
+/// share one process, so the per-run uid generators produce identical uid
+/// sequences and positions can be compared keyed by uid.
+RunResult RunChurn(int num_shards, int threads, bool sequential,
+                   uint64_t iterations) {
+  ShardedSimulation sim(sequential ? "churn_seq" : "churn_lanes",
+                        ShardParam(threads), {0, 0, 0}, {100, 100, 100},
+                        num_shards);
   sim.AddDiffusionGrid([]() {
     auto grid = std::make_unique<DiffusionGrid>("oxygen",
                                                 /*diffusion_coefficient=*/40,
@@ -177,7 +176,11 @@ RunResult RunChurn(int num_shards, bool parallel, uint64_t iterations) {
         });
   }
 
-  sim.Simulate(iterations);  // audits every iteration (audit_interval = 1)
+  if (sequential) {
+    test::SequentialShardStep(&sim, iterations);
+  } else {
+    sim.Simulate(iterations);  // audits every iteration (audit_interval = 1)
+  }
 
   RunResult result;
   for (int s = 0; s < sim.NumShards(); ++s) {
@@ -201,37 +204,38 @@ RunResult RunChurn(int num_shards, bool parallel, uint64_t iterations) {
 }
 
 TEST(ShardParallelTest, ParallelSteppingIsBitwiseSequential) {
-  for (const int num_shards : {2, 4}) {
-    const RunResult sequential =
-        RunChurn(num_shards, /*parallel=*/false, /*iterations=*/10);
-    const RunResult parallel =
-        RunChurn(num_shards, /*parallel=*/true, /*iterations=*/10);
-    ASSERT_EQ(sequential.positions.size(), parallel.positions.size())
-        << "S=" << num_shards;
-    auto pit = parallel.positions.begin();
-    for (const auto& [uid, pos] : sequential.positions) {
-      ASSERT_EQ(uid, pit->first) << "S=" << num_shards;
-      EXPECT_EQ(io::RealBits(pos.x), io::RealBits(pit->second.x))
-          << "S=" << num_shards << " uid " << uid;
-      EXPECT_EQ(io::RealBits(pos.y), io::RealBits(pit->second.y))
-          << "S=" << num_shards << " uid " << uid;
-      EXPECT_EQ(io::RealBits(pos.z), io::RealBits(pit->second.z))
-          << "S=" << num_shards << " uid " << uid;
-      ++pit;
+  // One thread clamps the engine to a single lane stepping the shards one
+  // after another; four threads run S lanes on disjoint worker teams.
+  for (const int threads : {1, 4}) {
+    for (const int num_shards : {2, 4}) {
+      const RunResult sequential = RunChurn(
+          num_shards, threads, /*sequential=*/true, /*iterations=*/10);
+      const RunResult lanes = RunChurn(num_shards, threads,
+                                       /*sequential=*/false, /*iterations=*/10);
+      const std::string label = "S=" + std::to_string(num_shards) +
+                                " threads=" + std::to_string(threads);
+      ASSERT_EQ(sequential.positions.size(), lanes.positions.size()) << label;
+      auto lit = lanes.positions.begin();
+      for (const auto& [uid, pos] : sequential.positions) {
+        ASSERT_EQ(uid, lit->first) << label;
+        EXPECT_EQ(io::RealBits(pos.x), io::RealBits(lit->second.x))
+            << label << " uid " << uid;
+        EXPECT_EQ(io::RealBits(pos.y), io::RealBits(lit->second.y))
+            << label << " uid " << uid;
+        EXPECT_EQ(io::RealBits(pos.z), io::RealBits(lit->second.z))
+            << label << " uid " << uid;
+        ++lit;
+      }
+      EXPECT_EQ(sequential.field_bits, lanes.field_bits) << label;
     }
-    EXPECT_EQ(sequential.field_bits, parallel.field_bits)
-        << "S=" << num_shards;
   }
 }
 
 TEST(ShardParallelTest, LaneExceptionPropagatesOutOfSimulate) {
-  unsetenv("BDM_PARALLEL_SHARDS");
   // The throw happens on a pool worker inside the behavior sweep; it must
   // hop worker -> driving lane thread (RunOn rethrow) -> DagExecutor's lane
   // capture -> Execute -> Simulate, not terminate the process.
-  Param param = ShardParam(4);
-  param.parallel_shards = true;
-  ShardedSimulation sim("fuse", param, {0, 0, 0}, {100, 100, 100}, 2);
+  ShardedSimulation sim("fuse", ShardParam(4), {0, 0, 0}, {100, 100, 100}, 2);
   auto* calm = new Cell({25, 50, 50}, 8);
   sim.AddAgent(calm);
   auto* doomed = new Cell({75, 50, 50}, 8);
@@ -403,6 +407,7 @@ TEST(SocketTransportTest, TwoRankExchangeKeepsContractOrder) {
   });
   rank0.join();
   rank1.join();
+  rmdir(dir.c_str());  // the transports unlinked their sockets
   EXPECT_EQ(r0_reduced, 3.5);
   EXPECT_EQ(r1_reduced, 3.5);
   EXPECT_EQ(r1_received, "0=from0;1=from1-a;1=from1-b;3=local3;");
