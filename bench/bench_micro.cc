@@ -76,7 +76,9 @@ void BM_UniformGridSearch(benchmark::State& state) {
   int64_t visited = 0;
   for (auto _ : state) {
     world.rm->ForEachAgent([&](Agent* agent, AgentHandle) {
-      grid.ForEachNeighbor(*agent, 100, [&](Agent*, real_t) { ++visited; });
+      grid.ForEachNeighbor(*agent, 100, [&](const Environment::NeighborData&) {
+        ++visited;
+      });
     });
   }
   benchmark::DoNotOptimize(visited);

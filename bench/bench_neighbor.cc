@@ -1,7 +1,7 @@
 // A/B microbenchmark for the uniform grid's SoA mirror (DESIGN.md Section 5):
 // the same 27-box neighbor query once as the classic pointer-chasing scan
 // (dereference every candidate Agent* for its position) and once through the
-// grid's SoA search paths. The workload is reject-dominated -- ~27 candidates
+// grid's SoA search. The workload is reject-dominated -- ~27 candidates
 // per query, a handful of accepts -- which is exactly the regime the mirror
 // targets: a reject costs a few contiguous-array reads instead of a dependent
 // cache miss into a polymorphic heap object.
@@ -112,56 +112,40 @@ int Run() {
         }
       });
 
-  // B: the index-aware SoA path (geometry entirely from the mirror; the
-  // mechanics kernel's interface).
+  // B: the engine's one search (geometry entirely from the Update-time SoA
+  // arrays).
   const KernelResult soa =
       Measure(queries, [&](Agent* query, uint64_t* neighbors, double* d2_sum) {
-        grid.ForEachNeighborData(*query, squared_radius,
-                                 [&](const Environment::NeighborData& nb) {
-                                   ++*neighbors;
-                                   *d2_sum += nb.squared_distance;
-                                 });
-      });
-
-  // B': the plain Agent* callback (SoA reject path + live confirm on accept;
-  // what behaviors use).
-  const KernelResult live =
-      Measure(queries, [&](Agent* query, uint64_t* neighbors, double* d2_sum) {
         grid.ForEachNeighbor(*query, squared_radius,
-                             [&](Agent*, real_t d2) {
+                             [&](const Environment::NeighborData& nb) {
                                ++*neighbors;
-                               *d2_sum += d2;
+                               *d2_sum += nb.squared_distance;
                              });
       });
 
-  if (pointer.neighbors != soa.neighbors || pointer.neighbors != live.neighbors) {
-    std::fprintf(stderr, "kernel disagreement: %llu vs %llu vs %llu\n",
+  if (pointer.neighbors != soa.neighbors) {
+    std::fprintf(stderr, "kernel disagreement: %llu vs %llu\n",
                  static_cast<unsigned long long>(pointer.neighbors),
-                 static_cast<unsigned long long>(soa.neighbors),
-                 static_cast<unsigned long long>(live.neighbors));
+                 static_cast<unsigned long long>(soa.neighbors));
     return 1;
   }
 
   const double speedup_soa = pointer.ns_per_query / soa.ns_per_query;
-  const double speedup_live = pointer.ns_per_query / live.ns_per_query;
   const double avg_neighbors =
       static_cast<double>(pointer.neighbors) / static_cast<double>(n);
   PrintHeader("Neighbor query: pointer-chasing vs SoA mirror");
   std::printf("agents %llu, box length %.1f, avg neighbors/query %.2f\n",
               static_cast<unsigned long long>(n), radius, avg_neighbors);
   std::printf("  pointer-chasing : %8.1f ns/query\n", pointer.ns_per_query);
-  std::printf("  SoA (data path) : %8.1f ns/query  (%.2fx)\n",
+  std::printf("  SoA snapshot    : %8.1f ns/query  (%.2fx)\n",
               soa.ns_per_query, speedup_soa);
-  std::printf("  SoA + live conf : %8.1f ns/query  (%.2fx)\n",
-              live.ns_per_query, speedup_live);
 
   WriteBenchJson(
       "BENCH_neighbor.json",
       {{"neighbor_pointer_chasing", n, pointer.ns_per_query,
         {{"avg_neighbors", avg_neighbors}}},
-       {"neighbor_soa_data", n, soa.ns_per_query, {{"speedup", speedup_soa}}},
-       {"neighbor_soa_live_confirm", n, live.ns_per_query,
-        {{"speedup", speedup_live}}}});
+       {"neighbor_soa_data", n, soa.ns_per_query,
+        {{"speedup", speedup_soa}}}});
   return 0;
 }
 

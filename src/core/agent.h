@@ -78,10 +78,10 @@ class Agent {
   /// Computes the total displacement caused by mechanical interactions with
   /// neighbors within sqrt(squared_radius). Must also report, via
   /// `non_zero_forces`, how many individual neighbor forces were non-zero
-  /// (Section 5 condition iv). Implementations should iterate neighbors via
-  /// Environment::ForEachNeighborData and the geometry overload of
-  /// InteractionForce::Calculate so neighbor position/diameter are served
-  /// from the environment's SoA mirror instead of the Agent objects.
+  /// (Section 5 condition iv). Implementations should pass the neighbor
+  /// position/diameter of Environment::NeighborData (the Update-time
+  /// snapshot) to the geometry overload of InteractionForce::Calculate
+  /// instead of reading them from the neighbor Agent.
   virtual Real3 CalculateDisplacement(const InteractionForce* force,
                                       Environment* env, const Param& param,
                                       int* non_zero_forces) = 0;

@@ -70,12 +70,12 @@ Real3 Cell::CalculateDisplacement(const InteractionForce* force, Environment* en
   const real_t squared_radius = radius * radius;
   Real3 total{};
   int non_zero = 0;
-  // Index-aware neighbor iteration: position and diameter come from the
-  // environment's SoA mirror, so the dominant kernel of an iteration never
-  // chases the neighbor Agent* for geometry.
+  // Neighbor position and diameter come from the environment's Update-time
+  // snapshot, so the dominant kernel of an iteration never chases the
+  // neighbor Agent* for geometry.
   const Real3& my_pos = GetPosition();
   const real_t my_diameter = GetDiameter();
-  env->ForEachNeighborData(
+  env->ForEachNeighbor(
       *this, squared_radius, [&](const Environment::NeighborData& nb) {
         const Real3 f = force->Calculate(this, my_pos, my_diameter, nb.agent,
                                          nb.position, nb.diameter);

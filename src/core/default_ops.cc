@@ -34,16 +34,16 @@ void StaticnessOp::Run(Simulation* sim) {
   const real_t squared_radius = radius * radius;
   // Pass 1: agents whose change can increase forces on their neighbors wake
   // every agent within the interaction radius (conditions i-iii of
-  // Section 5 from the neighbors' point of view). Plain ForEachNeighbor is
-  // the right interface here: waking dereferences the neighbor Agent*
-  // anyway, and the candidate reject path already runs entirely on the
-  // uniform grid's SoA mirror.
+  // Section 5 from the neighbors' point of view). Neighbors are found at
+  // their Update-time positions, like every environment query.
   rm->ForEachAgentParallel([&](Agent* agent, AgentHandle, int) {
     if (!agent->PropagatesStaticness()) {
       return;
     }
     env->ForEachNeighbor(*agent, squared_radius,
-                         [](Agent* neighbor, real_t) { neighbor->WakeUp(); });
+                         [](const Environment::NeighborData& nb) {
+                           nb.agent->WakeUp();
+                         });
   });
   // Pass 2: promote next-iteration flags. Separate pass: pass 1 must have
   // observed all propagate flags before any of them is cleared.

@@ -1,58 +1,42 @@
 #include "env/environment.h"
 
-#include <unordered_map>
-
 #include "core/agent.h"
 #include "sched/numa_thread_pool.h"
 
 namespace bdm {
 
-void Environment::ForEachNeighborData(const Agent& query, real_t squared_radius,
-                                      NeighborDataFn fn) const {
-  ForEachNeighbor(query, squared_radius, [&](Agent* neighbor, real_t d2) {
-    fn(NeighborData{neighbor, neighbor->GetPosition(), neighbor->GetDiameter(),
-                    d2});
-  });
+void Environment::ForEachNeighbor(const Agent& query, real_t squared_radius,
+                                  NeighborFn fn) const {
+  Search(query.GetPosition(), squared_radius, &query, fn);
 }
 
-// Generic pair traversal for environments whose search only reports Agent*
-// (kd-tree, octree): every dense agent runs its radius search and keeps the
-// partners with a larger dense index, so each unordered pair survives in
-// exactly one of its two searches. The Agent* -> dense index map is built
-// once per call; the uniform grid overrides this with a traversal that
-// needs neither the map nor the doubled searches.
+// Generic pair traversal (kd-tree, octree): every dense agent searches
+// around its snapshot position and keeps the partners with a larger dense
+// index, so each unordered pair survives in exactly one of its two
+// searches. The uniform grid overrides this with a traversal that needs no
+// doubled searches.
 void Environment::ForEachNeighborPair(real_t squared_radius,
                                       NumaThreadPool* pool,
                                       NeighborPairFn fn) const {
-  Agent* const* agents = DenseAgents();
-  const uint64_t count = DenseAgentCount();
-  if (agents == nullptr || count == 0) {
-    return;
-  }
-  std::unordered_map<const Agent*, uint32_t> index;
-  index.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    index.emplace(agents[i], i);
-  }
-  const auto slabs = pool->MakeSlabPartition(0, static_cast<int64_t>(count));
+  const int64_t count = static_cast<int64_t>(DenseAgentCount());
+  const auto slabs = pool->MakeSlabPartition(0, count);
   pool->RunSlabs(slabs, [&](int64_t lo, int64_t hi, int tid) {
     NeighborPair pair;
     for (int64_t i = lo; i < hi; ++i) {
-      Agent* a = agents[i];
-      pair.a_index = static_cast<uint32_t>(i);
-      pair.a = a;
-      pair.a_position = a->GetPosition();
-      pair.a_diameter = a->GetDiameter();
-      ForEachNeighbor(*a, squared_radius, [&](Agent* b, real_t d2) {
-        const uint32_t j = index.find(b)->second;
-        if (j <= pair.a_index) {
+      const NeighborData a = DenseSnapshot(static_cast<uint32_t>(i));
+      pair.a_index = a.index;
+      pair.a = a.agent;
+      pair.a_position = a.position;
+      pair.a_diameter = a.diameter;
+      Search(a.position, squared_radius, a.agent, [&](const NeighborData& b) {
+        if (b.index <= pair.a_index) {
           return;  // this pair is emitted from its other endpoint
         }
-        pair.b_index = j;
-        pair.b = b;
-        pair.b_position = b->GetPosition();
-        pair.b_diameter = b->GetDiameter();
-        pair.squared_distance = d2;
+        pair.b_index = b.index;
+        pair.b = b.agent;
+        pair.b_position = b.position;
+        pair.b_diameter = b.diameter;
+        pair.squared_distance = b.squared_distance;
         fn(pair, tid);
       });
     }

@@ -5,6 +5,12 @@
 // paper's Section 6.9 comparison: the optimized uniform grid, a kd-tree, and
 // an octree. The scheduler rebuilds the environment at the beginning of
 // every iteration (pre-standalone operation).
+//
+// Every query answers from the snapshot the environment indexed at that
+// Update: a neighbor's position and diameter are never read from the live
+// agent, only the querying agent's own position is. Behaviors that move
+// agents mid-iteration therefore all see the iteration-start geometry of
+// their neighbors, which no concurrent SetPosition can race with.
 #ifndef BDM_ENV_ENVIRONMENT_H_
 #define BDM_ENV_ENVIRONMENT_H_
 
@@ -25,44 +31,38 @@ class NumaThreadPool;
 
 class Environment {
  public:
-  /// Callback invoked once per neighbor with the neighbor agent and the
-  /// squared distance between the query position and the neighbor position.
-  using NeighborFn = FunctionRef<void(Agent*, real_t)>;
-
-  /// Neighbor attributes served from the environment's own index storage.
-  /// The uniform grid fills position/diameter from its SoA mirror, so a
-  /// consumer that only needs geometry never dereferences the neighbor
-  /// `Agent*` (one dependent cache miss per neighbor avoided). `agent` is
-  /// still provided for state outside the mirror (cell type, staticness).
+  /// One neighbor as the environment indexed it at the last Update. Every
+  /// field but `agent` comes from that Update-time snapshot, so position,
+  /// diameter and distance agree with each other even while behaviors move
+  /// agents, and a consumer that needs only geometry never dereferences the
+  /// neighbor `Agent*`. `agent` stays available for state outside the
+  /// snapshot (cell type, staticness); `index` is its dense index
+  /// (DenseAgents()[index] == agent).
   struct NeighborData {
     Agent* agent;
+    uint32_t index;
     Real3 position;
     real_t diameter;
     real_t squared_distance;
   };
-  using NeighborDataFn = FunctionRef<void(const NeighborData&)>;
+  using NeighborFn = FunctionRef<void(const NeighborData&)>;
 
   virtual ~Environment() = default;
 
   /// Rebuilds the search index from the current agent positions.
   virtual void Update(const ResourceManager& rm, NumaThreadPool* pool) = 0;
 
-  /// Invokes `fn` for every agent (excluding `query` itself) whose position
-  /// is within sqrt(squared_radius) of `query`'s position.
-  virtual void ForEachNeighbor(const Agent& query, real_t squared_radius,
-                               NeighborFn fn) const = 0;
+  /// Invokes `fn` for every agent other than `query` whose Update-time
+  /// position lies within sqrt(squared_radius) of `query`'s current
+  /// position.
+  void ForEachNeighbor(const Agent& query, real_t squared_radius,
+                       NeighborFn fn) const;
 
   /// Same search anchored at an arbitrary position (no self-exclusion).
-  virtual void ForEachNeighbor(const Real3& position, real_t squared_radius,
-                               NeighborFn fn) const = 0;
-
-  /// Index-aware variant of ForEachNeighbor for hot consumers (the
-  /// mechanical-forces kernel): neighbor position and diameter come bundled
-  /// in NeighborData. The base implementation forwards to ForEachNeighbor
-  /// and reads both from the agent (kd-tree and octree use it); the uniform
-  /// grid overrides it to serve them from its SoA mirror instead.
-  virtual void ForEachNeighborData(const Agent& query, real_t squared_radius,
-                                   NeighborDataFn fn) const;
+  void ForEachNeighbor(const Real3& position, real_t squared_radius,
+                       NeighborFn fn) const {
+    Search(position, squared_radius, nullptr, fn);
+  }
 
   /// One unordered agent pair emitted by ForEachNeighborPair. The indices
   /// address the environment's dense agent array (DenseAgents()), which is
@@ -84,20 +84,21 @@ class Environment {
   /// slabs.
   using NeighborPairFn = FunctionRef<void(const NeighborPair&, int)>;
 
-  /// Dense agent array backing the pair traversal: DenseAgents()[i] is the
-  /// agent with dense index i, valid until the next Update. Returns nullptr
-  /// when the environment exposes no dense index (consumers must then fall
-  /// back to per-agent iteration).
-  virtual Agent* const* DenseAgents() const { return nullptr; }
-  virtual uint64_t DenseAgentCount() const { return 0; }
+  /// Dense agent array of the last Update: DenseAgents()[i] is the agent
+  /// with dense index i, valid until the next Update.
+  virtual Agent* const* DenseAgents() const = 0;
+  virtual uint64_t DenseAgentCount() const = 0;
+  /// Snapshot entry of dense index i, as a query reports it (with
+  /// squared_distance 0).
+  virtual NeighborData DenseSnapshot(uint32_t i) const = 0;
 
   /// Visits every unordered agent pair within sqrt(squared_radius) exactly
   /// once, in parallel over the pool's workers (each worker owns a
   /// contiguous slab of dense indices a_index). Within a pair, a_index <
-  /// b_index always holds. The base implementation runs each slab agent's
-  /// ForEachNeighbor and keeps only forward partners (kd-tree and octree
-  /// use it); the uniform grid overrides it with the half-stencil box
-  /// traversal that never tests a candidate twice.
+  /// b_index always holds. The base implementation searches around each
+  /// slab agent's snapshot position and keeps only forward partners
+  /// (kd-tree and octree use it); the uniform grid overrides it with the
+  /// half-stencil box traversal that never tests a candidate twice.
   virtual void ForEachNeighborPair(real_t squared_radius, NumaThreadPool* pool,
                                    NeighborPairFn fn) const;
 
@@ -124,6 +125,13 @@ class Environment {
   /// state (the uniform grid's SoA mirror and box chains) override it.
   virtual void AuditConsistency(const ResourceManager&,
                                 std::vector<std::string>*) const {}
+
+ protected:
+  /// The one neighbor search every query runs: invokes `fn` for every
+  /// indexed agent other than `exclude` whose Update-time position lies
+  /// within sqrt(squared_radius) of `position`.
+  virtual void Search(const Real3& position, real_t squared_radius,
+                      const Agent* exclude, NeighborFn fn) const = 0;
 };
 
 }  // namespace bdm

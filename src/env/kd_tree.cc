@@ -9,13 +9,30 @@
 
 namespace bdm {
 
+namespace {
+
+// Rewrites v[begin, begin + order.size()) as v[order[0]], v[order[1]], ...
+template <typename T>
+void Permute(std::vector<T>* v, int32_t begin,
+             const std::vector<int32_t>& order) {
+  std::vector<T> tmp(order.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    tmp[i] = (*v)[order[i]];
+  }
+  std::copy(tmp.begin(), tmp.end(), v->begin() + begin);
+}
+
+}  // namespace
+
 void KdTreeEnvironment::Update(const ResourceManager& rm, NumaThreadPool* pool) {
   (void)pool;  // the kd-tree build is serial by design (see header)
   const uint64_t total = rm.GetNumAgents();
   points_.clear();
+  diameters_.clear();
   agents_.clear();
   nodes_.clear();
   points_.reserve(total);
+  diameters_.reserve(total);
   agents_.reserve(total);
   root_ = -1;
   lower_ = Real3{std::numeric_limits<real_t>::max(),
@@ -28,12 +45,13 @@ void KdTreeEnvironment::Update(const ResourceManager& rm, NumaThreadPool* pool) 
   rm.ForEachAgent([&](Agent* agent, AgentHandle) {
     const Real3& pos = agent->GetPosition();
     points_.push_back(pos);
+    diameters_.push_back(agent->GetDiameter());
     agents_.push_back(agent);
     for (int c = 0; c < 3; ++c) {
       lower_[c] = std::min(lower_[c], pos[c]);
       upper_[c] = std::max(upper_[c], pos[c]);
     }
-    largest_diameter_ = std::max(largest_diameter_, agent->GetDiameter());
+    largest_diameter_ = std::max(largest_diameter_, diameters_.back());
   });
   if (total > 0) {
     nodes_.reserve(2 * total / std::max(param_->kd_tree_max_leaf, 1) + 2);
@@ -64,7 +82,7 @@ int32_t KdTreeEnvironment::Build(int32_t begin, int32_t end) {
     }
   }
   const int32_t mid = begin + (end - begin) / 2;
-  // Keep points_ and agents_ in lockstep while partitioning.
+  // Keep the snapshot arrays in lockstep while partitioning.
   std::vector<int32_t> order(end - begin);
   for (int32_t i = 0; i < end - begin; ++i) {
     order[i] = begin + i;
@@ -73,14 +91,9 @@ int32_t KdTreeEnvironment::Build(int32_t begin, int32_t end) {
                    [&](int32_t a, int32_t b) {
                      return points_[a][axis] < points_[b][axis];
                    });
-  std::vector<Real3> tmp_points(end - begin);
-  std::vector<Agent*> tmp_agents(end - begin);
-  for (int32_t i = 0; i < end - begin; ++i) {
-    tmp_points[i] = points_[order[i]];
-    tmp_agents[i] = agents_[order[i]];
-  }
-  std::copy(tmp_points.begin(), tmp_points.end(), points_.begin() + begin);
-  std::copy(tmp_agents.begin(), tmp_agents.end(), agents_.begin() + begin);
+  Permute(&points_, begin, order);
+  Permute(&diameters_, begin, order);
+  Permute(&agents_, begin, order);
 
   const real_t split = points_[mid][axis];
   const int32_t left = Build(begin, mid);
@@ -93,7 +106,7 @@ int32_t KdTreeEnvironment::Build(int32_t begin, int32_t end) {
 }
 
 void KdTreeEnvironment::Search(const Real3& position, real_t squared_radius,
-                               const Agent* exclude, NeighborFn& fn) const {
+                               const Agent* exclude, NeighborFn fn) const {
   if (root_ < 0) {
     return;
   }
@@ -104,13 +117,13 @@ void KdTreeEnvironment::Search(const Real3& position, real_t squared_radius,
     const Node& node = nodes_[stack[--top]];
     if (node.axis < 0) {
       for (int32_t i = node.begin; i < node.end; ++i) {
-        Agent* agent = agents_[i];
-        if (agent == exclude) {
+        if (agents_[i] == exclude) {
           continue;
         }
         const real_t d2 = points_[i].SquaredDistance(position);
         if (d2 <= squared_radius) {
-          fn(agent, d2);
+          fn({agents_[i], static_cast<uint32_t>(i), points_[i], diameters_[i],
+              d2});
         }
       }
       continue;
@@ -125,21 +138,11 @@ void KdTreeEnvironment::Search(const Real3& position, real_t squared_radius,
   }
 }
 
-void KdTreeEnvironment::ForEachNeighbor(const Agent& query, real_t squared_radius,
-                                        NeighborFn fn) const {
-  Search(query.GetPosition(), squared_radius, &query, fn);
-}
-
-void KdTreeEnvironment::ForEachNeighbor(const Real3& position,
-                                        real_t squared_radius,
-                                        NeighborFn fn) const {
-  Search(position, squared_radius, nullptr, fn);
-}
-
 size_t KdTreeEnvironment::MemoryFootprint() const {
-  // Complete over the persistent index arrays (points, agents, nodes); the
+  // Complete over the persistent index arrays (snapshot, agents, nodes); the
   // per-split scratch vectors in Build are freed before Update returns.
   return points_.capacity() * sizeof(Real3) +
+         diameters_.capacity() * sizeof(real_t) +
          agents_.capacity() * sizeof(Agent*) + nodes_.capacity() * sizeof(Node);
 }
 

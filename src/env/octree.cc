@@ -14,9 +14,11 @@ void OctreeEnvironment::Update(const ResourceManager& rm, NumaThreadPool* pool) 
   (void)pool;  // serial build, like the UniBN reference implementation
   const uint64_t total = rm.GetNumAgents();
   points_.clear();
+  diameters_.clear();
   agents_.clear();
   nodes_.clear();
   points_.reserve(total);
+  diameters_.reserve(total);
   agents_.reserve(total);
   root_ = -1;
   lower_ = Real3{std::numeric_limits<real_t>::max(),
@@ -29,12 +31,13 @@ void OctreeEnvironment::Update(const ResourceManager& rm, NumaThreadPool* pool) 
   rm.ForEachAgent([&](Agent* agent, AgentHandle) {
     const Real3& pos = agent->GetPosition();
     points_.push_back(pos);
+    diameters_.push_back(agent->GetDiameter());
     agents_.push_back(agent);
     for (int c = 0; c < 3; ++c) {
       lower_[c] = std::min(lower_[c], pos[c]);
       upper_[c] = std::max(upper_[c], pos[c]);
     }
-    largest_diameter_ = std::max(largest_diameter_, agent->GetDiameter());
+    largest_diameter_ = std::max(largest_diameter_, diameters_.back());
   });
   if (total == 0) {
     return;
@@ -72,12 +75,15 @@ int32_t OctreeEnvironment::Build(int32_t begin, int32_t end, const Real3& center
     bucket_begin[o + 1] += bucket_begin[o];
   }
   std::vector<Real3> tmp_points(points_.begin() + begin, points_.begin() + end);
+  std::vector<real_t> tmp_diameters(diameters_.begin() + begin,
+                                    diameters_.begin() + end);
   std::vector<Agent*> tmp_agents(agents_.begin() + begin, agents_.begin() + end);
   std::array<int32_t, 8> cursor;
   std::copy_n(bucket_begin.begin(), 8, cursor.begin());
   for (int32_t i = 0; i < end - begin; ++i) {
     const int o = octant(tmp_points[i]);
     points_[begin + cursor[o]] = tmp_points[i];
+    diameters_[begin + cursor[o]] = tmp_diameters[i];
     agents_[begin + cursor[o]] = tmp_agents[i];
     ++cursor[o];
   }
@@ -100,17 +106,17 @@ int32_t OctreeEnvironment::Build(int32_t begin, int32_t end, const Real3& center
 }
 
 void OctreeEnvironment::ReportAll(const Node& node, const Real3& position,
-                                  const Agent* exclude, NeighborFn& fn) const {
+                                  const Agent* exclude, NeighborFn fn) const {
   for (int32_t i = node.begin; i < node.end; ++i) {
-    Agent* agent = agents_[i];
-    if (agent != exclude) {
-      fn(agent, points_[i].SquaredDistance(position));
+    if (agents_[i] != exclude) {
+      fn({agents_[i], static_cast<uint32_t>(i), points_[i], diameters_[i],
+          points_[i].SquaredDistance(position)});
     }
   }
 }
 
 void OctreeEnvironment::Search(const Real3& position, real_t squared_radius,
-                               const Agent* exclude, NeighborFn& fn) const {
+                               const Agent* exclude, NeighborFn fn) const {
   if (root_ < 0) {
     return;
   }
@@ -148,13 +154,13 @@ void OctreeEnvironment::Search(const Real3& position, real_t squared_radius,
     }
     if (node.is_leaf) {
       for (int32_t i = node.begin; i < node.end; ++i) {
-        Agent* agent = agents_[i];
-        if (agent == exclude) {
+        if (agents_[i] == exclude) {
           continue;
         }
         const real_t d2 = points_[i].SquaredDistance(position);
         if (d2 <= squared_radius) {
-          fn(agent, d2);
+          fn({agents_[i], static_cast<uint32_t>(i), points_[i], diameters_[i],
+              d2});
         }
       }
       continue;
@@ -167,21 +173,11 @@ void OctreeEnvironment::Search(const Real3& position, real_t squared_radius,
   }
 }
 
-void OctreeEnvironment::ForEachNeighbor(const Agent& query, real_t squared_radius,
-                                        NeighborFn fn) const {
-  Search(query.GetPosition(), squared_radius, &query, fn);
-}
-
-void OctreeEnvironment::ForEachNeighbor(const Real3& position,
-                                        real_t squared_radius,
-                                        NeighborFn fn) const {
-  Search(position, squared_radius, nullptr, fn);
-}
-
 size_t OctreeEnvironment::MemoryFootprint() const {
-  // Complete over the persistent index arrays (points, agents, nodes); the
+  // Complete over the persistent index arrays (snapshot, agents, nodes); the
   // counting-sort scratch in Build is freed before Update returns.
   return points_.capacity() * sizeof(Real3) +
+         diameters_.capacity() * sizeof(real_t) +
          agents_.capacity() * sizeof(Agent*) + nodes_.capacity() * sizeof(Node);
 }
 

@@ -23,11 +23,6 @@ class OctreeEnvironment : public Environment {
 
   void Update(const ResourceManager& rm, NumaThreadPool* pool) override;
 
-  void ForEachNeighbor(const Agent& query, real_t squared_radius,
-                       NeighborFn fn) const override;
-  void ForEachNeighbor(const Real3& position, real_t squared_radius,
-                       NeighborFn fn) const override;
-
   real_t GetInteractionRadius() const override { return largest_diameter_; }
   Real3 GetLowerBound() const override { return lower_; }
   Real3 GetUpperBound() const override { return upper_; }
@@ -38,6 +33,13 @@ class OctreeEnvironment : public Environment {
   // ForEachNeighborPair runs on top of it.
   Agent* const* DenseAgents() const override { return agents_.data(); }
   uint64_t DenseAgentCount() const override { return agents_.size(); }
+  NeighborData DenseSnapshot(uint32_t i) const override {
+    return {agents_[i], i, points_[i], diameters_[i], 0};
+  }
+
+ protected:
+  void Search(const Real3& position, real_t squared_radius,
+              const Agent* exclude, NeighborFn fn) const override;
 
  private:
   struct Node {
@@ -49,14 +51,14 @@ class OctreeEnvironment : public Environment {
   };
 
   int32_t Build(int32_t begin, int32_t end, const Real3& center, real_t extent);
-  void Search(const Real3& position, real_t squared_radius, const Agent* exclude,
-              NeighborFn& fn) const;
   void ReportAll(const Node& node, const Real3& position, const Agent* exclude,
-                 NeighborFn& fn) const;
+                 NeighborFn fn) const;
 
   const Param* param_;
 
+  // Update-time snapshot, reordered by the build in lockstep.
   std::vector<Real3> points_;
+  std::vector<real_t> diameters_;
   std::vector<Agent*> agents_;
   std::vector<Node> nodes_;
   int32_t root_ = -1;

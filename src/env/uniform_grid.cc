@@ -1,10 +1,10 @@
 #include "env/uniform_grid.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/agent.h"
@@ -235,12 +235,19 @@ void UniformGridEnvironment::Update(const ResourceManager& rm,
         for (int64_t i = lo; i < hi; ++i) {
           const auto c =
               BoxCoordinates({pos_x_[i], pos_y_[i], pos_z_[i]});
-          std::atomic<uint64_t>& box = boxes_[FlatBoxIndex(c[0], c[1], c[2])];
+          const int64_t flat = FlatBoxIndex(c[0], c[1], c[2]);
+          std::atomic<uint64_t>& box = boxes_[flat];
           uint64_t word = box.load(std::memory_order_acquire);
           for (;;) {
             const bool fresh = Timestamp(word) == timestamp_;
             const uint16_t count = fresh ? Count(word) : 0;
-            assert(count < 0xFFFF && "box overflow: >65534 agents in one box");
+            if (count == 0xFFFF) {
+              // The 16-bit count would wrap to 0 and the box read as empty.
+              std::ostringstream os;
+              os << "uniform_grid: box " << flat << " (" << c[0] << ", "
+                 << c[1] << ", " << c[2] << ") holds more than 65535 agents";
+              throw std::overflow_error(os.str());
+            }
             successors_[i] = fresh ? Head(word) : 0xFFFFFFFFu;
             const uint64_t desired =
                 Pack(timestamp_, count + 1, static_cast<uint32_t>(i));
@@ -278,55 +285,59 @@ std::array<int64_t, 3> UniformGridEnvironment::BoxCoordinates(
   return c;
 }
 
-// The plain ForEachNeighbor overloads serve callbacks that go on to read the
-// neighbor Agent directly (behaviors reading velocity, positions, ...). The
-// SoA mirror filters candidates without an Agent* dereference, but accepted
-// candidates are confirmed against the agent's *current* position and the
-// emitted distance is recomputed from it: behaviors mutate positions while
-// the iteration runs, and a distance that disagrees with the state the
-// callback observes breaks consumers that divide by it (e.g. flocking
-// separation). When nothing moved since Update, mirror == live and the
-// confirm step changes nothing.
-void UniformGridEnvironment::ForEachNeighbor(const Agent& query,
-                                             real_t squared_radius,
-                                             NeighborFn fn) const {
-  SearchImpl(query.GetPosition(), squared_radius, &query,
-             [&](uint32_t idx, real_t) {
-               Agent* agent = flat_agents_[idx];
-               const real_t d2 =
-                   agent->GetPosition().SquaredDistance(query.GetPosition());
-               if (d2 <= squared_radius) {
-                 fn(agent, d2);
-               }
-             });
-}
-
-void UniformGridEnvironment::ForEachNeighbor(const Real3& position,
-                                             real_t squared_radius,
-                                             NeighborFn fn) const {
-  SearchImpl(position, squared_radius, nullptr,
-             [&](uint32_t idx, real_t) {
-               Agent* agent = flat_agents_[idx];
-               const real_t d2 = agent->GetPosition().SquaredDistance(position);
-               if (d2 <= squared_radius) {
-                 fn(agent, d2);
-               }
-             });
-}
-
-// The index-aware path stays entirely on the SoA mirror: position, diameter,
-// and distance are all as of the last Update, so they are consistent with
-// each other, and the callback never needs the Agent object for geometry.
-// This is the mechanics hot path (CalculateDisplacement).
-void UniformGridEnvironment::ForEachNeighborData(const Agent& query,
-                                                 real_t squared_radius,
-                                                 NeighborDataFn fn) const {
-  SearchImpl(query.GetPosition(), squared_radius, &query,
-             [&](uint32_t idx, real_t d2) {
-               fn(NeighborData{flat_agents_[idx],
-                               {pos_x_[idx], pos_y_[idx], pos_z_[idx]},
-                               diameters_[idx], d2});
-             });
+// The one search: position, diameter and distance of every reported
+// neighbor all come from the Update-time SoA arrays, so they agree with
+// each other while behaviors move agents, and no neighbor Agent is read.
+void UniformGridEnvironment::Search(const Real3& position,
+                                    real_t squared_radius, const Agent* exclude,
+                                    NeighborFn fn) const {
+  if (dense_count_ == 0) {
+    return;
+  }
+  const auto emit = [&](uint32_t idx, real_t d2) {
+    fn({flat_agents_[idx], idx, {pos_x_[idx], pos_y_[idx], pos_z_[idx]},
+        diameters_[idx], d2});
+  };
+  // One ring of boxes suffices for radii up to the box length (the common
+  // case); larger query radii widen the search cube accordingly. The
+  // multiply-by-inverse can round the ratio down across an integer
+  // boundary, hence the defensive bump.
+  const real_t radius = std::sqrt(squared_radius);
+  int64_t reach = std::max<int64_t>(
+      1, static_cast<int64_t>(std::ceil(radius * inv_box_length_)));
+  if (static_cast<real_t>(reach) * box_length_ < radius) {
+    ++reach;
+  }
+  // Unclamped coordinates so queries outside the grid still visit the
+  // boxes their search sphere overlaps.
+  const int64_t cx = static_cast<int64_t>(
+      std::floor((position.x - lower_.x) * inv_box_length_));
+  const int64_t cy = static_cast<int64_t>(
+      std::floor((position.y - lower_.y) * inv_box_length_));
+  const int64_t cz = static_cast<int64_t>(
+      std::floor((position.z - lower_.z) * inv_box_length_));
+  if (reach == 1 && cx >= 1 && cx + 1 < nx_ && cy >= 1 && cy + 1 < ny_ &&
+      cz >= 1 && cz + 1 < nz_) {
+    // Interior fast path: the 27-box stencil as precomputed flat offsets.
+    const int64_t base = FlatBoxIndex(cx, cy, cz);
+    for (int s = 0; s < 27; ++s) {
+      ScanBox(base + stencil_[s], position, squared_radius, exclude, emit);
+    }
+    return;
+  }
+  const int64_t zlo = std::max<int64_t>(cz - reach, 0);
+  const int64_t zhi = std::min<int64_t>(cz + reach, nz_ - 1);
+  const int64_t ylo = std::max<int64_t>(cy - reach, 0);
+  const int64_t yhi = std::min<int64_t>(cy + reach, ny_ - 1);
+  const int64_t xlo = std::max<int64_t>(cx - reach, 0);
+  const int64_t xhi = std::min<int64_t>(cx + reach, nx_ - 1);
+  for (int64_t z = zlo; z <= zhi; ++z) {
+    for (int64_t y = ylo; y <= yhi; ++y) {
+      for (int64_t x = xlo; x <= xhi; ++x) {
+        ScanBox(FlatBoxIndex(x, y, z), position, squared_radius, exclude, emit);
+      }
+    }
+  }
 }
 
 // Half-stencil pair traversal. Correctness argument:

@@ -19,13 +19,11 @@
 //    the store incrementally (core/soa_store.h) instead of re-gathering from
 //    the Agent objects. In legacy mode the grid fills its own private mirror
 //    in a NUMA-ordered flatten pass (the pre-store behavior, kept as the A/B
-//    reference). Either way the candidate reject path of a search reads only
-//    contiguous arrays -- it never dereferences an `Agent*` into a large
-//    polymorphic object (O1/O4 cache discipline; the GPU port of BioDynaMo
-//    relies on the identical layout). Accepted candidates of the plain
-//    ForEachNeighbor overloads are confirmed against the agent's current
-//    position (see uniform_grid.cc); the index-aware ForEachNeighborData
-//    path serves the snapshot geometry directly.
+//    reference). Either way a search reads only contiguous arrays: the
+//    reject path never dereferences an `Agent*` into a large polymorphic
+//    object (O1/O4 cache discipline; the GPU port of BioDynaMo relies on the
+//    identical layout), and an accepted neighbor is reported with the
+//    position, diameter and distance of that Update-time snapshot.
 //  * The common reach == 1 case walks a precomputed 27-offset stencil from
 //    the query's flat box index (interior boxes only; boundary boxes take
 //    the general clamped triple loop).
@@ -52,15 +50,12 @@ class UniformGridEnvironment : public Environment {
 
   void Update(const ResourceManager& rm, NumaThreadPool* pool) override;
 
-  void ForEachNeighbor(const Agent& query, real_t squared_radius,
-                       NeighborFn fn) const override;
-  void ForEachNeighbor(const Real3& position, real_t squared_radius,
-                       NeighborFn fn) const override;
-  void ForEachNeighborData(const Agent& query, real_t squared_radius,
-                           NeighborDataFn fn) const override;
-
   Agent* const* DenseAgents() const override { return flat_agents_; }
   uint64_t DenseAgentCount() const override { return dense_count_; }
+  NeighborData DenseSnapshot(uint32_t i) const override {
+    return {flat_agents_[i], i, {pos_x_[i], pos_y_[i], pos_z_[i]},
+            diameters_[i], 0};
+  }
 
   /// Half-stencil pair traversal (DESIGN.md Section 5): each agent pairs
   /// with the later-inserted agents of its own box (successor chain) and
@@ -178,6 +173,10 @@ class UniformGridEnvironment : public Environment {
   /// drive it across the wrap-clear path without 65535 real updates.
   void SetTimestampForTesting(uint16_t timestamp) { timestamp_ = timestamp; }
 
+ protected:
+  void Search(const Real3& position, real_t squared_radius,
+              const Agent* exclude, NeighborFn fn) const override;
+
  private:
   // Box word layout: [timestamp:16][count:16][head:32].
   static constexpr uint64_t Pack(uint16_t ts, uint16_t count, uint32_t head) {
@@ -221,54 +220,6 @@ class UniformGridEnvironment : public Environment {
       const real_t d2 = dx * dx + dy * dy + dz * dz;
       if (d2 <= squared_radius && flat_agents_[cur] != exclude) {
         emit(cur, d2);
-      }
-    }
-  }
-
-  template <typename Emit>
-  void SearchImpl(const Real3& position, real_t squared_radius,
-                  const Agent* exclude, Emit&& emit) const {
-    if (dense_count_ == 0) {
-      return;
-    }
-    // One ring of boxes suffices for radii up to the box length (the common
-    // case); larger query radii widen the search cube accordingly. The
-    // multiply-by-inverse can round the ratio down across an integer
-    // boundary, hence the defensive bump.
-    const real_t radius = std::sqrt(squared_radius);
-    int64_t reach =
-        std::max<int64_t>(1, static_cast<int64_t>(std::ceil(radius * inv_box_length_)));
-    if (static_cast<real_t>(reach) * box_length_ < radius) {
-      ++reach;
-    }
-    // Unclamped coordinates so queries outside the grid still visit the
-    // boxes their search sphere overlaps.
-    const int64_t cx =
-        static_cast<int64_t>(std::floor((position.x - lower_.x) * inv_box_length_));
-    const int64_t cy =
-        static_cast<int64_t>(std::floor((position.y - lower_.y) * inv_box_length_));
-    const int64_t cz =
-        static_cast<int64_t>(std::floor((position.z - lower_.z) * inv_box_length_));
-    if (reach == 1 && cx >= 1 && cx + 1 < nx_ && cy >= 1 && cy + 1 < ny_ &&
-        cz >= 1 && cz + 1 < nz_) {
-      // Interior fast path: the 27-box stencil as precomputed flat offsets.
-      const int64_t base = FlatBoxIndex(cx, cy, cz);
-      for (int s = 0; s < 27; ++s) {
-        ScanBox(base + stencil_[s], position, squared_radius, exclude, emit);
-      }
-      return;
-    }
-    const int64_t zlo = std::max<int64_t>(cz - reach, 0);
-    const int64_t zhi = std::min<int64_t>(cz + reach, nz_ - 1);
-    const int64_t ylo = std::max<int64_t>(cy - reach, 0);
-    const int64_t yhi = std::min<int64_t>(cy + reach, ny_ - 1);
-    const int64_t xlo = std::max<int64_t>(cx - reach, 0);
-    const int64_t xhi = std::min<int64_t>(cx + reach, nx_ - 1);
-    for (int64_t z = zlo; z <= zhi; ++z) {
-      for (int64_t y = ylo; y <= yhi; ++y) {
-        for (int64_t x = xlo; x <= xhi; ++x) {
-          ScanBox(FlatBoxIndex(x, y, z), position, squared_radius, exclude, emit);
-        }
       }
     }
   }

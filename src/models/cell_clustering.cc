@@ -45,12 +45,14 @@ real_t SameTypeNeighborFraction(Simulation* sim, real_t radius) {
   double total = 0;
   rm->ForEachAgent([&](Agent* agent, AgentHandle) {
     auto* cell = static_cast<Cell*>(agent);
-    env->ForEachNeighbor(*agent, radius * radius, [&](Agent* neighbor, real_t) {
-      total += 1;
-      if (static_cast<Cell*>(neighbor)->GetCellType() == cell->GetCellType()) {
-        same += 1;
-      }
-    });
+    env->ForEachNeighbor(
+        *agent, radius * radius, [&](const Environment::NeighborData& nb) {
+          total += 1;
+          if (static_cast<Cell*>(nb.agent)->GetCellType() ==
+              cell->GetCellType()) {
+            same += 1;
+          }
+        });
   });
   return total > 0 ? static_cast<real_t>(same / total) : real_t{0};
 }

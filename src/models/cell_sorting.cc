@@ -27,9 +27,9 @@ class SameTypeAttraction : public Behavior {
     auto* sim = Simulation::GetActive();
     Real3 direction{};
     sim->GetEnvironment()->ForEachNeighbor(
-        *agent, radius_ * radius_, [&](Agent* neighbor, real_t) {
-          const Real3 towards = neighbor->GetPosition() - agent->GetPosition();
-          const bool same = static_cast<Cell*>(neighbor)->GetCellType() ==
+        *agent, radius_ * radius_, [&](const Environment::NeighborData& nb) {
+          const Real3 towards = nb.position - agent->GetPosition();
+          const bool same = static_cast<Cell*>(nb.agent)->GetCellType() ==
                             cell->GetCellType();
           direction += same ? towards : -towards;
         });
@@ -90,12 +90,14 @@ real_t SortingIndex(Simulation* sim, real_t radius) {
   double total = 0;
   rm->ForEachAgent([&](Agent* agent, AgentHandle) {
     auto* cell = static_cast<Cell*>(agent);
-    env->ForEachNeighbor(*agent, radius * radius, [&](Agent* neighbor, real_t) {
-      total += 1;
-      if (static_cast<Cell*>(neighbor)->GetCellType() == cell->GetCellType()) {
-        same += 1;
-      }
-    });
+    env->ForEachNeighbor(
+        *agent, radius * radius, [&](const Environment::NeighborData& nb) {
+          total += 1;
+          if (static_cast<Cell*>(nb.agent)->GetCellType() ==
+              cell->GetCellType()) {
+            same += 1;
+          }
+        });
   });
   return total > 0 ? static_cast<real_t>(same / total) : real_t{0};
 }

@@ -36,8 +36,8 @@ class SirBehavior : public Behavior {
         auto* env = Simulation::GetActive()->GetEnvironment();
         bool exposed = false;
         env->ForEachNeighbor(*agent, infection_radius_ * infection_radius_,
-                             [&](Agent* neighbor, real_t) {
-                               exposed |= static_cast<Cell*>(neighbor)
+                             [&](const Environment::NeighborData& nb) {
+                               exposed |= static_cast<Cell*>(nb.agent)
                                               ->GetCellType() == kInfected;
                              });
         if (exposed && ctx->random()->Bool(infection_probability_)) {

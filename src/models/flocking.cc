@@ -40,15 +40,14 @@ class FlockingBehavior : public Behavior {
     int neighbors = 0;
     const real_t r2 = config_.perception_radius * config_.perception_radius;
     const real_t sep2 = config_.separation_radius * config_.separation_radius;
-    env->ForEachNeighbor(*agent, r2, [&](Agent* other, real_t d2) {
-      auto* other_boid = static_cast<Boid*>(other);
+    env->ForEachNeighbor(*agent, r2, [&](const Environment::NeighborData& nb) {
       ++neighbors;
-      alignment += other_boid->GetVelocity();
-      cohesion += other->GetPosition();
+      alignment += static_cast<Boid*>(nb.agent)->GetVelocity();
+      cohesion += nb.position;
+      const real_t d2 = nb.squared_distance;
       if (d2 < sep2 && d2 > kEpsilon) {
         // Push away, weighted by inverse distance.
-        separation += (agent->GetPosition() - other->GetPosition()) /
-                      std::sqrt(d2);
+        separation += (agent->GetPosition() - nb.position) / std::sqrt(d2);
       }
     });
 
@@ -60,10 +59,16 @@ class FlockingBehavior : public Behavior {
       velocity += (mean_velocity - velocity) * config_.alignment_weight;
       velocity += (center - agent->GetPosition()) * config_.cohesion_weight;
     }
-    // Clamp speed.
+    // Clamp speed to [max_speed / 2, max_speed]. The floor is the speed
+    // boids start at (Reynolds boids never stall): without it, alignment's
+    // averaging of random headings slows the flock to a crawl before it
+    // polarizes.
     const real_t speed = velocity.Norm();
+    const real_t min_speed = config_.max_speed / 2;
     if (speed > config_.max_speed) {
       velocity *= config_.max_speed / speed;
+    } else if (speed > kEpsilon && speed < min_speed) {
+      velocity *= min_speed / speed;
     } else if (speed < kEpsilon) {
       velocity = {config_.max_speed, 0, 0};
     }

@@ -32,7 +32,7 @@ class TumorCellBehavior : public Behavior {
     auto* env = Simulation::GetActive()->GetEnvironment();
     int neighbors = 0;
     env->ForEachNeighbor(*agent, config_.crowding_radius * config_.crowding_radius,
-                         [&](Agent*, real_t) { ++neighbors; });
+                         [&](const Environment::NeighborData&) { ++neighbors; });
     if (neighbors > config_.crowding_threshold) {
       if (random->Bool(config_.death_probability)) {
         ctx->RemoveAgent(cell->GetUid());

@@ -103,7 +103,7 @@ Real3 NeuriteElement::CalculateDisplacement(const InteractionForce* force,
                      : nullptr;
   const Real3& my_pos = GetPosition();
   const real_t my_diameter = GetDiameter();
-  env->ForEachNeighborData(
+  env->ForEachNeighbor(
       *this, radius * radius, [&](const Environment::NeighborData& nb) {
         if (nb.agent == mother || nb.agent == left || nb.agent == right) {
           return;

@@ -31,9 +31,9 @@ class InteractionForce {
   Real3 Calculate(const Agent* lhs, const Agent* rhs) const;
 
   /// The virtual core: positions and diameters are passed explicitly so hot
-  /// callers (the mechanical-forces kernel fed by the environment's SoA
-  /// mirror, see Environment::ForEachNeighborData) never re-read them
-  /// through the Agent objects. The agent pointers remain available for
+  /// callers (the mechanical-forces kernel fed by the environment's
+  /// Update-time snapshot, see Environment::NeighborData) never re-read
+  /// them through the Agent objects. The agent pointers remain available for
   /// non-geometric state (e.g. the AdhesionScale hook reads cell types).
   /// Force implementations override THIS overload.
   virtual Real3 Calculate(const Agent* lhs, const Real3& lhs_pos,

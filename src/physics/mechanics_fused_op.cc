@@ -151,7 +151,7 @@ void FoldAndIntegrate(NumaThreadPool* pool,
 void MechanicsFusedOp::Run(Simulation* sim) {
   auto* rm = sim->GetResourceManager();
   auto* env = sim->GetEnvironment();
-  if (rm->GetNumCustomMechanicsAgents() > 0 || env->DenseAgents() == nullptr) {
+  if (rm->GetNumCustomMechanicsAgents() > 0) {
     // Custom mechanics make "total force = sum of symmetric pair forces"
     // false, so the whole iteration runs the per-agent step.
     rm->ForEachAgentParallel([&](Agent* agent, AgentHandle, int) {

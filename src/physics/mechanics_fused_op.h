@@ -25,9 +25,9 @@
 //   refresh pass), Agent::IsStatic and ApplyDisplacement otherwise.
 //
 // While any agent carries custom mechanics (Agent::HasCustomMechanics:
-// neurite springs and kin exclusions are not sums of symmetric pair forces)
-// or the environment exposes no dense index, the whole iteration runs the
-// per-agent step (RunPerAgentMechanics) instead.
+// neurite springs and kin exclusions are not sums of symmetric pair forces),
+// the whole iteration runs the per-agent step (RunPerAgentMechanics)
+// instead.
 //
 // Bitwise contract: both Stage A variants scatter the same IEEE operation
 // sequence for the same pair order (the kernel header documents every

@@ -170,7 +170,9 @@ TEST(UniformGridWrapTest, CorrectAcrossTimestampWrap) {
     ASSERT_EQ(total, 8u) << "update " << update;
     int neighbors = 0;
     rm.ForEachAgent([&](Agent* agent, AgentHandle) {
-      grid.ForEachNeighbor(*agent, 1e9, [&](Agent*, real_t) { ++neighbors; });
+      grid.ForEachNeighbor(*agent, 1e9, [&](const Environment::NeighborData&) {
+        ++neighbors;
+      });
     });
     ASSERT_EQ(neighbors, 8 * 7) << "update " << update;
   }

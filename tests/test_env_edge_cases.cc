@@ -43,9 +43,10 @@ struct EnvWorld {
       env->Update(*rm, pool.get());
       rm->ForEachAgent([&](Agent* query, AgentHandle) {
         std::multiset<AgentUid> actual;
-        env->ForEachNeighbor(*query, sr, [&](Agent* a, real_t) {
-          actual.insert(a->GetUid());
-        });
+        env->ForEachNeighbor(*query, sr,
+                             [&](const Environment::NeighborData& nb) {
+                               actual.insert(nb.agent->GetUid());
+                             });
         ASSERT_EQ(actual, BruteForce(*query, sr))
             << env->GetName() << " query " << query->GetUid();
       });
@@ -151,7 +152,8 @@ TEST(EnvEdgeCaseTest, DuplicatePointsInOctreeDoNotRecurseForever) {
       first = a;
     }
   });
-  oct.ForEachNeighbor(*first, 1, [&](Agent*, real_t) { ++found; });
+  oct.ForEachNeighbor(*first, 1,
+                      [&](const Environment::NeighborData&) { ++found; });
   EXPECT_EQ(found, 99);
 }
 

@@ -1,18 +1,26 @@
 // Environment correctness: each implementation must return exactly the
 // brute-force neighbor set, and all three must agree with each other
 // (precondition for the Figure 11 performance comparison being meaningful).
+// Queries answer from the Update-time snapshot, also while behaviors move
+// agents on other workers (the NeighborQueryUnderMovement runs, ctest label
+// `tsan`).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "core/cell.h"
 #include "core/resource_manager.h"
+#include "core/simulation.h"
 #include "env/kd_tree.h"
 #include "env/octree.h"
 #include "env/uniform_grid.h"
 #include "math/random.h"
+#include "models/registry.h"
 
 namespace bdm {
 namespace {
@@ -49,12 +57,15 @@ class EnvFixture {
   std::multiset<AgentUid> EnvNeighbors(Environment* env, const Agent& query,
                                        real_t squared_radius) const {
     std::multiset<AgentUid> result;
-    env->ForEachNeighbor(query, squared_radius, [&](Agent* agent, real_t d2) {
-      EXPECT_LE(d2, squared_radius);
-      EXPECT_NEAR(d2, agent->GetPosition().SquaredDistance(query.GetPosition()),
-                  1e-9);
-      result.insert(agent->GetUid());
-    });
+    env->ForEachNeighbor(
+        query, squared_radius, [&](const Environment::NeighborData& nb) {
+          EXPECT_LE(nb.squared_distance, squared_radius);
+          EXPECT_NEAR(nb.squared_distance,
+                      nb.agent->GetPosition().SquaredDistance(
+                          query.GetPosition()),
+                      1e-9);
+          result.insert(nb.agent->GetUid());
+        });
     return result;
   }
 
@@ -121,38 +132,72 @@ TEST_P(EnvironmentCorrectness, PositionAnchoredSearchMatches) {
     });
     std::multiset<AgentUid> actual;
     env->ForEachNeighbor(probe, squared_radius,
-                         [&](Agent* agent, real_t) { actual.insert(agent->GetUid()); });
+                         [&](const Environment::NeighborData& nb) {
+                           actual.insert(nb.agent->GetUid());
+                         });
     ASSERT_EQ(actual, expected);
   }
 }
 
-// The index-aware callback must agree with the plain one and serve geometry
-// that matches the agents (nothing moved since Update, so the environment's
-// snapshot equals the live state).
-TEST_P(EnvironmentCorrectness, NeighborDataMatchesPlainSearch) {
+// Every query answers from the Update-time snapshot: an agent moved and
+// resized after Update is still reported where it was indexed, with its
+// old diameter and the distance to that old position, and every payload's
+// dense index addresses the environment's dense agent array.
+TEST_P(EnvironmentCorrectness, QueriesReportUpdateTimeSnapshot) {
   const EnvCase c = GetParam();
   EnvFixture fix;
   fix.AddRandomCells(c.num_agents, c.space, 10, c.seed);
   auto env = Make(fix.param_, c.type);
   env->Update(*fix.rm_, fix.pool_.get());
+  std::map<const Agent*, std::pair<Real3, real_t>> snapshot;
+  Agent* moved = nullptr;
+  fix.rm_->ForEachAgent([&](Agent* agent, AgentHandle) {
+    snapshot[agent] = {agent->GetPosition(), agent->GetDiameter()};
+    moved = agent;
+  });
+  const Real3 indexed_at = moved->GetPosition();
+  moved->SetPosition(indexed_at + Real3{3 * c.space, 0, 0});
+  moved->SetDiameter(25);
+
   const real_t radius = 10 * c.radius_factor;
   const real_t squared_radius = radius * radius;
+  Agent* const* dense = env->DenseAgents();
   fix.rm_->ForEachAgent([&](Agent* query, AgentHandle) {
-    std::multiset<AgentUid> data_path;
-    env->ForEachNeighborData(
+    std::set<const Agent*> expected;
+    for (const auto& [agent, geometry] : snapshot) {
+      if (agent != query &&
+          geometry.first.SquaredDistance(query->GetPosition()) <=
+              squared_radius) {
+        expected.insert(agent);
+      }
+    }
+    std::set<const Agent*> actual;
+    env->ForEachNeighbor(
         *query, squared_radius, [&](const Environment::NeighborData& nb) {
-          data_path.insert(nb.agent->GetUid());
-          EXPECT_LE(nb.squared_distance, squared_radius);
+          ASSERT_LT(nb.index, env->DenseAgentCount());
+          EXPECT_EQ(dense[nb.index], nb.agent);
+          EXPECT_EQ(nb.position, snapshot.at(nb.agent).first);
+          EXPECT_EQ(nb.diameter, snapshot.at(nb.agent).second);
           EXPECT_NEAR(nb.squared_distance,
                       nb.position.SquaredDistance(query->GetPosition()), 1e-9);
-          for (int i = 0; i < 3; ++i) {
-            EXPECT_DOUBLE_EQ(nb.position[i], nb.agent->GetPosition()[i]);
-          }
-          EXPECT_DOUBLE_EQ(nb.diameter, nb.agent->GetDiameter());
+          actual.insert(nb.agent);
         });
-    ASSERT_EQ(data_path, fix.EnvNeighbors(env.get(), *query, squared_radius))
-        << "query uid " << query->GetUid();
+    ASSERT_EQ(actual, expected) << "query uid " << query->GetUid();
   });
+
+  int found = 0;
+  env->ForEachNeighbor(indexed_at, 1, [&](const Environment::NeighborData& nb) {
+    if (nb.agent == moved) {
+      ++found;
+      EXPECT_EQ(nb.squared_distance, 0);
+      EXPECT_EQ(nb.diameter, 10);
+    }
+  });
+  EXPECT_EQ(found, 1);
+  env->ForEachNeighbor(moved->GetPosition(), 1,
+                       [&](const Environment::NeighborData& nb) {
+                         EXPECT_NE(nb.agent, moved);
+                       });
 }
 
 TEST_P(EnvironmentCorrectness, EmptySimulationIsSafe) {
@@ -160,7 +205,8 @@ TEST_P(EnvironmentCorrectness, EmptySimulationIsSafe) {
   auto env = Make(fix.param_, GetParam().type);
   env->Update(*fix.rm_, fix.pool_.get());
   int calls = 0;
-  env->ForEachNeighbor(Real3{0, 0, 0}, 100, [&](Agent*, real_t) { ++calls; });
+  env->ForEachNeighbor(Real3{0, 0, 0}, 100,
+                       [&](const Environment::NeighborData&) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
@@ -338,15 +384,41 @@ TEST(UniformGridTest, HugeSparseSpaceDoesNotOverflow) {
   EXPECT_LE(grid.GetNumBoxes(), int64_t{1} << 22);  // cap plus headroom
   // Searches stay correct on the coarsened grid.
   int neighbors = 0;
-  grid.ForEachNeighbor(*origin, 1.0, [&](Agent*, real_t) { ++neighbors; });
+  grid.ForEachNeighbor(*origin, 1.0,
+                       [&](const Environment::NeighborData&) { ++neighbors; });
   EXPECT_EQ(neighbors, 0);
   int found = 0;
   grid.ForEachNeighbor(Real3{0.1, 0, 0}, 1.0,
-                       [&](Agent* agent, real_t) {
-                         EXPECT_EQ(agent, origin);
+                       [&](const Environment::NeighborData& nb) {
+                         EXPECT_EQ(nb.agent, origin);
                          ++found;
                        });
   EXPECT_EQ(found, 1);
+}
+
+// A box's agent count is 16 bits wide: the 65,536th agent in one box would
+// wrap it to 0 and the whole box would read as empty. Update must throw
+// instead, naming the box, while 65,535 agents in one box still index.
+TEST(UniformGridTest, BoxCountOverflowThrows) {
+  EnvFixture fix;
+  for (int i = 0; i < 0xFFFF; ++i) {
+    fix.rm_->AddAgent(new Cell({1, 2, 3}, 10));
+  }
+  UniformGridEnvironment grid(fix.param_);
+  grid.Update(*fix.rm_, fix.pool_.get());
+  ASSERT_EQ(grid.GetNumBoxes(), 1);
+  EXPECT_EQ(grid.GetBoxCount(0), 0xFFFFu);
+  for (int i = 0; i < 5000; ++i) {
+    fix.rm_->AddAgent(new Cell({1, 2, 3}, 10));
+  }
+  try {
+    grid.Update(*fix.rm_, fix.pool_.get());
+    FAIL() << "70,535 agents in one box must not index";
+  } catch (const std::overflow_error& error) {
+    EXPECT_NE(std::string(error.what()).find("box 0 (0, 0, 0)"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 // Footprint ownership after the SoA-primary store: in store mode the grid
@@ -384,6 +456,36 @@ TEST(UniformGridTest, MemoryFootprintGrowsWithAgents) {
   grid.Update(*fix.rm_, fix.pool_.get());
   EXPECT_GT(grid.MemoryFootprint(), small);
 }
+
+// --- neighbor queries under concurrent movement (ctest label: tsan) ---------
+
+// Behaviors query neighbors while other workers move, resize, divide and
+// remove agents. Queries read only the Update-time snapshot, so a
+// thread-sanitizer build must find no race here: cell_sorting steers every
+// cell by its neighbors' positions, oncology counts neighbors after a
+// random move and then grows, divides or removes the cell.
+class NeighborQueryUnderMovement
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(NeighborQueryUnderMovement, RegistryModelAtFourThreads) {
+  const models::ModelInfo* model = models::FindModel(GetParam());
+  ASSERT_NE(model, nullptr);
+  Param param;
+  param.num_threads = 4;
+  if (model->configure != nullptr) {
+    model->configure(&param);
+  }
+  Simulation sim("neighbor_query_race", param);
+  model->build(&sim, 2000);
+  ASSERT_GT(sim.GetResourceManager()->GetNumAgents(), 1000u);
+  sim.Simulate(10);
+  EXPECT_GT(sim.GetResourceManager()->GetNumAgents(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, NeighborQueryUnderMovement,
+    ::testing::Values("cell_sorting", "oncology"),
+    [](const ::testing::TestParamInfo<std::string>& info) { return info.param; });
 
 TEST(EnvironmentNames, AreDistinct) {
   Param param;

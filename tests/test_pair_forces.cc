@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/cell.h"
@@ -156,7 +157,7 @@ TEST_P(PairForceGridTest, HalfStencilMatchesPerAgentReference) {
 
 TEST_F(PairForceTest, GenericTraversalMatchesPerAgentReference) {
   // kd-tree and octree have no half stencil; the Environment base class
-  // walks ForEachNeighbor and keeps pairs with j > i.
+  // searches around each agent and keeps pairs with j > i.
   for (EnvironmentType type :
        {EnvironmentType::kKdTree, EnvironmentType::kOctree}) {
     param_.environment = type;
@@ -305,41 +306,52 @@ void ExpectNearTrajectories(const std::map<AgentUid, Real3>& a,
   }
 }
 
-// On the uniform grid the per-agent path reads neighbors from the SoA
-// mirror (a pre-iteration snapshot) exactly like the pair engine, so the
-// two engines' trajectories agree up to force summation order. (For
-// kd-tree/octree this comparison is ill-posed: ForEachNeighborData serves
-// live neighbor positions there, making the per-agent engine Gauss-Seidel
-// -- later agents see earlier agents' same-iteration moves -- while the
-// pair engine evaluates the whole iteration from the snapshot. Those
-// environments are covered by the kernel-level exact check above and the
-// cross-environment trajectory check below.)
-class PairEngineEquivalence : public ::testing::TestWithParam<bool> {};
+// Every environment serves neighbors from its Update-time snapshot, which
+// is also what the pair engine evaluates, so on each of them the two
+// engines' trajectories agree up to force summation order.
+struct EngineCase {
+  EnvironmentType environment;
+  bool detect_static;
+};
+
+class PairEngineEquivalence
+    : public ::testing::TestWithParam<EngineCase> {};
 
 TEST_P(PairEngineEquivalence, SameTrajectoriesAsPerAgentEngine) {
   Param param;
-  param.environment = EnvironmentType::kUniformGrid;
-  param.detect_static_agents = GetParam();
+  param.environment = GetParam().environment;
+  param.detect_static_agents = GetParam().detect_static;
   const auto per_agent = RunRelaxation(param, false, 20);
   const auto pair = RunRelaxation(param, true, 20);
   ExpectNearTrajectories(per_agent, pair, 1e-6);
 }
 
-INSTANTIATE_TEST_SUITE_P(StaticDetection, PairEngineEquivalence,
-                         ::testing::Bool());
+// The uniform grid cases keep their names from when this test ran on the
+// grid alone (parameter: static detection on/off).
+std::string EquivalenceCaseName(
+    const ::testing::TestParamInfo<EngineCase>& info) {
+  static const char* const kPrefixes[] = {"", "KdTree_", "Octree_"};
+  return std::string(kPrefixes[static_cast<int>(info.param.environment)]) +
+         (info.param.detect_static ? "true" : "false");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StaticDetection, PairEngineEquivalence,
+    ::testing::Values(EngineCase{EnvironmentType::kUniformGrid, false},
+                      EngineCase{EnvironmentType::kUniformGrid, true},
+                      EngineCase{EnvironmentType::kKdTree, false},
+                      EngineCase{EnvironmentType::kKdTree, true},
+                      EngineCase{EnvironmentType::kOctree, false},
+                      EngineCase{EnvironmentType::kOctree, true}),
+    EquivalenceCaseName);
 
 // The pair engine must integrate the same trajectory no matter which
 // environment enumerates the pairs: half-stencil traversal (uniform grid)
 // vs the generic j > i filter over radius searches (kd-tree, octree). All
 // three use the same interaction radius (the largest diameter), so only
 // pair enumeration order -- i.e. force summation order -- may differ.
-struct CrossEnvCase {
-  EnvironmentType environment;
-  bool detect_static;
-};
-
 class PairEngineCrossEnvironment
-    : public ::testing::TestWithParam<CrossEnvCase> {};
+    : public ::testing::TestWithParam<EngineCase> {};
 
 TEST_P(PairEngineCrossEnvironment, MatchesUniformGridTrajectories) {
   Param grid_param;
@@ -354,10 +366,10 @@ TEST_P(PairEngineCrossEnvironment, MatchesUniformGridTrajectories) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configurations, PairEngineCrossEnvironment,
-    ::testing::Values(CrossEnvCase{EnvironmentType::kKdTree, false},
-                      CrossEnvCase{EnvironmentType::kKdTree, true},
-                      CrossEnvCase{EnvironmentType::kOctree, false},
-                      CrossEnvCase{EnvironmentType::kOctree, true}));
+    ::testing::Values(EngineCase{EnvironmentType::kKdTree, false},
+                      EngineCase{EnvironmentType::kKdTree, true},
+                      EngineCase{EnvironmentType::kOctree, false},
+                      EngineCase{EnvironmentType::kOctree, true}));
 
 // A subclassed force (AdhesionScale override) takes the engine's generic
 // scatter on the uniform grid; it must integrate the same trajectories as

@@ -132,9 +132,10 @@ TEST(StressTest, GridNeighborhoodStaysExactUnderChurn) {
       }
     });
     std::multiset<AgentUid> actual;
-    env->ForEachNeighbor(*query, squared_radius, [&](Agent* other, real_t) {
-      actual.insert(other->GetUid());
-    });
+    env->ForEachNeighbor(*query, squared_radius,
+                         [&](const Environment::NeighborData& nb) {
+                           actual.insert(nb.agent->GetUid());
+                         });
     ASSERT_EQ(actual, expected);
   });
 }
