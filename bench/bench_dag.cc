@@ -1,16 +1,19 @@
 // A/B for the operation DAG (DESIGN.md "Operation DAG"): the same
-// mechanics+diffusion workload once with Param::op_dag ON (diffusion
-// overlapping the fused mechanics pipeline on disjoint worker teams of the
-// shared pool) and once OFF (the sequential op loop). The workload couples
-// both subsystems every iteration -- secretors deposit into two substance
-// fields, every cell chemotaxes along a gradient, and contact forces act on
-// a dense packing -- so the diffusion node carries real weight next to the
+// mechanics+diffusion workload once stepped on the scheduler's op executor
+// (diffusion overlapping the fused mechanics pipeline on disjoint worker
+// teams of the shared pool) and once through the lane-stepped reference
+// (tests/support/lane_step.h: the same op plan run inline in pipeline
+// order on a full-pool lane thread, each op over the whole pool -- how
+// shard lanes step their shards). The workload couples both subsystems
+// every iteration -- secretors deposit into two substance fields, every
+// cell chemotaxes along a gradient, and contact forces act on a dense
+// packing -- so the diffusion node carries real weight next to the
 // mechanics node and the overlap window is what is being measured.
 //
 // Correctness gates (fail the process, and run before any timing):
 //  1. Single-threaded trajectories + probed concentration fields must agree
-//     BITWISE between the modes: with one worker both execute the identical
-//     IEEE operation sequence, the DAG merely drives it from a lane thread.
+//     BITWISE between the two: with one worker both execute the identical
+//     IEEE operation sequence, merely driven from different lane threads.
 //  2. The multi-threaded measured runs must agree on position / field
 //     checksums to 1e-3 relative. Deposits fold in a schedule-independent
 //     order, but the uniform grid's box lists are built by concurrent CAS
@@ -18,7 +21,7 @@
 //     deposit into, carry run-to-run rounding noise (mode-independent). A
 //     missed DAG edge or team overlap shows up as O(1) divergence.
 //
-// The DAG-vs-sequential speedup depends on hardware concurrency: the
+// The DAG-vs-reference speedup depends on hardware concurrency: the
 // overlap can only pay when diffusion's poor scaling (barrier- and
 // bandwidth-bound) frees cycles mechanics can absorb, so expect ~1.0x on a
 // single hardware core and the gain on real multi-core machines.
@@ -42,6 +45,7 @@
 #include "harness.h"
 #include "math/random.h"
 #include "models/common_behaviors.h"
+#include "support/lane_step.h"
 
 namespace bdm::bench {
 namespace {
@@ -111,19 +115,28 @@ struct TrajectoryResult {
   std::vector<real_t> field;
 };
 
-/// Single-threaded coupled trajectory under one scheduler mode.
-TrajectoryResult RunTrajectory(bool op_dag) {
+/// Steps `sim` on its op executor, or (`lane_stepped`) through the
+/// lane-stepped reference.
+void Step(Simulation* sim, uint64_t iterations, bool lane_stepped) {
+  if (lane_stepped) {
+    test::LaneStep(sim, iterations);
+  } else {
+    sim->Simulate(iterations);
+  }
+}
+
+/// Single-threaded coupled trajectory, executor or lane-stepped.
+TrajectoryResult RunTrajectory(bool lane_stepped) {
   Param param;
   param.num_threads = 1;
   param.num_numa_domains = 1;
-  param.op_dag = op_dag;
-  Simulation sim(op_dag ? "dag_traj_on" : "dag_traj_off", param);
+  Simulation sim(lane_stepped ? "dag_traj_lane" : "dag_traj_on", param);
   Workload w;
   w.n = 300;
   w.space = 90;
   w.resolution = 16;
   const auto grids = BuildCoupled(&sim, w);
-  sim.Simulate(20);
+  Step(&sim, 20, lane_stepped);
   return {Positions(&sim), ProbeFields(grids, w.space)};
 }
 
@@ -133,17 +146,17 @@ struct PipelineResult {
   double field_checksum = 0;
 };
 
-/// Full-pipeline wall time per agent-iteration under one scheduler mode.
-PipelineResult RunPipeline(bool op_dag, const Workload& w,
+/// Full-pipeline wall time per agent-iteration, executor or lane-stepped.
+PipelineResult RunPipeline(bool lane_stepped, const Workload& w,
                            uint64_t iterations, int threads) {
   Param param;
   param.num_threads = threads;
   param.num_numa_domains = threads >= 4 ? 2 : 1;
-  param.op_dag = op_dag;
-  Simulation sim(op_dag ? "dag_pipeline_on" : "dag_pipeline_off", param);
+  Simulation sim(lane_stepped ? "dag_pipeline_lane" : "dag_pipeline_on",
+                 param);
   const auto grids = BuildCoupled(&sim, w);
   const auto start = std::chrono::steady_clock::now();
-  sim.Simulate(iterations);
+  Step(&sim, iterations, lane_stepped);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   PipelineResult result;
   result.ns_per_agent_iter =
@@ -177,9 +190,9 @@ int Run() {
   const int threads = SmokeMode() ? 4 : 0;  // 0 = hardware concurrency
 
   // Gate 1: bitwise single-thread equivalence. A fast DAG that drifts from
-  // the sequential semantics is a bug, not a speedup.
-  const TrajectoryResult reference = RunTrajectory(/*op_dag=*/false);
-  const TrajectoryResult dag = RunTrajectory(/*op_dag=*/true);
+  // the pipeline-order semantics is a bug, not a speedup.
+  const TrajectoryResult reference = RunTrajectory(/*lane_stepped=*/true);
+  const TrajectoryResult dag = RunTrajectory(/*lane_stepped=*/false);
   if (reference.positions.size() != dag.positions.size()) {
     std::fprintf(stderr, "trajectory agent-count mismatch: %zu vs %zu\n",
                  reference.positions.size(), dag.positions.size());
@@ -199,17 +212,17 @@ int Run() {
   }
   if (drifted != 0) {
     std::fprintf(stderr,
-                 "DAG single-thread run drifted from sequential on %llu "
-                 "positions/probes\n",
+                 "DAG single-thread run drifted from the lane-stepped "
+                 "reference on %llu positions/probes\n",
                  static_cast<unsigned long long>(drifted));
     return 1;
   }
 
   // Measured A/B + gate 2 (checksum agreement of the measured runs).
-  const PipelineResult seq = RunPipeline(/*op_dag=*/false, w, iterations,
-                                         threads);
-  const PipelineResult par = RunPipeline(/*op_dag=*/true, w, iterations,
-                                         threads);
+  const PipelineResult seq = RunPipeline(/*lane_stepped=*/true, w,
+                                         iterations, threads);
+  const PipelineResult par = RunPipeline(/*lane_stepped=*/false, w,
+                                         iterations, threads);
   if (!RelClose(seq.position_checksum, par.position_checksum, 1e-3) ||
       !RelClose(seq.field_checksum, par.field_checksum, 1e-3)) {
     std::fprintf(stderr,
@@ -221,13 +234,13 @@ int Run() {
   }
   const double speedup = seq.ns_per_agent_iter / par.ns_per_agent_iter;
 
-  PrintHeader("Full pipeline: sequential op loop vs operation DAG");
+  PrintHeader("Full pipeline: lane-stepped reference vs operation DAG");
   std::printf("agents %llu, %llu iterations, 2 substances at %d^3\n",
               static_cast<unsigned long long>(w.n),
               static_cast<unsigned long long>(iterations), w.resolution);
-  std::printf("  sequential (op_dag=0) : %8.1f ns/agent-iter\n",
+  std::printf("  lane-stepped reference : %8.1f ns/agent-iter\n",
               seq.ns_per_agent_iter);
-  std::printf("  op DAG     (op_dag=1) : %8.1f ns/agent-iter  (%.2fx)\n",
+  std::printf("  op DAG executor        : %8.1f ns/agent-iter  (%.2fx)\n",
               par.ns_per_agent_iter, speedup);
   std::printf("  single-thread trajectories bitwise identical (%zu agents)\n",
               reference.positions.size());

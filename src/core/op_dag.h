@@ -1,11 +1,11 @@
 // Operation dependency DAG and its executor (DESIGN.md "Operation DAG").
 //
-// The sequential scheduler runs the pipeline ops strictly in order even
-// when they touch disjoint state -- diffusion (continuum fields only)
-// serializes behind the whole mechanics pipeline every iteration. Here the
-// ops' declared resource footprints (core/operation.h ResourceBits) are
-// turned into a dependency DAG: an edge keeps the pipeline order exactly
-// where two ops conflict, and everything else may overlap. The DagExecutor
+// Run strictly in order, the pipeline ops would serialize even where they
+// touch disjoint state -- diffusion (continuum fields only) behind the
+// whole mechanics pipeline every iteration. Here the ops' declared resource
+// footprints (core/operation.h ResourceBits) are turned into a dependency
+// DAG: an edge keeps the pipeline order exactly where two ops conflict, and
+// everything else may overlap. The DagExecutor
 // schedules ready nodes onto persistent "lane" threads, each of which
 // drives its op's parallel phases on a disjoint contiguous slice of the
 // shared NumaThreadPool ("team"), sized by measured per-op cost and widened
@@ -25,6 +25,12 @@
 #include "sched/numa_thread_pool.h"
 
 namespace bdm {
+
+/// Lanes of a Scheduler's op executor: up to this many ops of one iteration
+/// run at once, which covers the widest antichain the default pipeline plus
+/// a few user ops produce. The executor takes the thread slots right past
+/// the pool workers; the shard driver starts its own lanes past these.
+constexpr int kOpLanes = 4;
 
 /// One DAG node: a pipeline operation's name and resource footprint.
 struct OpDagNode {

@@ -4,9 +4,10 @@
 // the benchmark harnesses can reproduce the "progressively switched on"
 // studies (Figures 7b, 8, 9) and the parameter sweeps (Figures 11, 12, 13).
 // A post-paper path keeps a toggle only while an A/B comparison still needs
-// it (soa_primary, op_dag). The sharded engine has none: it always steps
-// two or more local shards on concurrent lanes, and its sequential
-// reference lives test-side (tests/support/sequential_shard_step.h).
+// it (soa_primary). The scheduler and the sharded engine have none: every
+// iteration runs its op DAG, two or more local shards always step on
+// concurrent lanes, and their references live test-side
+// (tests/support/lane_step.h, tests/support/sequential_shard_step.h).
 // ApplyEnvOverrides below is the one place environment variables reach a
 // Param.
 #ifndef BDM_CORE_PARAM_H_
@@ -78,13 +79,6 @@ struct Param {
   /// the engine takes its generic path; that is the bitwise A/B reference
   /// for the fast path.
   bool soa_primary = true;
-  /// Operation DAG execution (core/op_dag.h): derive dependencies between
-  /// the scheduler's due operations from their declared resource footprints
-  /// and run independent ones concurrently on disjoint worker teams of the
-  /// shared pool (diffusion overlaps the mechanics pipeline). When false,
-  /// the sequential op loop runs -- the A/B reference for bench_dag. The
-  /// env var BDM_OP_DAG=0/1 overrides this without a code change.
-  bool op_dag = true;
 
   // --- memory manager ------------------------------------------------------
   NumaPoolAllocator::Config memory;  // mem_mgr_growth_rate & friends
@@ -141,8 +135,7 @@ struct Param {
 ///   BDM_AUDIT_INTERVAL=N (N > 0) sets audit_interval: debug/tsan test runs
 ///     export 1 so every simulation self-checks each iteration without the
 ///     test code opting in (see tests/CMakeLists.txt);
-///   BDM_METRICS=0 turns collect_metrics off;
-///   BDM_OP_DAG=0/1 pins op_dag (bench_dag and the tsan job use it).
+///   BDM_METRICS=0 turns collect_metrics off.
 inline void ApplyEnvOverrides(Param* param) {
   if (const char* audit = std::getenv("BDM_AUDIT_INTERVAL")) {
     const int interval = std::atoi(audit);
@@ -154,9 +147,6 @@ inline void ApplyEnvOverrides(Param* param) {
     if (metrics[0] == '0') {
       param->collect_metrics = false;
     }
-  }
-  if (const char* dag = std::getenv("BDM_OP_DAG")) {
-    param->op_dag = dag[0] != '0';
   }
 }
 

@@ -52,17 +52,14 @@ Scheduler::~Scheduler() = default;
 
 void Scheduler::AppendPreOp(std::unique_ptr<StandaloneOperation> op) {
   pre_ops_.push_back(std::move(op));
-  InvalidatePlans();
 }
 
 void Scheduler::AppendAgentOp(std::unique_ptr<AgentOperation> op) {
   agent_ops_.push_back(std::move(op));
-  InvalidatePlans();
 }
 
 void Scheduler::AppendPostOp(std::unique_ptr<StandaloneOperation> op) {
   post_ops_.push_back(std::move(op));
-  InvalidatePlans();
 }
 
 bool Scheduler::RemoveOp(const std::string& name) {
@@ -77,11 +74,6 @@ bool Scheduler::RemoveOp(const std::string& name) {
     removed = true;
     return true;  // stop: remove only the first match across all stages
   });
-  if (removed) {
-    // Cached plans hold raw pointers into the op lists and a DAG shape that
-    // assumed the removed op's presence -- rebuild lazily next iteration.
-    InvalidatePlans();
-  }
   return removed;
 }
 
@@ -96,31 +88,7 @@ OperationBase* Scheduler::GetOp(const std::string& name) {
     }
     return false;
   });
-  if (found != nullptr) {
-    // The caller holds a mutable op and may change its frequency or
-    // resource declaration; any cached DAG derived from the old footprint
-    // would silently keep stale edges.
-    InvalidatePlans();
-  }
   return found;
-}
-
-bool Scheduler::UsesOpDag() const {
-  if (!sim_->GetParam().op_dag) {
-    return false;
-  }
-  // A lane-driven iteration (parallel shard stepping) stays sequential: a
-  // nested DagExecutor would spawn its own lanes and carve worker teams
-  // overlapping the outer executor's grants. The sequential op loop already
-  // scopes every pool dispatch to the calling lane's team.
-  if (NumaThreadPool::OnLaneThread()) {
-    return false;
-  }
-  NumaThreadPool* pool = sim_->GetThreadPool();
-  // Each executor lane needs a thread slot past the workers in the shared
-  // shard spaces (metrics/timing/trace/deposit logs, all kMaxSlots-capped).
-  return pool != nullptr &&
-         pool->NumThreads() + 2 <= MetricsRegistry::kMaxSlots;
 }
 
 void Scheduler::Simulate(uint64_t iterations) {
@@ -139,42 +107,15 @@ uint64_t Scheduler::SimulateUntil(const std::function<bool(Simulation*)>& stop,
   return executed;
 }
 
-bool Scheduler::ComputeDueMask(uint64_t* mask) const {
-  const size_t total = pre_ops_.size() + agent_ops_.size() + post_ops_.size();
-  if (total > 64) {
-    return false;
-  }
-  uint64_t m = 0;
-  int bit = 0;
-  for (const auto& op : pre_ops_) {
-    m |= op->IsDue(iteration_) ? uint64_t{1} << bit : 0;
-    ++bit;
-  }
-  for (const auto& op : agent_ops_) {
-    m |= op->IsDue(iteration_) ? uint64_t{1} << bit : 0;
-    ++bit;
-  }
-  for (const auto& op : post_ops_) {
-    m |= op->IsDue(iteration_) ? uint64_t{1} << bit : 0;
-    ++bit;
-  }
-  *mask = m;
-  return true;
-}
-
-Scheduler::DagPlan& Scheduler::GetOrBuildPlan(uint64_t mask) {
-  auto it = dag_plans_.find(mask);
-  if (it != dag_plans_.end()) {
-    return it->second;
-  }
-  DagPlan plan;
+void Scheduler::BuildPlan() {
+  plan_.standalone.clear();
+  plan_.agent_node = -1;
+  plan_.due_agent_ops.clear();
   std::vector<OpDagNode> nodes;
-  int bit = 0;
-  const auto due = [&] { return ((mask >> bit++) & 1) != 0; };
   for (auto& op : pre_ops_) {
-    if (due()) {
+    if (op->IsDue(iteration_)) {
       nodes.push_back({op->GetName(), op->Reads(), op->Writes()});
-      plan.standalone.push_back(op.get());
+      plan_.standalone.push_back(op.get());
     }
   }
   // The fused agent loop is ONE node -- its ops interleave per agent, so
@@ -182,39 +123,32 @@ Scheduler::DagPlan& Scheduler::GetOrBuildPlan(uint64_t mask) {
   uint8_t agent_reads = 0;
   uint8_t agent_writes = 0;
   for (auto& op : agent_ops_) {
-    if (due()) {
-      plan.due_agent_ops.push_back(op.get());
+    if (op->IsDue(iteration_)) {
+      plan_.due_agent_ops.push_back(op.get());
       agent_reads |= op->Reads();
       agent_writes |= op->Writes();
     }
   }
-  if (!plan.due_agent_ops.empty()) {
-    plan.agent_node = static_cast<int>(nodes.size());
+  if (!plan_.due_agent_ops.empty()) {
+    plan_.agent_node = static_cast<int>(nodes.size());
     nodes.push_back({"agent_ops", agent_reads, agent_writes});
-    plan.standalone.push_back(nullptr);
+    plan_.standalone.push_back(nullptr);
   }
   for (auto& op : post_ops_) {
-    if (due()) {
+    if (op->IsDue(iteration_)) {
       nodes.push_back({op->GetName(), op->Reads(), op->Writes()});
-      plan.standalone.push_back(op.get());
+      plan_.standalone.push_back(op.get());
     }
   }
-  plan.dag = OpDag::FromPipeline(std::move(nodes));
-  return dag_plans_.emplace(mask, std::move(plan)).first->second;
+  plan_.dag = OpDag::FromPipeline(std::move(nodes));
 }
 
 const OpDag& Scheduler::GetIterationDag() {
-  uint64_t mask = 0;
-  const bool ok = ComputeDueMask(&mask);
-  assert(ok && "pipeline exceeds 64 ops");
-  (void)ok;
-  return GetOrBuildPlan(mask).dag;
+  BuildPlan();
+  return plan_.dag;
 }
 
 void Scheduler::RunAgentStage(const std::vector<AgentOperation*>& due) {
-  if (due.empty()) {
-    return;
-  }
   sim_->GetResourceManager()->ForEachAgentParallel(
       [&](Agent* agent, AgentHandle handle, int tid) {
         for (AgentOperation* op : due) {
@@ -223,91 +157,57 @@ void Scheduler::RunAgentStage(const std::vector<AgentOperation*>& due) {
       });
 }
 
-void Scheduler::RunIterationSequential(TimingAggregator* timing) {
-  for (auto& op : pre_ops_) {
-    if (!op->IsDue(iteration_)) {
-      continue;
-    }
-    ScopedTimer timer(timing, op->GetName(), iteration_);
-    op->Run(sim_);
-  }
-
-  // Fused agent loop (Algorithm 1, L7-11): all due agent operations are
-  // applied to an agent before moving to the next, maximizing data reuse
-  // while the agent is cache-hot.
-  {
-    ScopedTimer timer(timing, "agent_ops", iteration_);
-    std::vector<AgentOperation*> due;
-    for (auto& op : agent_ops_) {
-      if (op->IsDue(iteration_)) {
-        due.push_back(op.get());
-      }
-    }
-    RunAgentStage(due);
-  }
-
-  for (auto& op : post_ops_) {
-    if (!op->IsDue(iteration_)) {
-      continue;
-    }
-    ScopedTimer timer(timing, op->GetName(), iteration_);
-    op->Run(sim_);
-  }
-}
-
-void Scheduler::RunIterationDag(TimingAggregator* timing) {
-  uint64_t mask = 0;
-  if (!ComputeDueMask(&mask)) {
-    RunIterationSequential(timing);  // >64 ops: no mask key, stay sequential
-    return;
-  }
-  DagPlan& plan = GetOrBuildPlan(mask);
-  const int n = plan.dag.size();
-  if (n == 0) {
-    return;
-  }
-  NumaThreadPool* pool = sim_->GetThreadPool();
-  if (dag_exec_ == nullptr) {
-    // Up to 4 ops in flight covers the widest antichain the default
-    // pipeline plus a few user ops produce; the executor further clamps to
-    // the pool width and the shard-slot budget.
-    dag_exec_ = std::make_unique<DagExecutor>(pool, 4);
-  }
-  std::vector<double> weights(n, 0);
-  for (int i = 0; i < n; ++i) {
-    const std::string& name =
-        i == plan.agent_node ? plan.dag.node(i).name : plan.standalone[i]->GetName();
-    auto it = op_cost_ema_.find(name);
-    weights[i] = it != op_cost_ema_.end() ? it->second : 0;
-  }
-  // Per-node wall times, one writer each (the lane running the node);
-  // folded into the EMA after the barrier below.
+void Scheduler::RunPlan(TimingAggregator* timing) {
+  const int n = plan_.dag.size();
+  // Per-node wall times, one writer each (the thread running the node);
+  // folded into the EMA after the last node.
   std::vector<double> seconds(n, 0);
-  dag_exec_->Execute(
-      plan.dag,
-      [&](int i) {
-        const auto start = std::chrono::steady_clock::now();
-        if (i == plan.agent_node) {
-          ScopedTimer timer(timing, "agent_ops", iteration_);
-          RunAgentStage(plan.due_agent_ops);
-        } else {
-          StandaloneOperation* op = plan.standalone[i];
-          ScopedTimer timer(timing, op->GetName(), iteration_);
-          op->Run(sim_);
-        }
-        seconds[i] = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-      },
-      weights);
-  // DAG sink: every node completed and every lane's pool dispatch returned,
-  // so the "strictly between parallel regions" precondition of the shard
-  // folds below (timing Fold, metric FlushShards) holds here.
-  assert(pool->Quiescent() && "op DAG sink reached with pool jobs in flight");
-  (void)pool;
+  const auto body = [&](int i) {
+    const auto start = std::chrono::steady_clock::now();
+    if (i == plan_.agent_node) {
+      // Fused agent loop (Algorithm 1, L7-11): all due agent operations are
+      // applied to an agent before moving to the next, maximizing data
+      // reuse while the agent is cache-hot.
+      ScopedTimer timer(timing, "agent_ops", iteration_);
+      RunAgentStage(plan_.due_agent_ops);
+    } else {
+      StandaloneOperation* op = plan_.standalone[i];
+      ScopedTimer timer(timing, op->GetName(), iteration_);
+      op->Run(sim_);
+    }
+    seconds[i] = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+  };
+  NumaThreadPool* pool = sim_->GetThreadPool();
+  // Inline on a lane thread (a shard lane stepping its shard): a nested
+  // executor would carve worker teams overlapping the outer executor's
+  // grants, while the calling lane's team already scopes every pool
+  // dispatch. Inline too when no thread slot is left past the workers for
+  // an op lane (the shared shard spaces are kMaxSlots-capped).
+  if (NumaThreadPool::OnLaneThread() ||
+      pool->NumThreads() + 2 > MetricsRegistry::kMaxSlots) {
+    for (const int i : plan_.dag.TopologicalOrder()) {
+      body(i);
+    }
+  } else {
+    if (dag_exec_ == nullptr) {
+      dag_exec_ = std::make_unique<DagExecutor>(pool, kOpLanes);
+    }
+    std::vector<double> weights(n, 0);
+    for (int i = 0; i < n; ++i) {
+      auto it = op_cost_ema_.find(plan_.dag.node(i).name);
+      weights[i] = it != op_cost_ema_.end() ? it->second : 0;
+    }
+    dag_exec_->Execute(plan_.dag, body, weights);
+    // DAG sink: every node completed and every lane's pool dispatch
+    // returned, so the "strictly between parallel regions" precondition of
+    // the shard folds in ExecuteIteration (timing Fold, metric FlushShards)
+    // holds here.
+    assert(pool->Quiescent() && "op DAG sink reached with pool jobs in flight");
+  }
   for (int i = 0; i < n; ++i) {
-    const std::string& name = plan.dag.node(i).name;
-    double& ema = op_cost_ema_[name];
+    double& ema = op_cost_ema_[plan_.dag.node(i).name];
     ema = ema == 0 ? seconds[i] : 0.7 * ema + 0.3 * seconds[i];
   }
 }
@@ -319,17 +219,14 @@ void Scheduler::ExecuteIteration() {
     // Trace-only envelope around the whole step (a TimingAggregator bucket
     // here would double-count every op in GrandTotalSeconds).
     TraceSpan iteration_span("iteration", iteration_);
-    if (UsesOpDag()) {
-      RunIterationDag(timing);
-    } else {
-      RunIterationSequential(timing);
-    }
+    BuildPlan();
+    RunPlan(timing);
   }
 
   // Fold every worker's counter shard into the global totals. This runs
-  // strictly between parallel regions -- the pool's dispatch barrier (and in
-  // DAG mode the executor's sink, asserted above) orders all shard writes of
-  // this iteration before the folds.
+  // strictly between parallel regions -- the pool's dispatch barrier (and on
+  // the executor the DAG sink, asserted in RunPlan) orders all shard writes
+  // of this iteration before the folds.
   timing->Fold();
   // The metrics registry is process-global; when S lane threads step S
   // shards concurrently, flushing here would race with ops on other lanes
@@ -365,23 +262,28 @@ Scheduler::IterationSnapshot Scheduler::TakeSnapshot() const {
   return snapshot;
 }
 
-void Scheduler::DumpObservability(std::ostream& out) const {
+void Scheduler::WriteTimingJson(std::ostream& out,
+                                const std::string& indent) const {
   const TimingAggregator* timing = sim_->GetTiming();
-  out << "{\n  \"simulation\": \"" << sim_->GetName() << "\",\n"
-      << "  \"iterations\": " << iteration_ << ",\n"
-      << "  \"grand_total_seconds\": " << timing->GrandTotalSeconds() << ",\n";
-  out << "  \"timing\": {";
+  out << indent << "\"simulation\": \"" << sim_->GetName() << "\",\n"
+      << indent << "\"iterations\": " << iteration_ << ",\n"
+      << indent << "\"grand_total_seconds\": " << timing->GrandTotalSeconds()
+      << ",\n"
+      << indent << "\"timing\": {";
   bool first = true;
   for (const auto& [name, entry] : timing->raw()) {
-    out << (first ? "\n" : ",\n") << "    \"" << name
+    out << (first ? "\n" : ",\n") << indent << "  \"" << name
         << "\": {\"seconds\": " << entry.seconds
         << ", \"count\": " << entry.count << "}";
     first = false;
   }
-  out << "\n  },\n";
+  out << "\n" << indent << "}";
+}
+
+void Scheduler::WriteMetricsJson(std::ostream& out) {
   const MetricsSnapshot metrics = MetricsRegistry::Get().Snapshot();
   out << "  \"counters\": {";
-  first = true;
+  bool first = true;
   for (const auto& [name, value] : metrics.counters) {
     out << (first ? "\n" : ",\n") << "    \"" << name << "\": " << value;
     first = false;
@@ -392,7 +294,15 @@ void Scheduler::DumpObservability(std::ostream& out) const {
     out << (first ? "\n" : ",\n") << "    \"" << name << "\": " << value;
     first = false;
   }
-  out << "\n  }\n}\n";
+  out << "\n  }";
+}
+
+void Scheduler::DumpObservability(std::ostream& out) const {
+  out << "{\n";
+  WriteTimingJson(out, "  ");
+  out << ",\n";
+  WriteMetricsJson(out);
+  out << "\n}\n";
 }
 
 bool Scheduler::DumpObservability(const std::string& path) const {

@@ -5,15 +5,15 @@
 // post-standalone operations. Wall time per operation is recorded in the
 // simulation's TimingAggregator, which feeds the Figure 5 runtime breakdown.
 //
-// Two execution modes share the same pipeline definition:
-//  - sequential (Param::op_dag = false): ops run one after another on the
-//    calling thread, each spreading over the full pool. The A/B reference.
-//  - op DAG (default): the due ops' declared resource footprints
-//    (core/operation.h) are compiled into a dependency DAG (core/op_dag.h)
-//    cached per due-set; independent ops -- diffusion vs. the mechanics
-//    pipeline -- run concurrently on disjoint worker teams, sized by an
-//    exponential moving average of each op's measured cost. CommitOp
-//    declares read/write-all, making it the sink barrier by construction.
+// Every iteration compiles its due ops into one plan: their declared
+// resource footprints (core/operation.h) become a dependency DAG (OpDag)
+// over the pipeline order. From the main thread the plan
+// runs on the scheduler's DagExecutor: independent ops -- diffusion vs. the
+// mechanics pipeline -- run concurrently on disjoint worker teams, sized by
+// an exponential moving average of each op's measured cost. From a lane
+// thread (a shard lane stepping its shard), the same plan runs inline in
+// pipeline order, each op over the lane's team. CommitOp declares
+// read/write-all, making it the sink barrier by construction.
 #ifndef BDM_CORE_SCHEDULER_H_
 #define BDM_CORE_SCHEDULER_H_
 
@@ -51,10 +51,8 @@ class Scheduler {
   uint64_t GetSimulatedIterations() const { return iteration_; }
 
   // --- pipeline customization ------------------------------------------------
-  // Every mutation of the op lists (and GetOp, which hands out a mutable
-  // operation whose frequency or resource footprint the caller may change)
-  // invalidates the cached DAG plans; they are rebuilt lazily on the next
-  // iteration.
+  // The plan is rebuilt from the op lists every iteration, so mutations
+  // (and changes to an op GetOp handed out) take effect at the next one.
   void AppendPreOp(std::unique_ptr<StandaloneOperation> op);
   void AppendAgentOp(std::unique_ptr<AgentOperation> op);
   void AppendPostOp(std::unique_ptr<StandaloneOperation> op);
@@ -64,12 +62,9 @@ class Scheduler {
   /// Returns the first operation with the given name, or nullptr.
   OperationBase* GetOp(const std::string& name);
 
-  /// True when the next iteration will execute through the operation DAG
-  /// (Param::op_dag and the pool fits the shard-slot budget).
-  bool UsesOpDag() const;
-
-  /// The dependency DAG the CURRENT due-set compiles to (test/analysis
-  /// hook; builds and caches the plan without running anything).
+  /// The dependency DAG the next iteration's due ops compile to
+  /// (test/analysis hook; builds the plan without running anything). The
+  /// reference stays valid until the next iteration or call.
   const OpDag& GetIterationDag();
 
   // --- observability ---------------------------------------------------------
@@ -100,11 +95,20 @@ class Scheduler {
   /// Same, to a file. Returns false when the file could not be opened.
   bool DumpObservability(const std::string& path) const;
 
+  /// The timing members of that document -- simulation name, iterations,
+  /// grand total and per-op timing -- each line prefixed by `indent`, no
+  /// enclosing braces and no trailing comma. A sharded run writes one such
+  /// section per shard.
+  void WriteTimingJson(std::ostream& out, const std::string& indent) const;
+  /// The process-global "counters" and "gauges" members of that document,
+  /// indented by two spaces, no enclosing braces and no trailing comma.
+  static void WriteMetricsJson(std::ostream& out);
+
  private:
-  /// One compiled due-set: the DAG plus each node's op binding. Node i is
-  /// either standalone[i] or (when i == agent_node) the fused agent loop
-  /// over due_agent_ops.
-  struct DagPlan {
+  /// One iteration's compiled due ops: the DAG plus each node's op binding.
+  /// Node i is either standalone[i] or (when i == agent_node) the fused
+  /// agent loop over due_agent_ops.
+  struct Plan {
     OpDag dag;
     std::vector<StandaloneOperation*> standalone;  // null at agent_node
     int agent_node = -1;
@@ -112,15 +116,13 @@ class Scheduler {
   };
 
   void ExecuteIteration();
-  void RunIterationSequential(TimingAggregator* timing);
-  void RunIterationDag(TimingAggregator* timing);
+  /// Compiles the ops due at iteration_ into plan_.
+  void BuildPlan();
+  /// Runs plan_: on dag_exec_'s lanes, or inline in pipeline order when the
+  /// caller is a lane thread or the pool leaves no slot for op lanes.
+  void RunPlan(TimingAggregator* timing);
   /// The fused agent loop (Algorithm 1, L7-11) over the given due ops.
   void RunAgentStage(const std::vector<AgentOperation*>& due);
-  /// Due-set bitmask over pre/agent/post ops in pipeline order; false when
-  /// the pipeline has more than 64 ops (caller falls back to sequential).
-  bool ComputeDueMask(uint64_t* mask) const;
-  DagPlan& GetOrBuildPlan(uint64_t mask);
-  void InvalidatePlans() { dag_plans_.clear(); }
 
   /// Applies `fn` to pre_ops_, agent_ops_, post_ops_ in pipeline order until
   /// `fn` returns true. The op lists have different element types, hence the
@@ -145,8 +147,8 @@ class Scheduler {
   int snapshot_interval_ = 1;
 
   // --- op DAG state ----------------------------------------------------------
-  std::map<uint64_t, DagPlan> dag_plans_;  // keyed by due mask
-  std::unique_ptr<DagExecutor> dag_exec_;  // lazily created on first DAG step
+  Plan plan_;                              // the current iteration's plan
+  std::unique_ptr<DagExecutor> dag_exec_;  // created on the first lane run
   /// Per-op wall-time EMA (seconds), keyed by op name; feeds the executor's
   /// weight-proportional worker-team split.
   std::map<std::string, double> op_cost_ema_;

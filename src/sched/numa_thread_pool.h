@@ -198,9 +198,9 @@ class NumaThreadPool {
   static uint64_t CurrentDepositKey() { return internal::t_deposit_key; }
 
   /// True when the calling thread is a lane thread bound via BindLane (its
-  /// dispatches are scoped to a team). The scheduler uses this to keep a
-  /// lane-driven iteration on the sequential op loop: a nested DagExecutor
-  /// would carve teams overlapping the outer executor's grants.
+  /// dispatches are scoped to a team). The scheduler runs a lane-driven
+  /// iteration's op plan inline: a nested DagExecutor would carve teams
+  /// overlapping the outer executor's grants.
   static bool OnLaneThread() { return internal::t_lane != nullptr; }
 
   /// Binds the calling thread to `lane` for team resolution and to

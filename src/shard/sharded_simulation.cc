@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -76,12 +77,13 @@ ShardedSimulation::ShardedSimulation(const std::string& name,
   const int num_local = local_end - local_begin;
   if (num_local > 1) {
     // Shard lanes live in the thread-slot range past the workers AND past
-    // the 4 op-DAG lane slots a shard stepped on the main thread uses, so
-    // the two executor kinds never share a metrics/timing/allocator slot.
+    // the op-lane slots a shard stepped on the main thread uses, so the two
+    // executor kinds never share a metrics/timing/allocator slot.
     // The executor throws std::invalid_argument when the pool is too wide
     // to leave a slot for even one lane.
     shard_exec_ = std::make_unique<DagExecutor>(
-        pool_.get(), num_local, pool_->NumThreads() + 1 + 4, "shard lane");
+        pool_.get(), num_local, pool_->NumThreads() + 1 + kOpLanes,
+        "shard lane");
     // Edgeless DAG: the exchange barrier (Exchange/FieldExchange run before
     // and after on the main thread) is the only ordering the shards need
     // within an iteration -- every node is immediately ready.
@@ -130,14 +132,10 @@ ShardedSimulation::ShardedSimulation(const std::string& name,
 }
 
 ShardedSimulation::~ShardedSimulation() {
-  // End-of-run observability for the whole shard set. The metrics registry
-  // is process-global (all shards share the counters); the timing tree is
-  // per-shard, so the dump reports shard 0's -- point BDM_OBS_JSON at an
-  // unsharded run for a per-op timing capture.
+  // End-of-run observability for the whole shard set: every local shard's
+  // timing next to the process-global counters all shards share.
   if (const char* path = std::getenv("BDM_OBS_JSON")) {
-    if (!shards_.empty() &&
-        !shards_.front()->sim()->GetScheduler()->DumpObservability(
-            std::string(path))) {
+    if (!DumpObservability(std::string(path))) {
       std::fprintf(stderr, "BDM_OBS_JSON: cannot open %s for writing\n", path);
     }
   }
@@ -147,6 +145,25 @@ ShardedSimulation::~ShardedSimulation() {
   // Members tear down in reverse declaration order: shards (agents,
   // schedulers) first, then the shared uid generator, memory manager
   // (clears the global allocator pointer), and pool.
+}
+
+bool ShardedSimulation::DumpObservability(const std::string& path) const {
+  std::ofstream out(path);
+  if (!out) {
+    return false;
+  }
+  out << "{\n  \"simulation\": \"" << name_ << "\",\n  \"shards\": [";
+  bool first = true;
+  for (const auto& shard : shards_) {
+    out << (first ? "\n" : ",\n") << "    {\n";
+    shard->sim()->GetScheduler()->WriteTimingJson(out, "      ");
+    out << "\n    }";
+    first = false;
+  }
+  out << "\n  ],\n";
+  Scheduler::WriteMetricsJson(out);
+  out << "\n}\n";
+  return true;
 }
 
 void ShardedSimulation::AddAgent(Agent* agent) {

@@ -32,8 +32,9 @@
 //   3. Each local shard steps one iteration (Scheduler::Simulate(1)) with
 //      its simulation made active. Two or more local shards step
 //      concurrently, one DagExecutor lane each, on disjoint worker teams
-//      carved from the shared pool; a single local shard steps inline with
-//      the whole pool and its op DAG. With S > 1 the per-shard schedulers
+//      carved from the shared pool, each lane running its shard's op plan
+//      inline; a single local shard steps inline with the whole pool and
+//      its op DAG. With S > 1 the per-shard schedulers
 //      run WITHOUT their DiffusionOp -- behaviors deposit into the fields
 //      but the fields do not advance yet.
 //   4. Field halo exchange + field step (S > 1, diffusion grids present):
@@ -172,6 +173,13 @@ class ShardedSimulation {
   double ExpectedFieldMass(size_t grid_index) const {
     return expected_field_mass_[grid_index];
   }
+
+  /// Writes the end-of-run observability document as JSON: the run's name,
+  /// one timing section per local shard under "shards"
+  /// (Scheduler::WriteTimingJson), then the process-global counters and
+  /// gauges. BDM_OBS_JSON=<path> writes it on destruction. Returns false
+  /// when the file could not be opened.
+  bool DumpObservability(const std::string& path) const;
 
   /// Owned/ghost agent totals over the LOCAL shards.
   uint64_t TotalOwned() const;

@@ -20,6 +20,7 @@
 #include "models/cell_proliferation.h"
 #include "obs/trace.h"
 #include "sched/numa_thread_pool.h"
+#include "support/json_balanced.h"
 #include "support/temp_path.h"
 
 namespace bdm {
@@ -203,40 +204,6 @@ TEST(MetricsSchedulerTest, DumpObservabilityWritesSummaryJson) {
 // Chrome-trace export
 // ---------------------------------------------------------------------------
 
-// Minimal structural check of the Trace Event Format output: balanced
-// braces/brackets outside strings, a traceEvents array, and at least one
-// complete ("ph": "X") span per simulated iteration.
-bool JsonBalanced(const std::string& text) {
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  for (const char c : text) {
-    if (escaped) {
-      escaped = false;
-      continue;
-    }
-    if (c == '\\') {
-      escaped = in_string;
-      continue;
-    }
-    if (c == '"') {
-      in_string = !in_string;
-      continue;
-    }
-    if (in_string) {
-      continue;
-    }
-    if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      if (--depth < 0) {
-        return false;
-      }
-    }
-  }
-  return depth == 0 && !in_string;
-}
-
 size_t CountOccurrences(const std::string& text, const std::string& needle) {
   size_t count = 0;
   for (size_t pos = text.find(needle); pos != std::string::npos;
@@ -246,6 +213,9 @@ size_t CountOccurrences(const std::string& text, const std::string& needle) {
   return count;
 }
 
+// Minimal structural check of the Trace Event Format output: balanced
+// braces/brackets outside strings, a traceEvents array, and at least one
+// complete ("ph": "X") span per simulated iteration.
 TEST(TraceExportTest, BdmTraceProducesWellFormedChromeJson) {
   FreshRegistry();
   const std::string path = test::TempPath("trace.json");
@@ -262,7 +232,7 @@ TEST(TraceExportTest, BdmTraceProducesWellFormedChromeJson) {
   ASSERT_TRUE(in.good()) << "BDM_TRACE did not produce " << path;
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
-  EXPECT_TRUE(JsonBalanced(text));
+  EXPECT_TRUE(test::JsonBalanced(text));
   EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(text.find("\"displayTimeUnit\""), std::string::npos);
   // One whole-iteration envelope span per iteration plus per-op spans.

@@ -1,6 +1,7 @@
 // Operation-DAG tests: edge derivation from resource footprints, cycle
-// detection, bitwise equivalence of DAG vs. sequential execution, plan
-// invalidation on pipeline mutation, the sink's between-parallel-regions
+// detection, bitwise equivalence of executor runs vs. the lane-stepped
+// reference (tests/support/lane_step.h), per-iteration plans that follow
+// pipeline mutations and keep every op, the sink's between-parallel-regions
 // guarantee, concurrent churn under the audit, and the chrome-trace export
 // of overlapping lanes.
 #include "core/op_dag.h"
@@ -26,6 +27,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sched/numa_thread_pool.h"
+#include "support/json_balanced.h"
+#include "support/lane_step.h"
 #include "support/temp_path.h"
 
 namespace bdm {
@@ -101,7 +104,7 @@ TEST(OpDagTest, TopologicalOrderValidUnderRandomizedDueSets) {
       }
     }
     // FromPipeline only creates forward edges, so the min-index Kahn order
-    // is the pipeline order itself -- DAG mode refines, never reorders.
+    // is the pipeline order itself -- the DAG refines, never reorders.
     for (size_t pos = 0; pos < order.size(); ++pos) {
       EXPECT_EQ(order[pos], static_cast<int>(pos));
     }
@@ -144,13 +147,22 @@ TEST(DagExecutorTest, SlotBaseAtCapacityThrows) {
 // Scheduler integration
 // ---------------------------------------------------------------------------
 
-Param DagParam(int threads, bool op_dag) {
+Param DagParam(int threads) {
   Param param;
   param.num_threads = threads;
   param.num_numa_domains = 1;
-  param.op_dag = op_dag;
   param.use_bdm_memory_manager = false;
   return param;
+}
+
+/// Steps `sim` on its op executor, or (`lane_stepped`) through the
+/// lane-stepped reference.
+void Step(Simulation* sim, uint64_t iterations, bool lane_stepped) {
+  if (lane_stepped) {
+    test::LaneStep(sim, iterations);
+  } else {
+    sim->Simulate(iterations);
+  }
 }
 
 /// Cells coupled to an "attractant" diffusion grid: secretors raise the
@@ -206,9 +218,8 @@ std::vector<real_t> ProbeField(const DiffusionGrid* grid, real_t space) {
 }
 
 TEST(SchedulerDagTest, DefaultPipelineDagShape) {
-  Simulation sim("dag_shape", DagParam(2, true));
+  Simulation sim("dag_shape", DagParam(2));
   auto* scheduler = sim.GetScheduler();
-  ASSERT_TRUE(scheduler->UsesOpDag());
   const OpDag& dag = scheduler->GetIterationDag();
   std::map<std::string, int> index;
   for (int i = 0; i < dag.size(); ++i) {
@@ -240,8 +251,9 @@ TEST(SchedulerDagTest, DefaultPipelineDagShape) {
 }
 
 TEST(SchedulerDagTest, SingleThreadTrajectoryBitwiseMatchesSequential) {
-  // Full coupling incl. secretion: with one worker both modes execute the
-  // identical IEEE operation sequence, so agreement must be bitwise.
+  // Full coupling incl. secretion: with one worker the executor and the
+  // lane-stepped reference execute the identical IEEE operation sequence,
+  // so agreement must be bitwise.
   for (const EnvironmentType env :
        {EnvironmentType::kUniformGrid, EnvironmentType::kKdTree,
         EnvironmentType::kOctree}) {
@@ -249,12 +261,12 @@ TEST(SchedulerDagTest, SingleThreadTrajectoryBitwiseMatchesSequential) {
     std::vector<real_t> field[2];
     size_t counts[2];
     for (const bool use_dag : {false, true}) {
-      Param param = DagParam(1, use_dag);
+      Param param = DagParam(1);
       param.environment = env;
-      Simulation sim(use_dag ? "dag_traj_on" : "dag_traj_off", param);
+      Simulation sim(use_dag ? "dag_traj_on" : "dag_traj_lane", param);
       DiffusionGrid* grid = BuildCoupledWorkload(&sim, 200, 90, 17,
                                                  /*secrete=*/true);
-      sim.Simulate(15);
+      Step(&sim, 15, /*lane_stepped=*/!use_dag);
       positions[use_dag] = Snapshot(&sim);
       field[use_dag] = ProbeField(grid, 90);
       counts[use_dag] = positions[use_dag].size();
@@ -285,10 +297,10 @@ TEST(SchedulerDagTest, MultiThreadTrajectoryMatchesSequential) {
   std::map<AgentUid, Real3> positions[2];
   std::vector<real_t> field[2];
   for (const bool use_dag : {false, true}) {
-    Param param = DagParam(4, use_dag);
+    Param param = DagParam(4);
     param.num_numa_domains = 2;
     param.agent_sort_frequency = 0;  // keep dense order = insertion order
-    Simulation sim(use_dag ? "dag_mt_on" : "dag_mt_off", param);
+    Simulation sim(use_dag ? "dag_mt_on" : "dag_mt_lane", param);
     const real_t space = 300;
     auto* grid = sim.AddDiffusionGrid(
         std::make_unique<DiffusionGrid>("attractant", 80, 0.02, 16),
@@ -311,7 +323,7 @@ TEST(SchedulerDagTest, MultiThreadTrajectoryMatchesSequential) {
         }
       }
     }
-    sim.Simulate(10);
+    Step(&sim, 10, /*lane_stepped=*/!use_dag);
     positions[use_dag] = Snapshot(&sim);
     field[use_dag] = ProbeField(grid, space);
   }
@@ -332,7 +344,7 @@ TEST(SchedulerDagTest, MultiThreadTrajectoryMatchesSequential) {
 TEST(SchedulerDagTest, ConcurrentChurnWithAuditEveryIteration) {
   // tsan target: diffusion overlapping mechanics while divisions add agents
   // and the consistency audit cross-checks the index each iteration.
-  Param param = DagParam(4, true);
+  Param param = DagParam(4);
   param.num_numa_domains = 2;
   param.audit_interval = 1;
   Simulation sim("dag_churn", param);
@@ -352,7 +364,7 @@ class ThrowingOp : public StandaloneOperation {
 };
 
 TEST(SchedulerDagTest, LaneExceptionPropagatesToCaller) {
-  Simulation sim("dag_throw", DagParam(2, true));
+  Simulation sim("dag_throw", DagParam(2));
   sim.GetResourceManager()->AddAgent(new Cell({10, 10, 10}, 10));
   sim.GetScheduler()->AppendPostOp(std::make_unique<ThrowingOp>());
   EXPECT_THROW(sim.Simulate(2), std::runtime_error);
@@ -367,10 +379,10 @@ class NoopOp : public StandaloneOperation {
 };
 
 TEST(SchedulerDagTest, PipelineMutationInvalidatesCachedPlan) {
-  Simulation sim("dag_mutate", DagParam(2, true));
+  Simulation sim("dag_mutate", DagParam(2));
   sim.GetResourceManager()->AddAgent(new Cell({10, 10, 10}, 10));
   auto* scheduler = sim.GetScheduler();
-  sim.Simulate(2);  // populate the plan cache
+  sim.Simulate(2);
   const int size_before = scheduler->GetIterationDag().size();
   ASSERT_TRUE(scheduler->RemoveOp("diffusion"));
   {
@@ -396,7 +408,7 @@ TEST(SchedulerDagTest, PipelineMutationInvalidatesCachedPlan) {
     }
   }
   // GetOp hands out a mutable op; changing its frequency must reflect in
-  // the next derived DAG (the plan is invalidated, not patched).
+  // the next derived DAG (every iteration compiles its own plan).
   OperationBase* noop = scheduler->GetOp("custom_noop");
   ASSERT_NE(noop, nullptr);
   noop->SetFrequency(1000);  // not due at iterations 3..5
@@ -409,8 +421,41 @@ TEST(SchedulerDagTest, PipelineMutationInvalidatesCachedPlan) {
   sim.Simulate(3);  // still executes after the mutations
 }
 
+class CountingOp : public StandaloneOperation {
+ public:
+  explicit CountingOp(int* runs) : StandaloneOperation("counting_op", 1),
+                                   runs_(runs) {}
+  void Run(Simulation*) override { ++*runs_; }
+
+ private:
+  int* runs_;
+};
+
+TEST(SchedulerDagTest, PipelineBeyond64OpsKeepsEveryNode) {
+  // No cap on the pipeline length: every due op becomes a node of the
+  // iteration's plan and runs once per iteration.
+  Simulation sim("dag_long", DagParam(2));
+  sim.GetResourceManager()->AddAgent(new Cell({10, 10, 10}, 10));
+  auto* scheduler = sim.GetScheduler();
+  // Iteration 0: load_balancing, environment_update, agent_ops,
+  // mechanical_forces, diffusion, commit (+ the audit in builds that
+  // export BDM_AUDIT_INTERVAL).
+  const int default_nodes = scheduler->GetIterationDag().size();
+  ASSERT_EQ(default_nodes, sim.GetParam().audit_interval > 0 ? 7 : 6);
+  constexpr int kExtraOps = 70;
+  std::vector<int> runs(kExtraOps, 0);
+  for (int& count : runs) {
+    scheduler->AppendPostOp(std::make_unique<CountingOp>(&count));
+  }
+  EXPECT_EQ(scheduler->GetIterationDag().size(), default_nodes + kExtraOps);
+  sim.Simulate(2);
+  for (int i = 0; i < kExtraOps; ++i) {
+    EXPECT_EQ(runs[i], 2) << "op " << i;
+  }
+}
+
 TEST(SchedulerDagTest, SinkIsBetweenParallelRegionsAndTimingFolds) {
-  Param param = DagParam(4, true);
+  Param param = DagParam(4);
   Simulation sim("dag_sink", param);
   BuildCoupledWorkload(&sim, 200, 90, 31, /*secrete=*/true);
   int snapshots = 0;
@@ -438,42 +483,11 @@ TEST(SchedulerDagTest, SinkIsBetweenParallelRegionsAndTimingFolds) {
 // Chrome-trace export of overlapping lanes
 // ---------------------------------------------------------------------------
 
-bool JsonBalanced(const std::string& text) {
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  for (const char c : text) {
-    if (escaped) {
-      escaped = false;
-      continue;
-    }
-    if (c == '\\') {
-      escaped = true;
-      continue;
-    }
-    if (c == '"') {
-      in_string = !in_string;
-      continue;
-    }
-    if (in_string) {
-      continue;
-    }
-    if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      if (--depth < 0) {
-        return false;
-      }
-    }
-  }
-  return depth == 0 && !in_string;
-}
-
 TEST(DagTraceTest, DagModeTraceIsWellFormedAndNamesLaneTracks) {
   const std::string path = test::TempPath("dag.trace.json");
   setenv("BDM_TRACE", path.c_str(), 1);
   {
-    Param param = DagParam(4, true);
+    Param param = DagParam(4);
     Simulation sim("dag_trace", param);
     BuildCoupledWorkload(&sim, 300, 100, 41, /*secrete=*/true);
     sim.Simulate(5);
@@ -483,7 +497,7 @@ TEST(DagTraceTest, DagModeTraceIsWellFormedAndNamesLaneTracks) {
   ASSERT_TRUE(in.good()) << "BDM_TRACE did not produce " << path;
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
-  EXPECT_TRUE(JsonBalanced(text));
+  EXPECT_TRUE(test::JsonBalanced(text));
   EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
   // Lane tracks are registered by the executor and emitted as thread_name
   // metadata, so Perfetto shows diffusion overlapping mechanics on

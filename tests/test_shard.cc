@@ -9,6 +9,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -21,6 +25,8 @@
 #include "obs/metrics.h"
 #include "shard/sharded_simulation.h"
 #include "spatial/shard_partition.h"
+#include "support/json_balanced.h"
+#include "support/temp_path.h"
 
 namespace bdm::shard {
 namespace {
@@ -147,6 +153,44 @@ TEST(ShardedSimulationTest, SingleShardHasNoExchange) {
   EXPECT_EQ(sim.TotalOwned(), 10u);
   EXPECT_EQ(sim.TotalGhosts(), 0u);
   EXPECT_EQ(sim.GetTransport()->TotalBytesSent(), 0u);
+}
+
+TEST(ShardedSimulationTest, ObservabilityJsonReportsEveryShard) {
+  // BDM_OBS_JSON on a sharded run: one document with each local shard's
+  // timing section next to the process-global counters.
+  const std::string path = test::TempPath("sharded_obs.json");
+  setenv("BDM_OBS_JSON", path.c_str(), 1);
+  {
+    ShardedSimulation sim("obs", ShardParam(), {0, 0, 0}, {100, 100, 100},
+                          2);
+    for (int i = 0; i < 10; ++i) {
+      auto* cell = new Cell({static_cast<real_t>(10 + i * 8), 50, 50}, 8);
+      cell->AddBehavior(new DriftBehavior(i));
+      sim.AddAgent(cell);
+    }
+    sim.Simulate(3);
+  }  // dtor writes the document
+  unsetenv("BDM_OBS_JSON");
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "BDM_OBS_JSON did not produce " << path;
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_TRUE(test::JsonBalanced(text)) << text;
+  EXPECT_NE(text.find("\"shards\""), std::string::npos);
+  for (const char* shard : {"\"obs_shard0\"", "\"obs_shard1\""}) {
+    const size_t at = text.find(shard);
+    ASSERT_NE(at, std::string::npos) << shard;
+    // The shard's own section follows its name: iterations, grand total and
+    // per-op timing.
+    const size_t iterations = text.find("\"iterations\": 3", at);
+    const size_t timing = text.find("\"agent_ops\"", at);
+    EXPECT_NE(iterations, std::string::npos) << shard;
+    EXPECT_NE(timing, std::string::npos) << shard;
+  }
+  EXPECT_NE(text.find("\"counters\""), std::string::npos);
+  EXPECT_NE(text.find("\"shard/migrations\""), std::string::npos);
+  EXPECT_NE(text.find("\"gauges\""), std::string::npos);
+  std::remove(path.c_str());
 }
 
 TEST(ShardedSimulationTest, HaloGhostAppearsUpdatesAndRetires) {
