@@ -38,12 +38,15 @@ class ChurnBehavior : public Behavior {
   Behavior* NewCopy() const override { return new ChurnBehavior(*this); }
 };
 
+// gtest names each case after the bytes of its parameter, so the struct
+// has no padding (indeterminate bytes would make the names change from run
+// to run): the two flags are ints, 0 or 1.
 struct StressConfig {
   int threads;
   int domains;
-  bool memory_manager;
+  int memory_manager;
   int sort_frequency;
-  bool detect_static;
+  int detect_static;
 };
 
 class StressTest : public ::testing::TestWithParam<StressConfig> {};
@@ -53,9 +56,9 @@ TEST_P(StressTest, InvariantsHoldUnderChurn) {
   Param param;
   param.num_threads = c.threads;
   param.num_numa_domains = c.domains;
-  param.use_bdm_memory_manager = c.memory_manager;
+  param.use_bdm_memory_manager = c.memory_manager != 0;
   param.agent_sort_frequency = c.sort_frequency;
-  param.detect_static_agents = c.detect_static;
+  param.detect_static_agents = c.detect_static != 0;
   Simulation sim("stress", param);
   auto* rm = sim.GetResourceManager();
   Random init(7);
@@ -94,12 +97,12 @@ TEST_P(StressTest, InvariantsHoldUnderChurn) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, StressTest,
-    ::testing::Values(StressConfig{1, 1, false, 0, false},
-                      StressConfig{2, 1, true, 0, false},
-                      StressConfig{4, 2, true, 3, false},
-                      StressConfig{4, 2, true, 1, true},
-                      StressConfig{8, 4, true, 2, true},
-                      StressConfig{3, 3, false, 5, true}));
+    ::testing::Values(StressConfig{1, 1, 0, 0, 0},
+                      StressConfig{2, 1, 1, 0, 0},
+                      StressConfig{4, 2, 1, 3, 0},
+                      StressConfig{4, 2, 1, 1, 1},
+                      StressConfig{8, 4, 1, 2, 1},
+                      StressConfig{3, 3, 0, 5, 1}));
 
 TEST(StressTest, GridNeighborhoodStaysExactUnderChurn) {
   // After heavy churn, the uniform grid must still return exactly the
