@@ -58,8 +58,6 @@ int main() {
       for (int f : frequencies) {
         Param config = AllOptimizationsParam(0, domains);
         config.agent_sort_frequency = f;
-        const size_t rss_before = CurrentRssBytes();
-        (void)rss_before;
         double s_per_iter = 0;
         {
           Simulation sim("prolif_random", config);

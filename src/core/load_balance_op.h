@@ -8,21 +8,35 @@
 //   3. prefix-sums per-box agent counts and cuts the sequence into one
 //      segment per NUMA domain (share proportional to its thread count) and
 //      per thread (equal share within a domain),
-//   4. each thread *copies* its segment's agents into fresh allocations --
-//      made by itself, so the pool allocator places them in its own domain
-//      -- and writes the new pointers into rebuilt per-domain vectors.
-// Old agent objects are freed immediately after each copy, or after the
-// whole step when param.sort_with_extra_memory is set (the "extra memory"
-// variant of Figure 9).
+//   4. each thread walks its segment's boxes and writes every agent's
+//      pointer into rebuilt per-domain vectors. An agent is relocated --
+//      copied by that thread, so the pool allocator places the copy in the
+//      thread's domain -- only when relocation buys placement: always under
+//      param.sort_with_extra_memory, otherwise only on two or more domains
+//      and only an agent whose memory is not in its new domain's pool
+//      (MemoryManager::DomainOf; without the pool manager that is every
+//      agent). Every other agent keeps its object.
+// A relocated agent's old object is freed immediately after its copy, or
+// after the whole step when param.sort_with_extra_memory is set (the "extra
+// memory" variant of Figure 9), so no copy reuses a slot its own step
+// freed.
 //
 // Only the uniform grid environment supports this operation (as in the
 // paper); with other environments it is a no-op.
 #ifndef BDM_CORE_LOAD_BALANCE_OP_H_
 #define BDM_CORE_LOAD_BALANCE_OP_H_
 
+#include <array>
+#include <cstdint>
+#include <vector>
+
 #include "core/operation.h"
+#include "core/param.h"
 
 namespace bdm {
+
+class NumaThreadPool;
+class UniformGridEnvironment;
 
 class LoadBalanceOp : public StandaloneOperation {
  public:
@@ -33,6 +47,20 @@ class LoadBalanceOp : public StandaloneOperation {
     DeclareResources(kResAll, kResAll);
   }
   void Run(Simulation* sim) override;
+
+ private:
+  /// Fills flat_of_rank_ for the grid's dimensions and `curve` unless it
+  /// already holds them.
+  void BuildRankTable(const UniformGridEnvironment& grid, SortingCurve curve,
+                      NumaThreadPool* pool);
+
+  // Curve rank -> flat box index. Depends only on the grid dimensions and
+  // the curve, so it is kept across calls.
+  std::vector<int64_t> flat_of_rank_;
+  std::array<int64_t, 3> rank_dims_ = {0, 0, 0};
+  SortingCurve rank_curve_ = SortingCurve::kMorton;
+  // Per-box agent counts in curve order, then their inclusive prefix sum.
+  std::vector<uint64_t> counts_;
 };
 
 }  // namespace bdm

@@ -528,11 +528,12 @@ void ResourceManager::ReplaceAgentVectors(
     std::vector<std::vector<Agent*>>&& new_vectors) {
   assert(new_vectors.size() == agents_.size());
   agents_ = std::move(new_vectors);
-  // Sorting rebuilt every vector (and relocated the agents themselves); the
+  // Sorting rebuilt every vector (and may have relocated agents); the
   // incremental mirror cannot track this, so force a full store rebuild.
   soa_store_.MarkStructureDirty();
-  // Agent sorting copies agents to new memory locations, so both the pointer
-  // and the handle of every uid-map entry must be refreshed.
+  // Agent sorting moves agents to new handles and may copy them to new
+  // memory locations, so both the pointer and the handle of every uid-map
+  // entry must be refreshed.
   for (uint16_t d = 0; d < agents_.size(); ++d) {
     auto& domain = agents_[d];
     pool_->ParallelFor(0, static_cast<int64_t>(domain.size()), 4096,

@@ -101,7 +101,7 @@ class ResourceManager {
     return agents_[numa_domain];
   }
   /// Replaces all per-domain vectors at once and rebuilds uid-map handles
-  /// (and pointers, since sorting copies agents to new memory locations).
+  /// (and pointers, since sorting may copy agents to new memory locations).
   void ReplaceAgentVectors(std::vector<std::vector<Agent*>>&& new_vectors);
 
   /// Direct handle update, used by the removal swaps.

@@ -85,6 +85,11 @@ void MemoryManager::Delete(void* p) {
   pool->Delete(p, ThreadSlot());
 }
 
+int MemoryManager::DomainOf(const void* p) const {
+  const auto* pool = NumaPoolAllocator::FromPointer(p, segment_size_);
+  return pool == nullptr ? -1 : pool->numa_domain();
+}
+
 size_t MemoryManager::TotalReserved() const {
   std::shared_lock lock(pools_mutex_);
   size_t total = 0;

@@ -5,7 +5,8 @@
 // when the engine is configured with use_bdm_memory_manager, so objects of
 // equal size end up densely packed ("columnar") in per-domain pools.
 // Deallocation recovers the owning pool from the pointer itself via the
-// segment header, so it needs neither the size nor the domain.
+// segment header, so it needs neither the size nor the domain; DomainOf
+// reads the same header to tell where an object lives.
 #ifndef BDM_MEMORY_MEMORY_MANAGER_H_
 #define BDM_MEMORY_MEMORY_MANAGER_H_
 
@@ -36,6 +37,10 @@ class MemoryManager {
 
   /// Returns memory obtained from New.
   void Delete(void* p);
+
+  /// NUMA domain of the pool that owns `p` (memory obtained from New), read
+  /// from its segment header; -1 for a large-object fallback allocation.
+  int DomainOf(const void* p) const;
 
   /// Total bytes currently reserved from the OS across all pools.
   size_t TotalReserved() const;

@@ -76,9 +76,9 @@ class NumaPoolAllocator {
   /// any pointer returned by New given the global segment size. Returns the
   /// value stored in the segment header (nullptr for large-object fallback
   /// allocations, see MemoryManager).
-  static NumaPoolAllocator* FromPointer(void* p, size_t segment_size) {
+  static NumaPoolAllocator* FromPointer(const void* p, size_t segment_size) {
     auto addr = reinterpret_cast<uintptr_t>(p);
-    auto* segment = reinterpret_cast<void**>(addr & ~(segment_size - 1));
+    auto* segment = reinterpret_cast<void* const*>(addr & ~(segment_size - 1));
     return static_cast<NumaPoolAllocator*>(*segment);
   }
 

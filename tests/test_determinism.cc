@@ -123,22 +123,12 @@ TEST(DeterminismTest, ParallelCommitPreservesPopulationDynamics) {
   EXPECT_EQ(a.size(), b.size());
 }
 
-// --- diffusion-field repeatability (ctest label: determinism) -----------------
+// --- bitwise fields and sort relocation (ctest label: determinism) ------------
 
-/// Bit patterns of every voxel of every grid after `iterations` of the
-/// secreting, chemotaxing clustering model at `threads` threads.
-std::vector<uint64_t> ClusteringFieldBits(int threads, int iterations) {
-  const models::ModelInfo* model = models::FindModel("clustering");
-  Param param;
-  param.num_threads = threads;
-  if (model->configure != nullptr) {
-    model->configure(&param);
-  }
-  Simulation sim("field_repeatability", param);
-  model->build(&sim, 10000);
-  sim.Simulate(iterations);
+/// Bit patterns of every voxel of every diffusion grid of `sim`.
+std::vector<uint64_t> FieldBits(Simulation* sim) {
   std::vector<uint64_t> bits;
-  for (const DiffusionGrid* grid : sim.GetAllDiffusionGrids()) {
+  for (const DiffusionGrid* grid : sim->GetAllDiffusionGrids()) {
     const int n = grid->GetResolution();
     for (int z = 0; z < n; ++z) {
       for (int y = 0; y < n; ++y) {
@@ -150,6 +140,38 @@ std::vector<uint64_t> ClusteringFieldBits(int threads, int iterations) {
     }
   }
   return bits;
+}
+
+/// Bit patterns of every agent's position coordinates, in uid order.
+std::vector<uint64_t> PositionBits(Simulation* sim) {
+  std::vector<uint64_t> bits;
+  for (const auto& [uid, pos] : Snapshot(sim)) {
+    for (const real_t coordinate : {pos.x, pos.y, pos.z}) {
+      bits.push_back(std::bit_cast<uint64_t>(static_cast<double>(coordinate)));
+    }
+  }
+  return bits;
+}
+
+/// Parameters of the clustering registry model (the secreting, chemotaxing
+/// one) at `threads` threads.
+Param ClusteringParam(int threads) {
+  Param param;
+  param.num_threads = threads;
+  const models::ModelInfo* model = models::FindModel("clustering");
+  if (model->configure != nullptr) {
+    model->configure(&param);
+  }
+  return param;
+}
+
+/// Field bits after `iterations` of the clustering model at `threads`
+/// threads.
+std::vector<uint64_t> ClusteringFieldBits(int threads, int iterations) {
+  Simulation sim("field_repeatability", ClusteringParam(threads));
+  models::FindModel("clustering")->build(&sim, 10000);
+  sim.Simulate(iterations);
+  return FieldBits(&sim);
 }
 
 TEST(FieldRepeatabilityTest, ClusteringFieldIsBitwiseAtFourThreads) {
@@ -169,6 +191,34 @@ TEST(FieldRepeatabilityTest, ClusteringFieldIsBitwiseAtFourThreads) {
     EXPECT_EQ(differing, 0u) << "4-thread run " << run << " differs from the "
                              << "1-thread run in " << differing << " voxels";
   }
+}
+
+TEST(SortRelocationTest, RelocatingEveryAgentLeavesClusteringBitwise) {
+  // The O4 sort copies every agent under sort_with_extra_memory and, on one
+  // domain, none otherwise. Where an agent object lives must not change any
+  // number: positions and both fields agree bit for bit after 20 sorted
+  // iterations.
+  auto run = [](bool extra_memory, std::vector<uint64_t>* positions,
+                std::vector<uint64_t>* fields) {
+    Param param = ClusteringParam(1);
+    param.num_numa_domains = 1;
+    param.agent_sort_frequency = 1;
+    param.sort_with_extra_memory = extra_memory;
+    Simulation sim("sort_relocation", param);
+    models::FindModel("clustering")->build(&sim, 5000);
+    sim.Simulate(20);
+    ASSERT_EQ(sim.GetTiming()->Count("load_balancing"), 20u);
+    *positions = PositionBits(&sim);
+    *fields = FieldBits(&sim);
+  };
+  std::vector<uint64_t> copied_positions, copied_fields;
+  std::vector<uint64_t> kept_positions, kept_fields;
+  run(true, &copied_positions, &copied_fields);
+  run(false, &kept_positions, &kept_fields);
+  ASSERT_FALSE(kept_positions.empty());
+  ASSERT_FALSE(kept_fields.empty());
+  EXPECT_EQ(copied_positions, kept_positions);
+  EXPECT_EQ(copied_fields, kept_fields);
 }
 
 // --- AgentPointer (needs an active simulation) --------------------------------
