@@ -308,10 +308,12 @@ void ExpectNearTrajectories(const std::map<AgentUid, Real3>& a,
 
 // Every environment serves neighbors from its Update-time snapshot, which
 // is also what the pair engine evaluates, so on each of them the two
-// engines' trajectories agree up to force summation order.
+// engines' trajectories agree up to force summation order. detect_static
+// is an int, 0 or 1, so the struct has no padding: PairEngineCrossEnvironment
+// is named after the parameter's bytes.
 struct EngineCase {
   EnvironmentType environment;
-  bool detect_static;
+  int detect_static;
 };
 
 class PairEngineEquivalence
@@ -320,7 +322,7 @@ class PairEngineEquivalence
 TEST_P(PairEngineEquivalence, SameTrajectoriesAsPerAgentEngine) {
   Param param;
   param.environment = GetParam().environment;
-  param.detect_static_agents = GetParam().detect_static;
+  param.detect_static_agents = GetParam().detect_static != 0;
   const auto per_agent = RunRelaxation(param, false, 20);
   const auto pair = RunRelaxation(param, true, 20);
   ExpectNearTrajectories(per_agent, pair, 1e-6);
@@ -337,12 +339,12 @@ std::string EquivalenceCaseName(
 
 INSTANTIATE_TEST_SUITE_P(
     StaticDetection, PairEngineEquivalence,
-    ::testing::Values(EngineCase{EnvironmentType::kUniformGrid, false},
-                      EngineCase{EnvironmentType::kUniformGrid, true},
-                      EngineCase{EnvironmentType::kKdTree, false},
-                      EngineCase{EnvironmentType::kKdTree, true},
-                      EngineCase{EnvironmentType::kOctree, false},
-                      EngineCase{EnvironmentType::kOctree, true}),
+    ::testing::Values(EngineCase{EnvironmentType::kUniformGrid, 0},
+                      EngineCase{EnvironmentType::kUniformGrid, 1},
+                      EngineCase{EnvironmentType::kKdTree, 0},
+                      EngineCase{EnvironmentType::kKdTree, 1},
+                      EngineCase{EnvironmentType::kOctree, 0},
+                      EngineCase{EnvironmentType::kOctree, 1}),
     EquivalenceCaseName);
 
 // The pair engine must integrate the same trajectory no matter which
@@ -356,7 +358,7 @@ class PairEngineCrossEnvironment
 TEST_P(PairEngineCrossEnvironment, MatchesUniformGridTrajectories) {
   Param grid_param;
   grid_param.environment = EnvironmentType::kUniformGrid;
-  grid_param.detect_static_agents = GetParam().detect_static;
+  grid_param.detect_static_agents = GetParam().detect_static != 0;
   Param tree_param = grid_param;
   tree_param.environment = GetParam().environment;
   const auto on_grid = RunRelaxation(grid_param, true, 20);
@@ -366,10 +368,10 @@ TEST_P(PairEngineCrossEnvironment, MatchesUniformGridTrajectories) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configurations, PairEngineCrossEnvironment,
-    ::testing::Values(EngineCase{EnvironmentType::kKdTree, false},
-                      EngineCase{EnvironmentType::kKdTree, true},
-                      EngineCase{EnvironmentType::kOctree, false},
-                      EngineCase{EnvironmentType::kOctree, true}));
+    ::testing::Values(EngineCase{EnvironmentType::kKdTree, 0},
+                      EngineCase{EnvironmentType::kKdTree, 1},
+                      EngineCase{EnvironmentType::kOctree, 0},
+                      EngineCase{EnvironmentType::kOctree, 1}));
 
 // A subclassed force (AdhesionScale override) takes the engine's generic
 // scatter on the uniform grid; it must integrate the same trajectories as
@@ -408,10 +410,13 @@ TEST(PairEngineSubclassedForce, MatchesPerAgentEngine) {
 
 // Every environment x soa_primary combination schedules the one pair
 // engine under the per-agent op's name, and it runs an empty population
-// and an isolated overlapping pair.
+// and an isolated overlapping pair. gtest and ctest name each case after
+// the bytes of its parameter, so the struct has no padding (indeterminate
+// bytes would make the names change from run to run): soa_primary is an
+// int, 0 or 1.
 struct SchedulingCase {
   EnvironmentType environment;
-  bool soa_primary;
+  int soa_primary;
 };
 
 class PairEngineScheduling : public ::testing::TestWithParam<SchedulingCase> {
@@ -422,7 +427,7 @@ TEST_P(PairEngineScheduling, FusedOpRunsEveryConfiguration) {
   param.num_threads = 2;
   param.num_numa_domains = 1;
   param.environment = GetParam().environment;
-  param.soa_primary = GetParam().soa_primary;
+  param.soa_primary = GetParam().soa_primary != 0;
   Simulation sim("pair_scheduling", param);
   Scheduler* scheduler = sim.GetScheduler();
   EXPECT_NE(dynamic_cast<MechanicsFusedOp*>(scheduler->GetOp("mechanical_forces")),
@@ -448,12 +453,12 @@ TEST_P(PairEngineScheduling, FusedOpRunsEveryConfiguration) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configurations, PairEngineScheduling,
-    ::testing::Values(SchedulingCase{EnvironmentType::kUniformGrid, true},
-                      SchedulingCase{EnvironmentType::kUniformGrid, false},
-                      SchedulingCase{EnvironmentType::kKdTree, true},
-                      SchedulingCase{EnvironmentType::kKdTree, false},
-                      SchedulingCase{EnvironmentType::kOctree, true},
-                      SchedulingCase{EnvironmentType::kOctree, false}));
+    ::testing::Values(SchedulingCase{EnvironmentType::kUniformGrid, 1},
+                      SchedulingCase{EnvironmentType::kUniformGrid, 0},
+                      SchedulingCase{EnvironmentType::kKdTree, 1},
+                      SchedulingCase{EnvironmentType::kKdTree, 0},
+                      SchedulingCase{EnvironmentType::kOctree, 1},
+                      SchedulingCase{EnvironmentType::kOctree, 0}));
 
 }  // namespace
 }  // namespace bdm
