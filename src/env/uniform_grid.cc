@@ -248,7 +248,7 @@ void UniformGridEnvironment::Update(const ResourceManager& rm,
                  << c[1] << ", " << c[2] << ") holds more than 65535 agents";
               throw std::overflow_error(os.str());
             }
-            successors_[i] = fresh ? Head(word) : 0xFFFFFFFFu;
+            successors_[i] = fresh ? Head(word) : kChainEnd;
             const uint64_t desired =
                 Pack(timestamp_, count + 1, static_cast<uint32_t>(i));
             if (box.compare_exchange_weak(word, desired,
@@ -288,15 +288,24 @@ std::array<int64_t, 3> UniformGridEnvironment::BoxCoordinates(
 // The one search: position, diameter and distance of every reported
 // neighbor all come from the Update-time SoA arrays, so they agree with
 // each other while behaviors move agents, and no neighbor Agent is read.
+// Candidates collect branch-free into one hit buffer over the whole cube;
+// the exclusion compare and the callback run on the hits afterwards, in
+// visit order.
 void UniformGridEnvironment::Search(const Real3& position,
                                     real_t squared_radius, const Agent* exclude,
                                     NeighborFn fn) const {
   if (dense_count_ == 0) {
     return;
   }
-  const auto emit = [&](uint32_t idx, real_t d2) {
-    fn({flat_agents_[idx], idx, {pos_x_[idx], pos_y_[idx], pos_z_[idx]},
-        diameters_[idx], d2});
+  HitBuffer hits;
+  const auto report = [&](uint32_t count) {
+    for (uint32_t k = 0; k < count; ++k) {
+      const uint32_t idx = static_cast<uint32_t>(hits.owner_index[k]);
+      if (flat_agents_[idx] != exclude) {
+        fn({flat_agents_[idx], idx, {pos_x_[idx], pos_y_[idx], pos_z_[idx]},
+            diameters_[idx], hits.d2[k]});
+      }
+    }
   };
   // One ring of boxes suffices for radii up to the box length (the common
   // case); larger query radii widen the search cube accordingly. The
@@ -316,13 +325,16 @@ void UniformGridEnvironment::Search(const Real3& position,
       std::floor((position.y - lower_.y) * inv_box_length_));
   const int64_t cz = static_cast<int64_t>(
       std::floor((position.z - lower_.z) * inv_box_length_));
+  uint32_t n = 0;
   if (reach == 1 && cx >= 1 && cx + 1 < nx_ && cy >= 1 && cy + 1 < ny_ &&
       cz >= 1 && cz + 1 < nz_) {
     // Interior fast path: the 27-box stencil as precomputed flat offsets.
     const int64_t base = FlatBoxIndex(cx, cy, cz);
     for (int s = 0; s < 27; ++s) {
-      ScanBox(base + stencil_[s], position, squared_radius, exclude, emit);
+      n = CollectHits(BoxChain(base + stencil_[s]), 0, position,
+                      squared_radius, hits, n, report);
     }
+    report(n);
     return;
   }
   const int64_t zlo = std::max<int64_t>(cz - reach, 0);
@@ -334,10 +346,12 @@ void UniformGridEnvironment::Search(const Real3& position,
   for (int64_t z = zlo; z <= zhi; ++z) {
     for (int64_t y = ylo; y <= yhi; ++y) {
       for (int64_t x = xlo; x <= xhi; ++x) {
-        ScanBox(FlatBoxIndex(x, y, z), position, squared_radius, exclude, emit);
+        n = CollectHits(BoxChain(FlatBoxIndex(x, y, z)), 0, position,
+                        squared_radius, hits, n, report);
       }
     }
   }
+  report(n);
 }
 
 // Half-stencil pair traversal. Correctness argument:
@@ -431,9 +445,11 @@ void UniformGridEnvironment::AuditConsistency(
       complain(os.str());
     }
   }
-  // Box chains: every box's chain must stay within bounds and visit
-  // distinct agents; the chain lengths must add up to the agent count; and
-  // every agent must be reachable in the box its mirrored position maps to.
+  // Box chains: every box's chain must stay within bounds, visit distinct
+  // agents and end in kChainEnd right after its count (the pair walk's
+  // own-box scan stops at the sentinel); the chain lengths must add up to
+  // the agent count; and every agent must be reachable in the box its
+  // mirrored position maps to.
   std::vector<uint8_t> seen(total, 0);
   uint64_t chained = 0;
   for (int64_t flat = 0; flat < GetNumBoxes(); ++flat) {
@@ -464,6 +480,10 @@ void UniformGridEnvironment::AuditConsistency(
         complain(os.str());
       }
       idx = successors_[idx];
+    }
+    if (idx != kChainEnd) {
+      complain("box " + std::to_string(flat) +
+               " chain does not end after its count");
     }
   }
   if (chained != total) {

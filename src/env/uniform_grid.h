@@ -27,6 +27,14 @@
 //  * The common reach == 1 case walks a precomputed 27-offset stencil from
 //    the query's flat box index (interior boxes only; boundary boxes take
 //    the general clamped triple loop).
+//  * Both scans -- Search and the half-stencil pair traversal -- collect
+//    candidates branch-free: each candidate's (dense index, d2) goes into
+//    a small on-stack hit buffer whose fill advances by the 0/1 outcome of
+//    the distance test, so the accept rate causes no mispredictions. The
+//    callback runs on the hits when the buffer fills and when the query
+//    (or the pair traversal's slab) ends, in visit order with the same d2,
+//    so every neighbor sequence and force sum is what a branchy scan
+//    would produce.
 //
 // The grid additionally exposes box counts and per-box agent iteration,
 // which the Morton sorting/balancing operation of Section 4.2 builds on.
@@ -68,7 +76,8 @@ class UniformGridEnvironment : public Environment {
 
   /// One worker's share of the half-stencil pair traversal: walks dense
   /// indices [lo, hi) and invokes `emit(i, j, d2)` for every interacting
-  /// pair whose chain/stencil owner i lies in the slab. Shared by
+  /// pair whose chain/stencil owner i lies in the slab, in walk order (the
+  /// calls come in batches of up to kHitCapacity pairs). Shared by
   /// ForEachNeighborPair and the fused mechanics op, which partitions the
   /// dense range itself so it can fuse shard zeroing and force scatter into
   /// one dispatch. The d2 handed over is bitwise-identical to
@@ -76,37 +85,35 @@ class UniformGridEnvironment : public Environment {
   template <typename Emit>
   void ForEachNeighborPairInSlab(real_t squared_radius, int64_t lo, int64_t hi,
                                  Emit&& emit) const {
-    constexpr uint32_t kChainEnd = 0xFFFFFFFFu;
     uint64_t pairs_visited = 0;
-    const auto counted = [&](uint32_t i, uint32_t j, real_t d2) {
-      ++pairs_visited;
-      emit(i, j, d2);
+    // Consecutive agents share the buffer, which reports when full: a
+    // report per agent would add a loop exit per agent that depends on all
+    // of that agent's distance tests (measured slower, EXPERIMENTS.md
+    // "Branch-free grid scans").
+    HitBuffer hits;
+    const auto report = [&](uint32_t count) {
+      for (uint32_t k = 0; k < count; ++k) {
+        emit(static_cast<uint32_t>(hits.owner_index[k] >> 32),
+             static_cast<uint32_t>(hits.owner_index[k]), hits.d2[k]);
+      }
+      pairs_visited += count;
     };
+    uint32_t n = 0;
     for (int64_t i = lo; i < hi; ++i) {
+      const uint32_t owner = static_cast<uint32_t>(i);
       const Real3 pos{pos_x_[i], pos_y_[i], pos_z_[i]};
       // Own box: later-inserted agents were already paired with i when they
       // walked their own chains; the chain below i holds the earlier ones.
-      for (uint32_t j = successors_[i]; j != kChainEnd; j = successors_[j]) {
-        const real_t dx = pos_x_[j] - pos.x;
-        const real_t dy = pos_y_[j] - pos.y;
-        const real_t dz = pos_z_[j] - pos.z;
-        const real_t d2 = dx * dx + dy * dy + dz * dz;
-        if (d2 <= squared_radius) {
-          counted(static_cast<uint32_t>(i), j, d2);
-        }
-      }
+      n = CollectHits({successors_[i], kWholeChain}, owner, pos,
+                      squared_radius, hits, n, report);
       // Forward half stencil.
       const auto c = BoxCoordinates(pos);
-      const auto scan = [&](int64_t flat) {
-        ScanBox(flat, pos, squared_radius, nullptr, [&](uint32_t j, real_t d2) {
-          counted(static_cast<uint32_t>(i), j, d2);
-        });
-      };
       if (c[0] >= 1 && c[0] + 1 < nx_ && c[1] >= 1 && c[1] + 1 < ny_ &&
           c[2] >= 1 && c[2] + 1 < nz_) {
         const int64_t base = FlatBoxIndex(c[0], c[1], c[2]);
         for (int s = 0; s < 13; ++s) {
-          scan(base + forward_stencil_[s]);
+          n = CollectHits(BoxChain(base + forward_stencil_[s]), owner, pos,
+                          squared_radius, hits, n, report);
         }
       } else {
         for (int64_t dz = -1; dz <= 1; ++dz) {
@@ -120,12 +127,14 @@ class UniformGridEnvironment : public Environment {
                   z >= nz_) {
                 continue;
               }
-              scan(FlatBoxIndex(x, y, z));
+              n = CollectHits(BoxChain(FlatBoxIndex(x, y, z)), owner, pos,
+                              squared_radius, hits, n, report);
             }
           }
         }
       }
     }
+    report(n);
     CountPairVisits(pairs_visited);
   }
 
@@ -169,6 +178,11 @@ class UniformGridEnvironment : public Environment {
     }
   }
 
+  /// Capacity of the on-stack hit buffer a scan fills before it reports:
+  /// a query with more hits than this, like a pair-traversal slab, reports
+  /// them in several batches, still in visit order.
+  static constexpr uint32_t kHitCapacity = 128;
+
   /// Test hook: places the internal 16-bit timestamp so the next Updates
   /// drive it across the wrap-clear path without 65535 real updates.
   void SetTimestampForTesting(uint16_t timestamp) { timestamp_ = timestamp; }
@@ -199,29 +213,74 @@ class UniformGridEnvironment : public Environment {
   /// (out of line so this header does not pull in obs/metrics.h).
   void CountPairVisits(uint64_t pairs_visited) const;
 
-  /// Scans one box, invoking `emit(flat_agent_index, d2)` for every agent
-  /// within the radius. The reject path touches only the SoA mirrors;
-  /// `flat_agents_` is read (for the exclusion compare) only after the
-  /// distance test passed.
-  template <typename Emit>
-  void ScanBox(int64_t flat, const Real3& position, real_t squared_radius,
-               const Agent* exclude, Emit&& emit) const {
+  static constexpr uint32_t kChainEnd = 0xFFFFFFFFu;
+
+  /// Accepted candidates in visit order: (owner << 32 | dense index, d2)
+  /// for entries below the fill the scan carries alongside. The owner is
+  /// the pair walk's agent i (0 in Search). Lives on the stack.
+  struct HitBuffer {
+    uint64_t owner_index[kHitCapacity];
+    real_t d2[kHitCapacity];
+  };
+
+  /// A stretch of successor chain to scan: from `first`, at most `length`
+  /// agents, stopping early at kChainEnd. Every box chain ends in kChainEnd
+  /// (the first agent pushed into a box this Update gets it as successor).
+  struct Chain {
+    uint32_t first;
+    uint32_t length;
+  };
+  /// Length of a chain walked to its end (an agent's own-box remainder).
+  static constexpr uint32_t kWholeChain = 0xFFFFFFFFu;
+
+  /// Box `flat`'s chain; empty if the box carries a stale timestamp (empty
+  /// this iteration). The length bounds the walk, so the loop exit does not
+  /// wait for the last successor load.
+  Chain BoxChain(int64_t flat) const {
     const uint64_t word = boxes_[flat].load(std::memory_order_acquire);
     if (Timestamp(word) != timestamp_) {
-      return;  // stale timestamp: box is empty this iteration
+      return {kChainEnd, 0};
     }
-    uint32_t idx = Head(word);
-    for (uint16_t k = 0, count = Count(word); k < count; ++k) {
-      const uint32_t cur = idx;
-      idx = successors_[cur];
-      const real_t dx = pos_x_[cur] - position.x;
-      const real_t dy = pos_y_[cur] - position.y;
-      const real_t dz = pos_z_[cur] - position.z;
+    return {Head(word), Count(word)};
+  }
+
+  /// The one scan helper, shared by Search and the pair traversal: walks
+  /// `chain` and appends every candidate, tagged with `owner`, to `hits`
+  /// after the first `n`, advancing `n` by the 0/1 outcome of the distance
+  /// test -- no branch depends on it, so the ~1-in-7 accept rate costs no
+  /// mispredictions. A full buffer is handed to `report(count)`, which
+  /// reports entries [0, count) and lets the walk restart at 0. Returns the
+  /// new fill; the caller reports the rest when its scan ends, so hits
+  /// leave in visit order with the d2 computed here. The walk touches only
+  /// the successor links and the SoA position arrays.
+  template <typename Report>
+  uint32_t CollectHits(Chain chain, uint32_t owner, const Real3& position,
+                       real_t squared_radius, HitBuffer& hits, uint32_t n,
+                       Report&& report) const {
+    // Locals, so that the rarely taken report call does not force a reload
+    // of the array views and the query position on every candidate.
+    const uint32_t* next = successors_.data();
+    const real_t* px = pos_x_;
+    const real_t* py = pos_y_;
+    const real_t* pz = pos_z_;
+    const real_t qx = position.x, qy = position.y, qz = position.z;
+    const uint64_t tag = uint64_t{owner} << 32;
+    uint32_t j = chain.first;
+    for (uint32_t k = 0; k < chain.length && j != kChainEnd;
+         ++k, j = next[j]) {
+      const real_t dx = px[j] - qx;
+      const real_t dy = py[j] - qy;
+      const real_t dz = pz[j] - qz;
       const real_t d2 = dx * dx + dy * dy + dz * dz;
-      if (d2 <= squared_radius && flat_agents_[cur] != exclude) {
-        emit(cur, d2);
+      hits.owner_index[n] = tag | j;
+      hits.d2[n] = d2;
+      n += static_cast<uint32_t>(d2 <= squared_radius);
+      if (n == kHitCapacity) {
+        report(n);
+        n = 0;
       }
     }
+    return n;
   }
 
   const Param* param_;

@@ -2,8 +2,12 @@
 // that the random-uniform correctness suite does not reach.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "core/cell.h"
 #include "core/resource_manager.h"
@@ -65,6 +69,74 @@ TEST(EnvEdgeCaseTest, AllAgentsAtTheSamePoint) {
     world.rm->AddAgent(new Cell({5, 5, 5}, 10));
   }
   world.VerifyAllEnvironments(100);
+}
+
+// 300 coincident agents in one box: every query and every pair-traversal
+// agent has more hits than the grid's hit buffer holds (the 20-agent case
+// above never fills it), so each scan reports in several batches. The query
+// itself is among the hits and must be excluded in whichever batch it
+// lands; the pair traversal must still emit each of the 300 * 299 / 2 pairs
+// exactly once, in box order.
+TEST(EnvEdgeCaseTest, CoincidentAgentsOverflowTheGridHitBuffer) {
+  constexpr int kAgents = 300;
+  static_assert(kAgents - 1 > 2 * UniformGridEnvironment::kHitCapacity,
+                "every scan must flush mid-scan at least twice");
+  EnvWorld world;
+  for (int i = 0; i < kAgents; ++i) {
+    world.rm->AddAgent(new Cell({5, 5, 5}, 10));
+  }
+  world.VerifyAllEnvironments(100);
+
+  UniformGridEnvironment grid(world.param);
+  grid.Update(*world.rm, world.pool.get());
+  ASSERT_EQ(grid.GetNumBoxes(), 1);
+  std::vector<uint32_t> box_order;  // dense indices in ForEachAgentInBox order
+  std::map<const Agent*, uint32_t> dense_index;
+  for (uint32_t i = 0; i < grid.DenseAgentCount(); ++i) {
+    dense_index[grid.DenseAgents()[i]] = i;
+  }
+  grid.ForEachAgentInBox(
+      0, [&](Agent* agent) { box_order.push_back(dense_index.at(agent)); });
+  ASSERT_EQ(box_order.size(), static_cast<size_t>(kAgents));
+
+  // Search: the box order without the query itself.
+  for (uint32_t query : box_order) {
+    std::vector<uint32_t> expected;
+    for (uint32_t j : box_order) {
+      if (j != query) {
+        expected.push_back(j);
+      }
+    }
+    std::vector<uint32_t> actual;
+    grid.ForEachNeighbor(*grid.DenseAgents()[query], 100,
+                         [&](const Environment::NeighborData& nb) {
+                           actual.push_back(nb.index);
+                         });
+    ASSERT_EQ(actual, expected) << "query " << query;
+  }
+
+  // Pair traversal: owner i pairs with the agents after it in box order.
+  std::vector<std::pair<uint32_t, uint32_t>> expected;
+  for (uint32_t i = 0; i < grid.DenseAgentCount(); ++i) {
+    const auto at = std::find(box_order.begin(), box_order.end(), i);
+    for (auto it = at + 1; it != box_order.end(); ++it) {
+      expected.emplace_back(i, *it);
+    }
+  }
+  std::vector<std::pair<uint32_t, uint32_t>> actual;
+  grid.ForEachNeighborPairInSlab(
+      100, 0, static_cast<int64_t>(grid.DenseAgentCount()),
+      [&](uint32_t i, uint32_t j, real_t d2) {
+        EXPECT_EQ(d2, 0);
+        actual.emplace_back(i, j);
+      });
+  EXPECT_EQ(actual, expected);
+  std::set<std::pair<uint32_t, uint32_t>> unordered;
+  for (const auto& [i, j] : actual) {
+    unordered.emplace(std::min(i, j), std::max(i, j));
+  }
+  EXPECT_EQ(actual.size(), 44850u);
+  EXPECT_EQ(unordered.size(), 44850u);
 }
 
 TEST(EnvEdgeCaseTest, CollinearAgents) {

@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/cell.h"
 #include "core/resource_manager.h"
@@ -367,6 +371,173 @@ TEST(UniformGridTest, FastPathMatchesReferenceScan) {
               fix.BruteForceNeighbors(*query, squared_radius))
         << "query uid " << query->GetUid();
   });
+}
+
+// --- scan-order contract ----------------------------------------------------
+// The grid's scans collect hits branch-free and report them afterwards; the
+// reported sequence must still be the visit order of a plain scan -- boxes
+// in (z, y, x) order, each box in ForEachAgentInBox order -- with the same
+// d2. That order is what keeps force sums and trajectories bitwise, so the
+// references below rebuild it from the public box iteration.
+
+struct ScanHit {
+  uint32_t owner;  // query agent (Search) or chain/stencil owner i (pairs)
+  uint32_t index;
+  real_t d2;
+  bool operator==(const ScanHit&) const = default;
+};
+
+void PrintTo(const ScanHit& hit, std::ostream* os) {
+  *os << "(" << hit.owner << ", " << hit.index << ", " << hit.d2 << ")";
+}
+
+// Reference view of a grid after Update: dense index of every agent and the
+// box coordinates the grid assigns, computed with the grid's expressions.
+struct GridReference {
+  explicit GridReference(const UniformGridEnvironment& grid) : grid(grid) {
+    for (uint32_t i = 0; i < grid.DenseAgentCount(); ++i) {
+      dense_index[grid.DenseAgents()[i]] = i;
+    }
+  }
+
+  // Unclamped, like Search; the pair traversal clamps.
+  std::array<int64_t, 3> Box(const Real3& p) const {
+    const real_t inv = real_t{1} / grid.GetBoxLength();
+    const Real3 lower = grid.GetLowerBound();
+    return {static_cast<int64_t>(std::floor((p.x - lower.x) * inv)),
+            static_cast<int64_t>(std::floor((p.y - lower.y) * inv)),
+            static_cast<int64_t>(std::floor((p.z - lower.z) * inv))};
+  }
+
+  bool Inside(int64_t x, int64_t y, int64_t z) const {
+    const auto n = grid.GetDimensions();
+    return x >= 0 && x < n[0] && y >= 0 && y < n[1] && z >= 0 && z < n[2];
+  }
+
+  // Appends box (x, y, z)'s agents within the radius of `q`, in box order,
+  // skipping `skip` and every agent up to and including `after` if given.
+  void AppendBoxHits(int64_t x, int64_t y, int64_t z, const Real3& q,
+                     real_t sr, uint32_t owner, const Agent* skip,
+                     const Agent* after, std::vector<ScanHit>* out) const {
+    bool open = after == nullptr;
+    grid.ForEachAgentInBox(grid.FlatBoxIndex(x, y, z), [&](Agent* agent) {
+      if (!open) {
+        open = agent == after;
+        return;
+      }
+      const uint32_t j = dense_index.at(agent);
+      const Real3 p = grid.DenseSnapshot(j).position;
+      const real_t dx = p.x - q.x;
+      const real_t dy = p.y - q.y;
+      const real_t dz = p.z - q.z;
+      const real_t d2 = dx * dx + dy * dy + dz * dz;
+      if (d2 <= sr && agent != skip) {
+        out->push_back({owner, j, d2});
+      }
+    });
+  }
+
+  const UniformGridEnvironment& grid;
+  std::map<const Agent*, uint32_t> dense_index;
+};
+
+TEST(UniformGridTest, SearchReportsNeighborsInScanOrder) {
+  EnvFixture fix;
+  fix.param_.fixed_box_length = 10;
+  fix.AddRandomCells(4000, 80, 8, 43);
+  UniformGridEnvironment grid(fix.param_);
+  grid.Update(*fix.rm_, fix.pool_.get());
+  const GridReference ref(grid);
+  const auto n = grid.GetDimensions();
+  // Radii below, at and above the box length: reach 1 on the stencil and
+  // clamped paths, and reach 2 on the general cube.
+  for (const real_t radius : {6.0, 10.0, 15.0}) {
+    const real_t sr = radius * radius;
+    const int64_t reach = static_cast<int64_t>(std::ceil(radius / 10));
+    int interior = 0;
+    int boundary = 0;
+    size_t most_hits = 0;
+    fix.rm_->ForEachAgent([&](Agent* query, AgentHandle) {
+      const uint32_t owner = ref.dense_index.at(query);
+      const Real3 q = query->GetPosition();
+      const auto c = ref.Box(q);
+      const bool inner = c[0] >= 1 && c[0] + 1 < n[0] && c[1] >= 1 &&
+                         c[1] + 1 < n[1] && c[2] >= 1 && c[2] + 1 < n[2];
+      ++(inner ? interior : boundary);
+      std::vector<ScanHit> expected;
+      for (int64_t z = c[2] - reach; z <= c[2] + reach; ++z) {
+        for (int64_t y = c[1] - reach; y <= c[1] + reach; ++y) {
+          for (int64_t x = c[0] - reach; x <= c[0] + reach; ++x) {
+            if (ref.Inside(x, y, z)) {
+              ref.AppendBoxHits(x, y, z, q, sr, owner, query, nullptr,
+                                &expected);
+            }
+          }
+        }
+      }
+      std::vector<ScanHit> actual;
+      grid.ForEachNeighbor(*query, sr,
+                           [&](const Environment::NeighborData& nb) {
+                             EXPECT_EQ(nb.agent, grid.DenseAgents()[nb.index]);
+                             actual.push_back(
+                                 {owner, nb.index, nb.squared_distance});
+                           });
+      most_hits = std::max(most_hits, actual.size());
+      ASSERT_EQ(actual, expected) << "radius " << radius << " query uid "
+                                  << query->GetUid();
+    });
+    EXPECT_GT(interior, 0) << "radius " << radius;
+    EXPECT_GT(boundary, 0) << "radius " << radius;
+    if (radius == 15.0) {
+      // Some queries report more hits than one buffer holds.
+      EXPECT_GT(most_hits, UniformGridEnvironment::kHitCapacity);
+    }
+  }
+}
+
+TEST(UniformGridTest, PairTraversalReportsPairsInScanOrder) {
+  EnvFixture fix;
+  fix.param_.fixed_box_length = 10;
+  fix.AddRandomCells(3000, 70, 8, 47);
+  UniformGridEnvironment grid(fix.param_);
+  grid.Update(*fix.rm_, fix.pool_.get());
+  const GridReference ref(grid);
+  const auto n = grid.GetDimensions();
+  for (const real_t radius : {7.0, 10.0}) {
+    const real_t sr = radius * radius;
+    std::vector<ScanHit> expected;
+    for (uint32_t i = 0; i < grid.DenseAgentCount(); ++i) {
+      const Real3 q = grid.DenseSnapshot(i).position;
+      auto c = ref.Box(q);
+      for (int k = 0; k < 3; ++k) {
+        c[k] = std::clamp<int64_t>(c[k], 0, n[k] - 1);
+      }
+      // Own box: the agents after i in box order.
+      ref.AppendBoxHits(c[0], c[1], c[2], q, sr, i, nullptr,
+                        grid.DenseAgents()[i], &expected);
+      // The 13 forward boxes in (dz, dy, dx) order.
+      for (int64_t dz = -1; dz <= 1; ++dz) {
+        for (int64_t dy = -1; dy <= 1; ++dy) {
+          for (int64_t dx = -1; dx <= 1; ++dx) {
+            const bool forward =
+                dz > 0 || (dz == 0 && (dy > 0 || (dy == 0 && dx > 0)));
+            if (forward && ref.Inside(c[0] + dx, c[1] + dy, c[2] + dz)) {
+              ref.AppendBoxHits(c[0] + dx, c[1] + dy, c[2] + dz, q, sr, i,
+                                nullptr, nullptr, &expected);
+            }
+          }
+        }
+      }
+    }
+    std::vector<ScanHit> actual;
+    grid.ForEachNeighborPairInSlab(
+        sr, 0, static_cast<int64_t>(grid.DenseAgentCount()),
+        [&](uint32_t i, uint32_t j, real_t d2) {
+          actual.push_back({i, j, d2});
+        });
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(actual, expected) << "radius " << radius;
+  }
 }
 
 // Two tiny agents at opposite corners of a 1e12-sized space: the naive box
