@@ -24,15 +24,18 @@ class TumorCellBehavior : public Behavior {
     auto* cell = static_cast<Cell*>(agent);
     Random* random = ctx->random();
 
-    // Random micro-motion.
-    cell->SetPosition(cell->GetPosition() +
-                      random->UnitVector() * config_.micro_motion_step);
+    const Real3 step = random->UnitVector() * config_.micro_motion_step;
 
-    // Hypoxia: crowded cells die with some probability and are removed.
+    // Hypoxia is judged at the iteration-start position, before the
+    // micro-step: crowded cells die with some probability and are removed.
     auto* env = Simulation::GetActive()->GetEnvironment();
     int neighbors = 0;
     env->ForEachNeighbor(*agent, config_.crowding_radius * config_.crowding_radius,
                          [&](const Environment::NeighborData&) { ++neighbors; });
+
+    // Random micro-motion.
+    cell->SetPosition(cell->GetPosition() + step);
+
     if (neighbors > config_.crowding_threshold) {
       if (random->Bool(config_.death_probability)) {
         ctx->RemoveAgent(cell->GetUid());
