@@ -24,7 +24,9 @@ const ForceMetrics& Metrics() {
 }  // namespace
 
 void UpdateEnvironmentOp::Run(Simulation* sim) {
-  sim->GetEnvironment()->Update(*sim->GetResourceManager(), sim->GetThreadPool());
+  Environment* env = sim->GetEnvironment();
+  env->Update(*sim->GetResourceManager(), sim->GetThreadPool());
+  env->FillNeighborCounts(sim->GetThreadPool());
 }
 
 void StaticnessOp::Run(Simulation* sim) {
@@ -60,8 +62,12 @@ void StaticnessOp::Run(Simulation* sim) {
   });
 }
 
-void BehaviorOp::Run(Agent* agent, AgentHandle, int tid, Simulation* sim) {
-  agent->RunBehaviors(sim->GetExecutionContext(tid));
+void BehaviorOp::Run(Agent* agent, AgentHandle handle, int tid,
+                     Simulation* sim) {
+  ExecutionContext* ctx = sim->GetExecutionContext(tid);
+  ctx->set_agent_handle(handle);
+  agent->RunBehaviors(ctx);
+  ctx->set_agent_handle({});
 }
 
 void RunPerAgentMechanics(Agent* agent, Simulation* sim) {

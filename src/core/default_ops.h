@@ -11,7 +11,8 @@
 
 namespace bdm {
 
-/// Rebuilds the environment index (paper Algorithm 1, pre-standalone).
+/// Rebuilds the environment index (paper Algorithm 1, pre-standalone) and
+/// fills the neighbor-count columns behaviors have asked for.
 class UpdateEnvironmentOp : public StandaloneOperation {
  public:
   UpdateEnvironmentOp() : StandaloneOperation("environment_update", 1) {
@@ -34,7 +35,8 @@ class StaticnessOp : public StandaloneOperation {
   void Run(Simulation* sim) override;
 };
 
-/// Executes every behavior of the agent.
+/// Executes every behavior of the agent, with the agent's handle on the
+/// execution context.
 class BehaviorOp : public AgentOperation {
  public:
   BehaviorOp() : AgentOperation("behaviors", 1) {

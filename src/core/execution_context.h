@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/agent.h"
+#include "core/agent_handle.h"
 #include "core/agent_uid.h"
 #include "math/random.h"
 
@@ -27,6 +28,12 @@ class ExecutionContext {
 
   Random* random() { return &random_; }
   int numa_domain() const { return numa_domain_; }
+
+  /// Resource-manager handle of the agent whose behaviors run on this
+  /// context; invalid outside the behavior operation. A behavior passes it
+  /// to Environment::CountNeighbors to read its own count-column entry.
+  AgentHandle agent_handle() const { return agent_handle_; }
+  void set_agent_handle(AgentHandle handle) { agent_handle_ = handle; }
 
   /// Takes ownership of `agent` and schedules it for addition at the end of
   /// the iteration. A uid is assigned immediately so the new agent can
@@ -54,6 +61,7 @@ class ExecutionContext {
   int numa_domain_;
   Random random_;
   AgentUidGenerator* uid_generator_;
+  AgentHandle agent_handle_;
   std::vector<Agent*> new_agents_;
   std::vector<AgentUid> removed_agents_;
 };

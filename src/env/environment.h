@@ -14,11 +14,15 @@
 #ifndef BDM_ENV_ENVIRONMENT_H_
 #define BDM_ENV_ENVIRONMENT_H_
 
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "core/agent_handle.h"
 #include "core/function_ref.h"
 #include "math/real.h"
 #include "math/real3.h"
@@ -94,13 +98,41 @@ class Environment {
 
   /// Visits every unordered agent pair within sqrt(squared_radius) exactly
   /// once, in parallel over the pool's workers (each worker owns a
-  /// contiguous slab of dense indices a_index). Within a pair, a_index <
-  /// b_index always holds. The base implementation searches around each
-  /// slab agent's snapshot position and keeps only forward partners
-  /// (kd-tree and octree use it); the uniform grid overrides it with the
-  /// half-stencil box traversal that never tests a candidate twice.
+  /// contiguous slab of dense indices a_index). `a` is the endpoint whose
+  /// scan emitted the pair; no order between a_index and b_index is
+  /// promised. The base implementation searches around each slab agent's
+  /// snapshot position and keeps only partners with a larger dense index
+  /// (kd-tree and octree use it, so there a_index < b_index); the uniform
+  /// grid overrides it with the half-stencil box traversal that never tests
+  /// a candidate twice and emits (owner, partner), where the partner of an
+  /// own-box pair is the earlier-inserted agent and may have the smaller
+  /// index.
   virtual void ForEachNeighborPair(real_t squared_radius, NumaThreadPool* pool,
                                    NeighborPairFn fn) const;
+
+  /// Number of agents other than the agent at `handle` whose Update-time
+  /// position lies within sqrt(squared_radius) of that agent's Update-time
+  /// position -- what ForEachNeighbor(query, squared_radius) reports before
+  /// the agent moves. `handle` is the resource-manager handle of `query`
+  /// (ExecutionContext::agent_handle() in a behavior); with an invalid
+  /// handle the search runs from query's current position. A radius is
+  /// registered on its first request, which a per-agent search answers;
+  /// after every later Update, FillNeighborCounts computes the counts of
+  /// every registered radius for all agents at once and this call reads the
+  /// agent's entry. Safe to call concurrently from behaviors.
+  uint32_t CountNeighbors(const Agent& query, AgentHandle handle,
+                          real_t squared_radius);
+
+  /// Fills the count column of every radius registered so far; the
+  /// environment update operation calls it right after Update. The columns
+  /// stay valid until the next Update.
+  void FillNeighborCounts(NumaThreadPool* pool);
+
+  /// The count column of `squared_radius` filled at this Update, indexed by
+  /// row (the resource manager's domain-major order: the row of handle h is
+  /// the number of agents in domains below h.numa_domain plus h.index), or
+  /// nullptr when no column of that radius is filled.
+  const uint32_t* NeighborCountColumn(real_t squared_radius) const;
 
   /// Default interaction radius: derived from the largest agent diameter
   /// observed during the last Update. The mechanical-forces operation uses
@@ -132,6 +164,58 @@ class Environment {
   /// within sqrt(squared_radius) of `position`.
   virtual void Search(const Real3& position, real_t squared_radius,
                       const Agent* exclude, NeighborFn fn) const = 0;
+
+  /// Writes every row's neighbor count at `squared_radius` into
+  /// counts[0, rows). The base implementation runs one Search per agent
+  /// from its snapshot position, in parallel and without atomics; the
+  /// uniform grid overrides it with one symmetric pair pass for radii up to
+  /// its box length.
+  virtual void CountAllNeighbors(real_t squared_radius, NumaThreadPool* pool,
+                                 uint32_t* counts) const;
+
+  /// Every Update starts here: records the row offset of each of rm's
+  /// domains and invalidates the count columns of the previous Update.
+  void BeginUpdate(const ResourceManager& rm);
+
+  /// For indexes whose dense order differs from the row order (kd-tree,
+  /// octree), called at the end of Update: records each row's dense index.
+  void MapRowsToDense(const ResourceManager& rm);
+
+ private:
+  /// Dense index of `row` at the last Update.
+  uint32_t DenseIndexOfRow(uint64_t row) const {
+    return dense_of_row_.empty() ? static_cast<uint32_t>(row)
+                                 : dense_of_row_[row];
+  }
+  /// Neighbor count of `row`'s agent around its snapshot position.
+  uint32_t CountAtRow(uint64_t row, real_t squared_radius) const;
+  /// Index of `squared_radius` among the first `columns` count columns, or
+  /// `columns` when it is not among them.
+  int FindCountRadius(real_t squared_radius, int columns) const;
+  /// Appends `squared_radius` to the registered radii unless it is there
+  /// already or kMaxCountRadii are.
+  void RegisterCountRadius(real_t squared_radius);
+
+  /// Radii a count column can be kept for; further radii are answered by
+  /// per-agent searches.
+  static constexpr int kMaxCountRadii = 4;
+  struct CountColumn {
+    real_t squared_radius = 0;
+    std::vector<uint32_t> counts;  // indexed by row
+  };
+  /// Columns [0, num_count_radii_) are registered; a behavior appends one
+  /// under count_radii_mutex_ and publishes it by the release store, so
+  /// readers scan the radii without the lock.
+  std::array<CountColumn, kMaxCountRadii> count_columns_;
+  std::atomic<int> num_count_radii_{0};
+  std::mutex count_radii_mutex_;
+  /// Columns [0, num_filled_columns_) hold this Update's counts.
+  int num_filled_columns_ = 0;
+  /// row_offset_[d] is the row of domain d's first agent; the last entry is
+  /// the number of rows.
+  std::vector<uint64_t> row_offset_;
+  /// Empty when dense index == row (uniform grid).
+  std::vector<uint32_t> dense_of_row_;
 };
 
 }  // namespace bdm

@@ -26,6 +26,7 @@ void Permute(std::vector<T>* v, int32_t begin,
 
 void KdTreeEnvironment::Update(const ResourceManager& rm, NumaThreadPool* pool) {
   (void)pool;  // the kd-tree build is serial by design (see header)
+  BeginUpdate(rm);
   const uint64_t total = rm.GetNumAgents();
   points_.clear();
   diameters_.clear();
@@ -56,6 +57,7 @@ void KdTreeEnvironment::Update(const ResourceManager& rm, NumaThreadPool* pool) 
   if (total > 0) {
     nodes_.reserve(2 * total / std::max(param_->kd_tree_max_leaf, 1) + 2);
     root_ = Build(0, static_cast<int32_t>(total));
+    MapRowsToDense(rm);
   }
 }
 

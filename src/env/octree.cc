@@ -12,6 +12,7 @@ namespace bdm {
 
 void OctreeEnvironment::Update(const ResourceManager& rm, NumaThreadPool* pool) {
   (void)pool;  // serial build, like the UniBN reference implementation
+  BeginUpdate(rm);
   const uint64_t total = rm.GetNumAgents();
   points_.clear();
   diameters_.clear();
@@ -49,6 +50,7 @@ void OctreeEnvironment::Update(const ResourceManager& rm, NumaThreadPool* pool) 
   }
   extent = std::max<real_t>(extent * real_t{1.001}, 1e-6);  // strict containment
   root_ = Build(0, static_cast<int32_t>(total), center, extent);
+  MapRowsToDense(rm);
 }
 
 int32_t OctreeEnvironment::Build(int32_t begin, int32_t end, const Real3& center,

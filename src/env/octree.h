@@ -30,7 +30,8 @@ class OctreeEnvironment : public Environment {
   std::string GetName() const override { return "octree"; }
 
   // Build order of agents_ is the dense index: the generic base
-  // ForEachNeighborPair runs on top of it.
+  // ForEachNeighborPair runs on top of it. It is not the row order, so
+  // Update maps rows to dense indices for the count columns.
   Agent* const* DenseAgents() const override { return agents_.data(); }
   uint64_t DenseAgentCount() const override { return agents_.size(); }
   NeighborData DenseSnapshot(uint32_t i) const override {

@@ -48,6 +48,7 @@ struct alignas(64) BoundsPartial {
 
 void UniformGridEnvironment::Update(const ResourceManager& rm,
                                     NumaThreadPool* pool) {
+  BeginUpdate(rm);
   const uint64_t total = rm.GetNumAgents();
   successors_.resize(total);
   const bool store_mode = param_->soa_primary;
@@ -213,15 +214,12 @@ void UniformGridEnvironment::Update(const ResourceManager& rm,
   nx_ = nx;
   ny_ = ny;
   nz_ = nz;
-  int s = 0;
   int f = 0;
   for (int64_t dz = -1; dz <= 1; ++dz) {
     for (int64_t dy = -1; dy <= 1; ++dy) {
       for (int64_t dx = -1; dx <= 1; ++dx) {
-        const int64_t offset = dx + nx_ * (dy + ny_ * dz);
-        stencil_[s++] = offset;
         if (dz > 0 || (dz == 0 && (dy > 0 || (dy == 0 && dx > 0)))) {
-          forward_stencil_[f++] = offset;
+          forward_stencil_[f++] = dx + nx_ * (dy + ny_ * dz);
         }
       }
     }
@@ -278,9 +276,7 @@ std::array<int64_t, 3> UniformGridEnvironment::BoxCoordinates(
   std::array<int64_t, 3> c;
   const std::array<int64_t, 3> n = {nx_, ny_, nz_};
   for (int i = 0; i < 3; ++i) {
-    const int64_t v = static_cast<int64_t>(
-        std::floor((position[i] - lower_[i]) * inv_box_length_));
-    c[i] = std::clamp<int64_t>(v, 0, n[i] - 1);
+    c[i] = std::clamp<int64_t>(BoxCoordinate(position[i], i), 0, n[i] - 1);
   }
   return c;
 }
@@ -307,45 +303,23 @@ void UniformGridEnvironment::Search(const Real3& position,
       }
     }
   };
-  // One ring of boxes suffices for radii up to the box length (the common
-  // case); larger query radii widen the search cube accordingly. The
-  // multiply-by-inverse can round the ratio down across an integer
-  // boundary, hence the defensive bump.
-  const real_t radius = std::sqrt(squared_radius);
-  int64_t reach = std::max<int64_t>(
-      1, static_cast<int64_t>(std::ceil(radius * inv_box_length_)));
-  if (static_cast<real_t>(reach) * box_length_ < radius) {
-    ++reach;
+  // The boxes the query's bounding cube overlaps, by the formula the build
+  // assigns boxes with. The half-width is widened by kEpsilon (relative):
+  // a neighbor that d2 <= r2 accepts despite rounding still lies inside.
+  // Boxes outside the grid hold no agents.
+  const real_t reach = std::sqrt(squared_radius) * (1 + kEpsilon);
+  std::array<int64_t, 3> lo;
+  std::array<int64_t, 3> hi;
+  const std::array<int64_t, 3> dims = {nx_, ny_, nz_};
+  for (int c = 0; c < 3; ++c) {
+    lo[c] = std::max<int64_t>(BoxCoordinate(position[c] - reach, c), 0);
+    hi[c] = std::min<int64_t>(BoxCoordinate(position[c] + reach, c),
+                              dims[c] - 1);
   }
-  // Unclamped coordinates so queries outside the grid still visit the
-  // boxes their search sphere overlaps.
-  const int64_t cx = static_cast<int64_t>(
-      std::floor((position.x - lower_.x) * inv_box_length_));
-  const int64_t cy = static_cast<int64_t>(
-      std::floor((position.y - lower_.y) * inv_box_length_));
-  const int64_t cz = static_cast<int64_t>(
-      std::floor((position.z - lower_.z) * inv_box_length_));
   uint32_t n = 0;
-  if (reach == 1 && cx >= 1 && cx + 1 < nx_ && cy >= 1 && cy + 1 < ny_ &&
-      cz >= 1 && cz + 1 < nz_) {
-    // Interior fast path: the 27-box stencil as precomputed flat offsets.
-    const int64_t base = FlatBoxIndex(cx, cy, cz);
-    for (int s = 0; s < 27; ++s) {
-      n = CollectHits(BoxChain(base + stencil_[s]), 0, position,
-                      squared_radius, hits, n, report);
-    }
-    report(n);
-    return;
-  }
-  const int64_t zlo = std::max<int64_t>(cz - reach, 0);
-  const int64_t zhi = std::min<int64_t>(cz + reach, nz_ - 1);
-  const int64_t ylo = std::max<int64_t>(cy - reach, 0);
-  const int64_t yhi = std::min<int64_t>(cy + reach, ny_ - 1);
-  const int64_t xlo = std::max<int64_t>(cx - reach, 0);
-  const int64_t xhi = std::min<int64_t>(cx + reach, nx_ - 1);
-  for (int64_t z = zlo; z <= zhi; ++z) {
-    for (int64_t y = ylo; y <= yhi; ++y) {
-      for (int64_t x = xlo; x <= xhi; ++x) {
+  for (int64_t z = lo[2]; z <= hi[2]; ++z) {
+    for (int64_t y = lo[1]; y <= hi[1]; ++y) {
+      for (int64_t x = lo[0]; x <= hi[0]; ++x) {
         n = CollectHits(BoxChain(FlatBoxIndex(x, y, z)), 0, position,
                         squared_radius, hits, n, report);
       }
@@ -372,7 +346,7 @@ void UniformGridEnvironment::ForEachNeighborPair(real_t squared_radius,
   if (total == 0) {
     return;
   }
-  if (squared_radius > box_length_ * box_length_ * (1 + real_t{1e-6})) {
+  if (!HalfStencilCovers(squared_radius)) {
     // One forward ring only covers radii up to the box length; wider
     // queries take the generic doubled-search traversal.
     Environment::ForEachNeighborPair(squared_radius, pool, fn);
@@ -394,6 +368,39 @@ void UniformGridEnvironment::ForEachNeighborPair(real_t squared_radius,
           pair.squared_distance = d2;
           fn(pair, tid);
         });
+  });
+}
+
+// Count pass: the walk emits pairs in owner order, so one register holds
+// the current owner's count until the owner changes; partners may belong to
+// any chunk and take a relaxed atomic add. Chunks are handed out
+// dynamically: a slab's cost follows its local density.
+void UniformGridEnvironment::CountAllNeighbors(real_t squared_radius,
+                                               NumaThreadPool* pool,
+                                               uint32_t* counts) const {
+  if (!HalfStencilCovers(squared_radius)) {
+    Environment::CountAllNeighbors(squared_radius, pool, counts);
+    return;
+  }
+  const int64_t total = static_cast<int64_t>(dense_count_);
+  std::fill(counts, counts + total, 0);
+  pool->ParallelFor(0, total, 4096, [&](int64_t lo, int64_t hi, int) {
+    uint32_t owner = static_cast<uint32_t>(lo);
+    uint32_t owner_count = 0;
+    WalkPairsInSlab(squared_radius, lo, hi,
+                    [&](uint32_t i, uint32_t j, real_t) {
+                      if (i != owner) {
+                        std::atomic_ref<uint32_t>(counts[owner])
+                            .fetch_add(owner_count, std::memory_order_relaxed);
+                        owner = i;
+                        owner_count = 0;
+                      }
+                      ++owner_count;
+                      std::atomic_ref<uint32_t>(counts[j]).fetch_add(
+                          1, std::memory_order_relaxed);
+                    });
+    std::atomic_ref<uint32_t>(counts[owner])
+        .fetch_add(owner_count, std::memory_order_relaxed);
   });
 }
 

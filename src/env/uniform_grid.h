@@ -11,8 +11,6 @@
 //  * The build phase is fully parallel: timestamp, count, and head are
 //    packed into one 64-bit word per box and updated with a single
 //    compare-and-swap.
-//  * Searches visit the 3x3x3 cube of boxes around the query box (more rings
-//    when the query radius exceeds the box length).
 //  * Search-critical attributes (position, diameter) are served from flat
 //    SoA arrays. In SoA-primary mode (Param::soa_primary) these are views
 //    into the ResourceManager's persistent SoaStore -- Update only refreshes
@@ -24,9 +22,11 @@
 //    object (O1/O4 cache discipline; the GPU port of BioDynaMo relies on the
 //    identical layout), and an accepted neighbor is reported with the
 //    position, diameter and distance of that Update-time snapshot.
-//  * The common reach == 1 case walks a precomputed 27-offset stencil from
-//    the query's flat box index (interior boxes only; boundary boxes take
-//    the general clamped triple loop).
+//  * A search visits only the boxes that the query's bounding cube
+//    overlaps, clamped to the grid, in (z, y, x) order: the 3x3x3 cube
+//    around the query box or less for radii up to the box length.
+//  * Neighbor counts for a whole population come from one symmetric
+//    half-stencil pass (CountAllNeighbors).
 //  * Both scans -- Search and the half-stencil pair traversal -- collect
 //    candidates branch-free: each candidate's (dense index, d2) goes into
 //    a small on-stack hit buffer whose fill advances by the 0/1 outcome of
@@ -41,6 +41,7 @@
 #ifndef BDM_ENV_UNIFORM_GRID_H_
 #define BDM_ENV_UNIFORM_GRID_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cmath>
@@ -66,13 +67,20 @@ class UniformGridEnvironment : public Environment {
   }
 
   /// Half-stencil pair traversal (DESIGN.md Section 5): each agent pairs
-  /// with the later-inserted agents of its own box (successor chain) and
+  /// with the earlier-inserted agents of its own box (successor chain) and
   /// with all agents of the 13 forward-neighbor boxes, so every interacting
   /// pair is visited exactly once. Valid for radii up to the box length
   /// (the engine's interaction radius); larger radii fall back to the
   /// generic base traversal.
   void ForEachNeighborPair(real_t squared_radius, NumaThreadPool* pool,
                            NeighborPairFn fn) const override;
+
+  /// Whether the half stencil covers `squared_radius`. The comparison is
+  /// exact: a pair two boxes apart can lie within any radius above the box
+  /// length.
+  bool HalfStencilCovers(real_t squared_radius) const {
+    return squared_radius <= box_length_ * box_length_;
+  }
 
   /// One worker's share of the half-stencil pair traversal: walks dense
   /// indices [lo, hi) and invokes `emit(i, j, d2)` for every interacting
@@ -85,57 +93,7 @@ class UniformGridEnvironment : public Environment {
   template <typename Emit>
   void ForEachNeighborPairInSlab(real_t squared_radius, int64_t lo, int64_t hi,
                                  Emit&& emit) const {
-    uint64_t pairs_visited = 0;
-    // Consecutive agents share the buffer, which reports when full: a
-    // report per agent would add a loop exit per agent that depends on all
-    // of that agent's distance tests (measured slower, EXPERIMENTS.md
-    // "Branch-free grid scans").
-    HitBuffer hits;
-    const auto report = [&](uint32_t count) {
-      for (uint32_t k = 0; k < count; ++k) {
-        emit(static_cast<uint32_t>(hits.owner_index[k] >> 32),
-             static_cast<uint32_t>(hits.owner_index[k]), hits.d2[k]);
-      }
-      pairs_visited += count;
-    };
-    uint32_t n = 0;
-    for (int64_t i = lo; i < hi; ++i) {
-      const uint32_t owner = static_cast<uint32_t>(i);
-      const Real3 pos{pos_x_[i], pos_y_[i], pos_z_[i]};
-      // Own box: later-inserted agents were already paired with i when they
-      // walked their own chains; the chain below i holds the earlier ones.
-      n = CollectHits({successors_[i], kWholeChain}, owner, pos,
-                      squared_radius, hits, n, report);
-      // Forward half stencil.
-      const auto c = BoxCoordinates(pos);
-      if (c[0] >= 1 && c[0] + 1 < nx_ && c[1] >= 1 && c[1] + 1 < ny_ &&
-          c[2] >= 1 && c[2] + 1 < nz_) {
-        const int64_t base = FlatBoxIndex(c[0], c[1], c[2]);
-        for (int s = 0; s < 13; ++s) {
-          n = CollectHits(BoxChain(base + forward_stencil_[s]), owner, pos,
-                          squared_radius, hits, n, report);
-        }
-      } else {
-        for (int64_t dz = -1; dz <= 1; ++dz) {
-          for (int64_t dy = -1; dy <= 1; ++dy) {
-            for (int64_t dx = -1; dx <= 1; ++dx) {
-              if (!(dz > 0 || (dz == 0 && (dy > 0 || (dy == 0 && dx > 0))))) {
-                continue;
-              }
-              const int64_t x = c[0] + dx, y = c[1] + dy, z = c[2] + dz;
-              if (x < 0 || x >= nx_ || y < 0 || y >= ny_ || z < 0 ||
-                  z >= nz_) {
-                continue;
-              }
-              n = CollectHits(BoxChain(FlatBoxIndex(x, y, z)), owner, pos,
-                              squared_radius, hits, n, report);
-            }
-          }
-        }
-      }
-    }
-    report(n);
-    CountPairVisits(pairs_visited);
+    CountPairVisits(WalkPairsInSlab(squared_radius, lo, hi, emit));
   }
 
   real_t GetInteractionRadius() const override { return box_length_; }
@@ -191,6 +149,14 @@ class UniformGridEnvironment : public Environment {
   void Search(const Real3& position, real_t squared_radius,
               const Agent* exclude, NeighborFn fn) const override;
 
+  /// One symmetric half-stencil pass for radii the half stencil covers:
+  /// each pair adds 1 to both endpoints' counts, the owner's from a
+  /// register once per owner and the partner's with a relaxed atomic add.
+  /// Integer sums, so the counts are exact at any thread count. Larger
+  /// radii take the per-agent base path.
+  void CountAllNeighbors(real_t squared_radius, NumaThreadPool* pool,
+                         uint32_t* counts) const override;
+
  private:
   // Box word layout: [timestamp:16][count:16][head:32].
   static constexpr uint64_t Pack(uint16_t ts, uint16_t count, uint32_t head) {
@@ -207,7 +173,75 @@ class UniformGridEnvironment : public Environment {
     return static_cast<uint32_t>(word);
   }
 
+  /// Unclamped box coordinate of `value` on `axis` (clamped to [-1, n]
+  /// before the integer conversion, so far-off queries cannot overflow it).
+  int64_t BoxCoordinate(real_t value, int axis) const {
+    const int64_t n[3] = {nx_, ny_, nz_};
+    return static_cast<int64_t>(std::clamp<real_t>(
+        std::floor((value - lower_[axis]) * inv_box_length_), -1,
+        static_cast<real_t>(n[axis])));
+  }
+  /// Box of `position`, clamped to the grid.
   std::array<int64_t, 3> BoxCoordinates(const Real3& position) const;
+
+  /// The half-stencil walk behind ForEachNeighborPairInSlab; returns the
+  /// number of pairs it emitted. The count pass calls it directly, so the
+  /// pair-visit metric keeps counting mechanics pairs only.
+  template <typename Emit>
+  uint64_t WalkPairsInSlab(real_t squared_radius, int64_t lo, int64_t hi,
+                           Emit&& emit) const {
+    uint64_t pairs_visited = 0;
+    // Consecutive agents share the buffer, which reports when full: a
+    // report per agent would add a loop exit per agent that depends on all
+    // of that agent's distance tests (measured slower, EXPERIMENTS.md
+    // "Branch-free grid scans").
+    HitBuffer hits;
+    const auto report = [&](uint32_t count) {
+      for (uint32_t k = 0; k < count; ++k) {
+        emit(static_cast<uint32_t>(hits.owner_index[k] >> 32),
+             static_cast<uint32_t>(hits.owner_index[k]), hits.d2[k]);
+      }
+      pairs_visited += count;
+    };
+    uint32_t n = 0;
+    for (int64_t i = lo; i < hi; ++i) {
+      const uint32_t owner = static_cast<uint32_t>(i);
+      const Real3 pos{pos_x_[i], pos_y_[i], pos_z_[i]};
+      // Own box: later-inserted agents were already paired with i when they
+      // walked their own chains; the chain below i holds the earlier ones.
+      n = CollectHits({successors_[i], kWholeChain}, owner, pos,
+                      squared_radius, hits, n, report);
+      // Forward half stencil.
+      const auto c = BoxCoordinates(pos);
+      if (c[0] >= 1 && c[0] + 1 < nx_ && c[1] >= 1 && c[1] + 1 < ny_ &&
+          c[2] >= 1 && c[2] + 1 < nz_) {
+        const int64_t base = FlatBoxIndex(c[0], c[1], c[2]);
+        for (int s = 0; s < 13; ++s) {
+          n = CollectHits(BoxChain(base + forward_stencil_[s]), owner, pos,
+                          squared_radius, hits, n, report);
+        }
+      } else {
+        for (int64_t dz = -1; dz <= 1; ++dz) {
+          for (int64_t dy = -1; dy <= 1; ++dy) {
+            for (int64_t dx = -1; dx <= 1; ++dx) {
+              if (!(dz > 0 || (dz == 0 && (dy > 0 || (dy == 0 && dx > 0))))) {
+                continue;
+              }
+              const int64_t x = c[0] + dx, y = c[1] + dy, z = c[2] + dz;
+              if (x < 0 || x >= nx_ || y < 0 || y >= ny_ || z < 0 ||
+                  z >= nz_) {
+                continue;
+              }
+              n = CollectHits(BoxChain(FlatBoxIndex(x, y, z)), owner, pos,
+                              squared_radius, hits, n, report);
+            }
+          }
+        }
+      }
+    }
+    report(n);
+    return pairs_visited;
+  }
 
   /// Flushes a slab's register-resident pair count to the metrics registry
   /// (out of line so this header does not pull in obs/metrics.h).
@@ -312,8 +346,6 @@ class UniformGridEnvironment : public Environment {
   std::vector<real_t> own_pos_y_;
   std::vector<real_t> own_pos_z_;
   std::vector<real_t> own_diameters_;
-  // Flat-index offsets of the 3x3x3 cube around an interior box.
-  std::array<int64_t, 27> stencil_{};
   // The 13 offsets whose (dz, dy, dx) triple is lexicographically positive:
   // the forward half of the 26 surrounding boxes. The backward half of a
   // box b is exactly the set of boxes whose forward stencil contains b, so

@@ -28,10 +28,12 @@ class TumorCellBehavior : public Behavior {
 
     // Hypoxia is judged at the iteration-start position, before the
     // micro-step: crowded cells die with some probability and are removed.
+    // The environment counts every cell's neighbors in one pass right after
+    // its update; this reads the cell's own entry.
     auto* env = Simulation::GetActive()->GetEnvironment();
-    int neighbors = 0;
-    env->ForEachNeighbor(*agent, config_.crowding_radius * config_.crowding_radius,
-                         [&](const Environment::NeighborData&) { ++neighbors; });
+    const int neighbors = static_cast<int>(env->CountNeighbors(
+        *agent, ctx->agent_handle(),
+        config_.crowding_radius * config_.crowding_radius));
 
     // Random micro-motion.
     cell->SetPosition(cell->GetPosition() + step);

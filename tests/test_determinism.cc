@@ -12,10 +12,14 @@
 
 #include "continuum/diffusion_grid.h"
 #include "core/agent_pointer.h"
+#include "core/behavior.h"
 #include "core/cell.h"
+#include "core/execution_context.h"
 #include "core/resource_manager.h"
 #include "core/simulation.h"
+#include "env/environment.h"
 #include "models/cell_proliferation.h"
+#include "models/oncology.h"
 #include "models/registry.h"
 
 namespace bdm {
@@ -219,6 +223,106 @@ TEST(SortRelocationTest, RelocatingEveryAgentLeavesClusteringBitwise) {
   ASSERT_FALSE(kept_fields.empty());
   EXPECT_EQ(copied_positions, kept_positions);
   EXPECT_EQ(copied_fields, kept_fields);
+}
+
+// --- oncology's count column against a per-agent reference ------------------
+
+/// Oncology's tumor-cell behavior with the crowding count taken by a
+/// per-agent query from the cell's iteration-start position (before its
+/// micro-step), the way the model counted before the count column.
+class ReferenceTumorCellBehavior : public Behavior {
+ public:
+  explicit ReferenceTumorCellBehavior(const models::oncology::Config& config)
+      : config_(config) {}
+
+  void Run(Agent* agent, ExecutionContext* ctx) override {
+    auto* cell = static_cast<Cell*>(agent);
+    Random* random = ctx->random();
+    const Real3 step = random->UnitVector() * config_.micro_motion_step;
+    int neighbors = 0;
+    Simulation::GetActive()->GetEnvironment()->ForEachNeighbor(
+        *agent, config_.crowding_radius * config_.crowding_radius,
+        [&](const Environment::NeighborData&) { ++neighbors; });
+    cell->SetPosition(cell->GetPosition() + step);
+    if (neighbors > config_.crowding_threshold) {
+      if (random->Bool(config_.death_probability)) {
+        ctx->RemoveAgent(cell->GetUid());
+      }
+      return;
+    }
+    if (cell->GetDiameter() >= config_.division_diameter) {
+      cell->Divide(ctx, random->UnitVector());
+    } else {
+      cell->ChangeVolume(config_.volume_growth_rate *
+                         Simulation::GetActive()->GetParam().dt);
+    }
+  }
+
+  Behavior* NewCopy() const override {
+    return new ReferenceTumorCellBehavior(*this);
+  }
+
+ private:
+  models::oncology::Config config_;
+};
+
+/// oncology::Build with the reference behavior: the same RNG draws, so the
+/// same initial cells.
+void BuildReferenceTumor(Simulation* sim,
+                         const models::oncology::Config& config) {
+  auto* random = sim->GetActiveExecutionContext()->random();
+  for (uint64_t i = 0; i < config.num_cells; ++i) {
+    Real3 p;
+    do {
+      p = random->UniformPoint(-1, 1);
+    } while (p.SquaredNorm() > 1);
+    auto* cell = new Cell(p * config.spheroid_radius, config.diameter);
+    cell->AddBehavior(new ReferenceTumorCellBehavior(config));
+    sim->GetResourceManager()->AddAgent(cell);
+  }
+}
+
+/// Bit patterns of every agent's diameter, in uid order.
+std::vector<uint64_t> DiameterBits(Simulation* sim) {
+  std::map<AgentUid, real_t> diameters;
+  sim->GetResourceManager()->ForEachAgent([&](Agent* agent, AgentHandle) {
+    diameters[agent->GetUid()] = agent->GetDiameter();
+  });
+  std::vector<uint64_t> bits;
+  for (const auto& [uid, diameter] : diameters) {
+    bits.push_back(std::bit_cast<uint64_t>(static_cast<double>(diameter)));
+  }
+  return bits;
+}
+
+TEST(OncologyReferenceTest, CountColumnMatchesPerAgentBehaviorBitwise) {
+  // Births, deaths and the switch of the crowding radius from the
+  // per-agent path to the grid's symmetric pass all happen in 40
+  // iterations; the 1-thread trajectories must agree bit for bit.
+  models::oncology::Config config;
+  config.num_cells = 2000;
+  config.spheroid_radius = 55;
+  config.volume_growth_rate = 8000;
+  auto run = [&](bool reference, std::vector<uint64_t>* positions,
+                 std::vector<uint64_t>* diameters) {
+    Simulation sim("oncology_reference", SingleThread());
+    if (reference) {
+      BuildReferenceTumor(&sim, config);
+    } else {
+      models::oncology::Build(&sim, config);
+    }
+    sim.Simulate(40);
+    *positions = PositionBits(&sim);
+    *diameters = DiameterBits(&sim);
+  };
+  std::vector<uint64_t> engine_positions, engine_diameters;
+  std::vector<uint64_t> reference_positions, reference_diameters;
+  run(false, &engine_positions, &engine_diameters);
+  run(true, &reference_positions, &reference_diameters);
+  ASSERT_FALSE(engine_positions.empty());
+  EXPECT_NE(engine_positions.size(), 3 * config.num_cells);
+  EXPECT_EQ(engine_positions, reference_positions);
+  EXPECT_EQ(engine_diameters, reference_diameters);
 }
 
 // --- AgentPointer (needs an active simulation) --------------------------------

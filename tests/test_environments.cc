@@ -3,11 +3,12 @@
 // (precondition for the Figure 11 performance comparison being meaningful).
 // Queries answer from the Update-time snapshot, also while behaviors move
 // agents on other workers (the NeighborQueryUnderMovement runs, ctest label
-// `tsan`).
+// `tsan`), and so does the neighbor-count column filled after each Update.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -18,12 +19,15 @@
 #include <vector>
 
 #include "core/cell.h"
+#include "core/operation.h"
 #include "core/resource_manager.h"
+#include "core/scheduler.h"
 #include "core/simulation.h"
 #include "env/kd_tree.h"
 #include "env/octree.h"
 #include "env/uniform_grid.h"
 #include "math/random.h"
+#include "models/oncology.h"
 #include "models/registry.h"
 
 namespace bdm {
@@ -87,19 +91,37 @@ struct EnvCase {
   uint64_t seed;
 };
 
+std::unique_ptr<Environment> MakeEnvironment(const Param& param,
+                                             EnvironmentType type) {
+  switch (type) {
+    case EnvironmentType::kUniformGrid:
+      return std::make_unique<UniformGridEnvironment>(param);
+    case EnvironmentType::kKdTree:
+      return std::make_unique<KdTreeEnvironment>(param);
+    case EnvironmentType::kOctree:
+      return std::make_unique<OctreeEnvironment>(param);
+  }
+  return nullptr;
+}
+
+std::string EnvironmentName(
+    const ::testing::TestParamInfo<EnvironmentType>& info) {
+  switch (info.param) {
+    case EnvironmentType::kUniformGrid:
+      return "uniform_grid";
+    case EnvironmentType::kKdTree:
+      return "kd_tree";
+    case EnvironmentType::kOctree:
+      return "octree";
+  }
+  return "unknown";
+}
+
 class EnvironmentCorrectness : public ::testing::TestWithParam<EnvCase> {
  protected:
   static std::unique_ptr<Environment> Make(const Param& param,
                                            EnvironmentType type) {
-    switch (type) {
-      case EnvironmentType::kUniformGrid:
-        return std::make_unique<UniformGridEnvironment>(param);
-      case EnvironmentType::kKdTree:
-        return std::make_unique<KdTreeEnvironment>(param);
-      case EnvironmentType::kOctree:
-        return std::make_unique<OctreeEnvironment>(param);
-    }
-    return nullptr;
+    return MakeEnvironment(param, type);
   }
 };
 
@@ -354,10 +376,9 @@ TEST(UniformGridTest, TimestampWrapKeepsSearchesCorrect) {
   }
 }
 
-// Pins the reach == 1 stencil fast path against a brute-force reference:
-// radius == box length guarantees reach 1, and the 11^3 grid has plenty of
-// interior boxes taking the stencil as well as boundary boxes taking the
-// general clamped scan.
+// Pins the search at radius == box length against a brute-force reference
+// on an 11^3 grid: interior queries visit up to 3^3 boxes of the bounding
+// cube, boundary queries the part of it the grid clamps to.
 TEST(UniformGridTest, FastPathMatchesReferenceScan) {
   EnvFixture fix;
   fix.param_.fixed_box_length = 10;
@@ -540,6 +561,36 @@ TEST(UniformGridTest, PairTraversalReportsPairsInScanOrder) {
   }
 }
 
+// The half stencil covers radii up to the box length and no further: a pair
+// two boxes apart can lie within any radius above it. Here the pair
+// (9.9999995, 20.0000005) is 10.000001 apart, in boxes 0 and 2, within
+// r^2 = 100.00005; a tolerance on the box-length test used to drop it.
+TEST(UniformGridTest, PairTraversalJustAboveBoxLengthFindsEveryPair) {
+  EnvFixture fix;
+  fix.param_.fixed_box_length = 10;
+  for (const real_t x : {0.0, 9.9999995, 20.0000005}) {
+    fix.rm_->AddAgent(new Cell({x, 0, 0}, 1));
+  }
+  UniformGridEnvironment grid(fix.param_);
+  grid.Update(*fix.rm_, fix.pool_.get());
+  ASSERT_EQ(grid.GetDimensions()[0], 3);
+  const real_t squared_radius = 100.00005;
+  ASSERT_FALSE(grid.HalfStencilCovers(squared_radius));
+  int query_hits = 0;
+  fix.rm_->ForEachAgent([&](Agent* query, AgentHandle) {
+    grid.ForEachNeighbor(*query, squared_radius,
+                         [&](const Environment::NeighborData&) {
+                           ++query_hits;
+                         });
+  });
+  EXPECT_EQ(query_hits, 4);  // two pairs, each found from both ends
+  std::atomic<int> pairs{0};
+  grid.ForEachNeighborPair(
+      squared_radius, fix.pool_.get(),
+      [&](const Environment::NeighborPair&, int) { ++pairs; });
+  EXPECT_EQ(pairs.load(), 2);
+}
+
 // Two tiny agents at opposite corners of a 1e12-sized space: the naive box
 // count (extent / diameter per dimension, cubed) would overflow int64. The
 // guard must coarsen the grid instead of overflowing or allocating.
@@ -633,8 +684,8 @@ TEST(UniformGridTest, MemoryFootprintGrowsWithAgents) {
 // Behaviors query neighbors while other workers move, resize, divide and
 // remove agents. Queries read only the Update-time snapshot, so a
 // thread-sanitizer build must find no race here: cell_sorting steers every
-// cell by its neighbors' positions, oncology counts neighbors after a
-// random move and then grows, divides or removes the cell.
+// cell by its neighbors' positions, oncology reads its crowding count,
+// makes a random move and then grows, divides or removes the cell.
 class NeighborQueryUnderMovement
     : public ::testing::TestWithParam<std::string> {};
 
@@ -657,6 +708,280 @@ INSTANTIATE_TEST_SUITE_P(
     Models, NeighborQueryUnderMovement,
     ::testing::Values("cell_sorting", "oncology"),
     [](const ::testing::TestParamInfo<std::string>& info) { return info.param; });
+
+// Runs after every environment update and checks each agent's entry of
+// the count column against a per-agent count at its Update-time position.
+class CountColumnCheckOp : public StandaloneOperation {
+ public:
+  explicit CountColumnCheckOp(real_t squared_radius)
+      : StandaloneOperation("count_column_check", 1),
+        squared_radius_(squared_radius) {}
+
+  void Run(Simulation* sim) override {
+    Environment* env = sim->GetEnvironment();
+    if (auto* grid = dynamic_cast<UniformGridEnvironment*>(env)) {
+      ++(grid->HalfStencilCovers(squared_radius_) ? symmetric_
+                                                  : per_agent_);
+    }
+    const uint32_t* column = env->NeighborCountColumn(squared_radius_);
+    if (column == nullptr) {
+      ++unfilled_;
+      return;
+    }
+    ++checked_;
+    uint64_t row = 0;
+    sim->GetResourceManager()->ForEachAgent([&](Agent* agent, AgentHandle) {
+      uint32_t expected = 0;
+      env->ForEachNeighbor(*agent, squared_radius_,
+                           [&](const Environment::NeighborData&) {
+                             ++expected;
+                           });
+      mismatches_ += column[row++] != expected ? 1 : 0;
+    });
+  }
+
+  real_t squared_radius_;
+  int unfilled_ = 0;
+  int checked_ = 0;
+  int symmetric_ = 0;
+  int per_agent_ = 0;
+  uint64_t mismatches_ = 0;
+};
+
+// The oncology model fills its crowding column while cells are born and
+// die and behaviors read it on four workers (ctest label: tsan). The first
+// iteration registers the radius; every later one must match per agent.
+// On the grid the growing box length moves the crowding radius from the
+// per-agent path to the symmetric pass during the run.
+class NeighborCountColumnUnderChurn
+    : public ::testing::TestWithParam<EnvironmentType> {};
+
+TEST_P(NeighborCountColumnUnderChurn, OncologyAtFourThreads) {
+  Param param;
+  param.num_threads = 4;
+  param.environment = GetParam();
+  Simulation sim("count_column_churn", param);
+  models::oncology::Config config;
+  config.num_cells = 1500;
+  config.spheroid_radius = 50;
+  config.volume_growth_rate = 8000;
+  models::oncology::Build(&sim, config);
+  std::set<AgentUid> initial;
+  sim.GetResourceManager()->ForEachAgent([&](Agent* agent, AgentHandle) {
+    initial.insert(agent->GetUid());
+  });
+  auto check = std::make_unique<CountColumnCheckOp>(config.crowding_radius *
+                                                    config.crowding_radius);
+  CountColumnCheckOp* op = check.get();
+  sim.GetScheduler()->AppendPreOp(std::move(check));
+  sim.Simulate(20);
+  EXPECT_EQ(op->unfilled_, 1);
+  EXPECT_EQ(op->checked_, 19);
+  EXPECT_EQ(op->mismatches_, 0u);
+  size_t survivors = 0;
+  size_t born = 0;
+  sim.GetResourceManager()->ForEachAgent([&](Agent* agent, AgentHandle) {
+    ++(initial.count(agent->GetUid()) > 0 ? survivors : born);
+  });
+  EXPECT_LT(survivors, initial.size());  // cells died
+  EXPECT_GT(born, 0u);                   // cells were born
+  if (GetParam() == EnvironmentType::kUniformGrid) {
+    EXPECT_GT(op->per_agent_, 0);
+    EXPECT_GT(op->symmetric_, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Environments, NeighborCountColumnUnderChurn,
+                         ::testing::Values(EnvironmentType::kUniformGrid,
+                                           EnvironmentType::kKdTree,
+                                           EnvironmentType::kOctree),
+                         EnvironmentName);
+
+// --- pair traversal and count column, all environments ---------------------
+
+// ForEachNeighborPair emits every unordered pair within the radius exactly
+// once, from either endpoint: the grid's half stencil emits (owner,
+// partner) with no order between the dense indices, the generic traversal
+// (kd-tree, octree, the grid above its box length) a_index < b_index.
+class NeighborPairContract : public ::testing::TestWithParam<EnvironmentType> {
+};
+
+TEST_P(NeighborPairContract, EachUnorderedPairComesOnce) {
+  EnvFixture fix(4);
+  fix.AddRandomCells(1500, 80, 10, 53);
+  auto env = MakeEnvironment(fix.param_, GetParam());
+  env->Update(*fix.rm_, fix.pool_.get());
+  std::vector<Agent*> agents;
+  fix.rm_->ForEachAgent([&](Agent* agent, AgentHandle) {
+    agents.push_back(agent);
+  });
+  using AgentPair = std::pair<const Agent*, const Agent*>;
+  const auto unordered = [](const Agent* a, const Agent* b) {
+    return a < b ? AgentPair{a, b} : AgentPair{b, a};
+  };
+  // Radii below, at and above the box length (the largest diameter, 10).
+  for (const real_t radius : {7.0, 10.0, 14.0}) {
+    const real_t squared_radius = radius * radius;
+    std::set<AgentPair> expected;
+    for (size_t i = 0; i < agents.size(); ++i) {
+      for (size_t j = i + 1; j < agents.size(); ++j) {
+        if (agents[i]->GetPosition().SquaredDistance(
+                agents[j]->GetPosition()) <= squared_radius) {
+          expected.insert(unordered(agents[i], agents[j]));
+        }
+      }
+    }
+    std::vector<std::vector<AgentPair>> per_slab(
+        fix.pool_->NumThreads());
+    env->ForEachNeighborPair(
+        squared_radius, fix.pool_.get(),
+        [&](const Environment::NeighborPair& pair, int slab) {
+          per_slab[slab].push_back(unordered(pair.a, pair.b));
+        });
+    std::vector<AgentPair> emitted;
+    for (const auto& slab : per_slab) {
+      emitted.insert(emitted.end(), slab.begin(), slab.end());
+    }
+    std::sort(emitted.begin(), emitted.end());
+    EXPECT_EQ(std::adjacent_find(emitted.begin(), emitted.end()),
+              emitted.end())
+        << "a pair came twice at radius " << radius;
+    EXPECT_EQ(std::set<AgentPair>(emitted.begin(), emitted.end()), expected)
+        << "radius " << radius;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Environments, NeighborPairContract,
+                         ::testing::Values(EnvironmentType::kUniformGrid,
+                                           EnvironmentType::kKdTree,
+                                           EnvironmentType::kOctree),
+                         EnvironmentName);
+
+/// Row of the agent at `handle`: the resource manager's domain-major order.
+uint64_t RowOf(const ResourceManager& rm, AgentHandle handle) {
+  uint64_t row = handle.index;
+  for (int d = 0; d < handle.numa_domain; ++d) {
+    row += rm.GetNumAgents(d);
+  }
+  return row;
+}
+
+// The count column holds, for every agent, the number of other agents
+// within the radius of its Update-time position. Radii below and at the
+// grid's box length take the grid's symmetric pass, the radius above it
+// the per-agent path; the population spans interior and boundary boxes and
+// two NUMA domains, so rows are not the dense order of the trees.
+class NeighborCountColumn : public ::testing::TestWithParam<EnvironmentType> {
+};
+
+TEST_P(NeighborCountColumn, MatchesPerAgentCounts) {
+  EnvFixture fix(4, 2);
+  fix.param_.fixed_box_length = 10;
+  fix.AddRandomCells(2000, 90, 8, 61);
+  auto env = MakeEnvironment(fix.param_, GetParam());
+  env->Update(*fix.rm_, fix.pool_.get());
+  std::vector<std::pair<Agent*, AgentHandle>> agents;
+  fix.rm_->ForEachAgent([&](Agent* agent, AgentHandle handle) {
+    agents.emplace_back(agent, handle);
+  });
+  const std::vector<real_t> radii = {6.0, 10.0, 13.0};
+  std::map<real_t, std::vector<uint32_t>> expected;
+  for (const real_t radius : radii) {
+    const real_t squared_radius = radius * radius;
+    std::vector<uint32_t>& counts = expected[squared_radius];
+    counts.assign(agents.size(), 0);
+    for (const auto& [agent, handle] : agents) {
+      for (const auto& [other, other_handle] : agents) {
+        if (other != agent && other->GetPosition().SquaredDistance(
+                                  agent->GetPosition()) <= squared_radius) {
+          ++counts[RowOf(*fix.rm_, handle)];
+        }
+      }
+    }
+    // First requests register the radius and answer per agent.
+    EXPECT_EQ(env->NeighborCountColumn(squared_radius), nullptr);
+    for (const auto& [agent, handle] : agents) {
+      ASSERT_EQ(env->CountNeighbors(*agent, handle, squared_radius),
+                counts[RowOf(*fix.rm_, handle)])
+          << "radius " << radius << " uid " << agent->GetUid();
+    }
+  }
+  for (int update = 0; update < 2; ++update) {
+    env->Update(*fix.rm_, fix.pool_.get());
+    for (const real_t radius : radii) {
+      EXPECT_EQ(env->NeighborCountColumn(radius * radius), nullptr);
+    }
+    env->FillNeighborCounts(fix.pool_.get());
+    for (const real_t radius : radii) {
+      const real_t squared_radius = radius * radius;
+      const uint32_t* column = env->NeighborCountColumn(squared_radius);
+      ASSERT_NE(column, nullptr) << "radius " << radius;
+      EXPECT_EQ(std::vector<uint32_t>(column, column + agents.size()),
+                expected[squared_radius])
+          << "radius " << radius;
+      for (const auto& [agent, handle] : agents) {
+        ASSERT_EQ(env->CountNeighbors(*agent, handle, squared_radius),
+                  expected[squared_radius][RowOf(*fix.rm_, handle)]);
+      }
+    }
+  }
+  if (GetParam() == EnvironmentType::kUniformGrid) {
+    auto* grid = static_cast<UniformGridEnvironment*>(env.get());
+    ASSERT_EQ(grid->GetBoxLength(), 10);
+    const auto dims = grid->GetDimensions();
+    EXPECT_GE(std::min({dims[0], dims[1], dims[2]}), 3);  // interior boxes
+    EXPECT_TRUE(grid->HalfStencilCovers(100));
+    EXPECT_FALSE(grid->HalfStencilCovers(169));
+    // Legacy mode flattens its own mirror in the same domain-major order.
+    fix.param_.soa_primary = false;
+    UniformGridEnvironment legacy(fix.param_);
+    legacy.Update(*fix.rm_, fix.pool_.get());
+    for (const real_t radius : radii) {
+      legacy.CountNeighbors(*agents[0].first, agents[0].second,
+                            radius * radius);
+    }
+    legacy.FillNeighborCounts(fix.pool_.get());
+    for (const real_t radius : radii) {
+      const real_t squared_radius = radius * radius;
+      const uint32_t* column = legacy.NeighborCountColumn(squared_radius);
+      ASSERT_NE(column, nullptr) << "radius " << radius;
+      EXPECT_EQ(std::vector<uint32_t>(column, column + agents.size()),
+                expected[squared_radius])
+          << "legacy mode, radius " << radius;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Environments, NeighborCountColumn,
+                         ::testing::Values(EnvironmentType::kUniformGrid,
+                                           EnvironmentType::kKdTree,
+                                           EnvironmentType::kOctree),
+                         EnvironmentName);
+
+// The grid's symmetric pass adds with relaxed atomics, in an order the
+// schedule decides; integer counts make the column identical at any thread
+// count (ctest label: determinism).
+TEST(NeighborCountColumnTest, IdenticalAtOneAndFourThreads) {
+  const auto column = [](int threads, real_t squared_radius) {
+    EnvFixture fix(threads);
+    fix.AddRandomCells(20000, 160, 10, 67);
+    UniformGridEnvironment grid(fix.param_);
+    grid.Update(*fix.rm_, fix.pool_.get());
+    Agent* first = fix.rm_->GetAgentVector(0)[0];
+    grid.CountNeighbors(*first, AgentHandle{0, 0}, squared_radius);
+    grid.FillNeighborCounts(fix.pool_.get());
+    const uint32_t* counts = grid.NeighborCountColumn(squared_radius);
+    return std::vector<uint32_t>(counts, counts + grid.DenseAgentCount());
+  };
+  for (const real_t radius : {8.0, 10.0, 12.0}) {
+    const std::vector<uint32_t> reference = column(1, radius * radius);
+    ASSERT_EQ(reference.size(), 20000u);
+    EXPECT_GT(*std::max_element(reference.begin(), reference.end()), 0u);
+    for (int run = 0; run < 3; ++run) {
+      EXPECT_EQ(column(4, radius * radius), reference) << "radius " << radius;
+    }
+  }
+}
 
 TEST(EnvironmentNames, AreDistinct) {
   Param param;
