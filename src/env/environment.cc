@@ -62,12 +62,17 @@ void Environment::MapRowsToDense(const ResourceManager& rm) {
   }
 }
 
-uint32_t Environment::CountAtRow(uint64_t row, real_t squared_radius) const {
-  const NeighborData self = DenseSnapshot(DenseIndexOfRow(row));
+uint32_t Environment::CountAround(const Real3& position, real_t squared_radius,
+                                  const Agent* exclude) const {
   uint32_t count = 0;
-  Search(self.position, squared_radius, self.agent,
+  Search(position, squared_radius, exclude,
          [&](const NeighborData&) { ++count; });
   return count;
+}
+
+uint32_t Environment::CountAtRow(uint64_t row, real_t squared_radius) const {
+  const NeighborData self = DenseSnapshot(DenseIndexOfRow(row));
+  return CountAround(self.position, squared_radius, self.agent);
 }
 
 void Environment::CountAllNeighbors(real_t squared_radius,
@@ -131,13 +136,8 @@ uint32_t Environment::CountNeighbors(const Agent& query, AgentHandle handle,
     return column[row];
   }
   RegisterCountRadius(squared_radius);
-  if (has_row) {
-    return CountAtRow(row, squared_radius);
-  }
-  uint32_t count = 0;
-  Search(query.GetPosition(), squared_radius, &query,
-         [&](const NeighborData&) { ++count; });
-  return count;
+  return has_row ? CountAtRow(row, squared_radius)
+                 : CountAround(query.GetPosition(), squared_radius, &query);
 }
 
 }  // namespace bdm

@@ -187,6 +187,9 @@ class Environment {
     return dense_of_row_.empty() ? static_cast<uint32_t>(row)
                                  : dense_of_row_[row];
   }
+  /// Number of agents other than `exclude` that Search reports.
+  uint32_t CountAround(const Real3& position, real_t squared_radius,
+                       const Agent* exclude) const;
   /// Neighbor count of `row`'s agent around its snapshot position.
   uint32_t CountAtRow(uint64_t row, real_t squared_radius) const;
   /// Index of `squared_radius` among the first `columns` count columns, or

@@ -106,30 +106,16 @@ std::unique_ptr<Environment> MakeEnvironment(const Param& param,
 
 std::string EnvironmentName(
     const ::testing::TestParamInfo<EnvironmentType>& info) {
-  switch (info.param) {
-    case EnvironmentType::kUniformGrid:
-      return "uniform_grid";
-    case EnvironmentType::kKdTree:
-      return "kd_tree";
-    case EnvironmentType::kOctree:
-      return "octree";
-  }
-  return "unknown";
+  return MakeEnvironment(Param{}, info.param)->GetName();
 }
 
-class EnvironmentCorrectness : public ::testing::TestWithParam<EnvCase> {
- protected:
-  static std::unique_ptr<Environment> Make(const Param& param,
-                                           EnvironmentType type) {
-    return MakeEnvironment(param, type);
-  }
-};
+class EnvironmentCorrectness : public ::testing::TestWithParam<EnvCase> {};
 
 TEST_P(EnvironmentCorrectness, MatchesBruteForce) {
   const EnvCase c = GetParam();
   EnvFixture fix;
   fix.AddRandomCells(c.num_agents, c.space, 10, c.seed);
-  auto env = Make(fix.param_, c.type);
+  auto env = MakeEnvironment(fix.param_, c.type);
   env->Update(*fix.rm_, fix.pool_.get());
   const real_t radius = 10 * c.radius_factor;
   const real_t squared_radius = radius * radius;
@@ -144,7 +130,7 @@ TEST_P(EnvironmentCorrectness, PositionAnchoredSearchMatches) {
   const EnvCase c = GetParam();
   EnvFixture fix;
   fix.AddRandomCells(c.num_agents, c.space, 10, c.seed);
-  auto env = Make(fix.param_, c.type);
+  auto env = MakeEnvironment(fix.param_, c.type);
   env->Update(*fix.rm_, fix.pool_.get());
   Random random(c.seed * 31 + 7);
   const real_t squared_radius = 100 * c.radius_factor * c.radius_factor;
@@ -173,7 +159,7 @@ TEST_P(EnvironmentCorrectness, QueriesReportUpdateTimeSnapshot) {
   const EnvCase c = GetParam();
   EnvFixture fix;
   fix.AddRandomCells(c.num_agents, c.space, 10, c.seed);
-  auto env = Make(fix.param_, c.type);
+  auto env = MakeEnvironment(fix.param_, c.type);
   env->Update(*fix.rm_, fix.pool_.get());
   std::map<const Agent*, std::pair<Real3, real_t>> snapshot;
   Agent* moved = nullptr;
@@ -228,7 +214,7 @@ TEST_P(EnvironmentCorrectness, QueriesReportUpdateTimeSnapshot) {
 
 TEST_P(EnvironmentCorrectness, EmptySimulationIsSafe) {
   EnvFixture fix;
-  auto env = Make(fix.param_, GetParam().type);
+  auto env = MakeEnvironment(fix.param_, GetParam().type);
   env->Update(*fix.rm_, fix.pool_.get());
   int calls = 0;
   env->ForEachNeighbor(Real3{0, 0, 0}, 100,
@@ -240,7 +226,7 @@ TEST_P(EnvironmentCorrectness, BoundsCoverAllAgents) {
   const EnvCase c = GetParam();
   EnvFixture fix;
   fix.AddRandomCells(c.num_agents, c.space, 10, c.seed);
-  auto env = Make(fix.param_, c.type);
+  auto env = MakeEnvironment(fix.param_, c.type);
   env->Update(*fix.rm_, fix.pool_.get());
   const Real3 lower = env->GetLowerBound();
   const Real3 upper = env->GetUpperBound();
