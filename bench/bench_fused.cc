@@ -1,13 +1,13 @@
 // Pipeline-level A/B for the SoA-primary agent store (DESIGN.md "SoA-primary
 // store"): the same relaxation workload once with Param::soa_primary ON
-// (persistent store updated incrementally at Commit + MechanicsFusedOp's
-// fused zero/traverse/scatter and fold/integrate/write-back passes) and once
-// with it OFF (legacy per-iteration grid mirror + the same engine's generic
-// pair traversal with the virtual force).
+// (persistent store, gathered again only after a structural change, +
+// MechanicsFusedOp's fused zero/traverse/scatter and fold/integrate/write-back
+// passes) and once with it OFF (legacy per-iteration grid mirror + the same
+// engine's generic pair traversal with the virtual force).
 // Unlike bench_forces -- which times the force kernels in isolation on a
 // frozen grid -- this drives the whole scheduler pipeline: environment
-// update, staticness passes, mechanics, commit, so the store's incremental
-// maintenance cost is part of the measured time, not just its kernel payoff.
+// update, staticness passes, mechanics, commit, so the store's maintenance
+// cost is part of the measured time, not just its kernel payoff.
 //
 // Correctness gate: both configurations run single-threaded at small scale
 // first and their trajectories must agree BITWISE (the fused engine inlines

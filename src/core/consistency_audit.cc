@@ -176,9 +176,10 @@ std::vector<std::string> ConsistencyAudit::CheckSoaStore(
 
   // Layout: the dense-index map must agree with the per-domain vectors --
   // and with the environment's dense count when the environment serves its
-  // index from the store. A count disagreement here means the commit
-  // protocol desynchronized the store; it must be LOUD (thrown by the audit
-  // op and visible as audit.store_mismatches even if the throw is caught).
+  // index from the store. A count disagreement here means a structural
+  // change reached the agent vectors without marking the store dirty; it
+  // must be LOUD (thrown by the audit op and visible as
+  // audit.store_mismatches even if the throw is caught).
   if (store.NumDomains() != rm.GetNumDomains()) {
     complain("store spans " + std::to_string(store.NumDomains()) +
              " domains, resource manager has " +

@@ -136,8 +136,7 @@ void ResourceManager::AddAgent(Agent* agent) {
   if (agent->HasCustomMechanics()) {
     num_custom_mechanics_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Direct adds bypass the commit protocol; the store re-derives the layout
-  // on its next EnsureCurrent.
+  // The store re-derives the layout on its next EnsureCurrent.
   soa_store_.MarkStructureDirty();
 }
 
@@ -177,9 +176,6 @@ void ResourceManager::ForEachAgentParallel(const AgentFn& fn) const {
 
 std::pair<uint64_t, uint64_t> ResourceManager::Commit(
     const std::vector<ExecutionContext*>& contexts) {
-  // Arm the SoA store's incremental mirror: the removal paths below report
-  // their swaps so the store never has to re-gather the surviving agents.
-  soa_store_.BeginCommit();
   // Gather removal uids from all contexts.
   std::vector<AgentUid> removals;
   uint64_t num_added = 0;
@@ -254,9 +250,12 @@ std::pair<uint64_t, uint64_t> ResourceManager::Commit(
   for (ExecutionContext* ctx : contexts) {
     ctx->ClearBuffers();
   }
-  // Apply the post-commit layout to the SoA store (gathers only the
-  // appended agents; survivors were mirrored by the removal hooks).
-  soa_store_.FinishCommit(*this, pool_);
+  // A live addition or removal changed the layout, which the store gathers
+  // again on its next EnsureCurrent. An empty commit (every iteration of a
+  // fixed population) leaves the store current.
+  if (num_added > 0 || !removals.empty()) {
+    soa_store_.MarkStructureDirty();
+  }
   if (MetricsRegistry::Enabled()) {
     // Commit runs on the main thread between parallel regions, so the
     // self-resolving Add lands in shard 0. `removals` holds only live
@@ -286,8 +285,6 @@ void ResourceManager::CommitRemovalsSerial(std::vector<AgentUid>& removals) {
     auto& domain = agents_[handle.numa_domain];
     Agent* doomed = domain[handle.index];
     Agent* last = domain.back();
-    soa_store_.OnRemoveOne(handle.numa_domain, handle.index,
-                           domain.size() - 1);
     domain[handle.index] = last;
     domain.pop_back();
     if (last != doomed) {
@@ -346,12 +343,10 @@ void ResourceManager::RemoveSwapSerial(int domain,
     if (idx != back) {
       Agent* moved = agents[back];
       agents[idx] = moved;
-      soa_store_.OnRemoveSwap(domain, idx, back);
       UpdateUidMapPosition(moved->GetUid(),
                            {static_cast<uint16_t>(domain), idx});
     }
   }
-  soa_store_.OnRemovals(domain, removed_idx.size());
   agents.resize(agents.size() - removed_idx.size());
 }
 
@@ -367,12 +362,9 @@ void ResourceManager::RemoveFromDomainsParallel(
   // serial swap loop is the same algorithm with one thread.
   if (total_removed < 512) {
     for (int d = 0; d < num_domains; ++d) {
-      RemoveSwapSerial(d, per_domain[d]);  // mirrors into the SoA store too
+      RemoveSwapSerial(d, per_domain[d]);
     }
     return;
-  }
-  for (int d = 0; d < num_domains; ++d) {
-    soa_store_.OnRemovals(d, per_domain[d].size());
   }
 
   // Fused across domains: one set of auxiliary arrays where the segment
@@ -509,10 +501,6 @@ void ResourceManager::RemoveFromDomainsParallel(
           const uint64_t src = compact_left[k];
           Agent* moved = agents[src];
           agents[dst] = moved;
-          // Safe concurrently: dst slots are distinct holes < new_size, src
-          // slots are distinct survivors >= new_size, so the store's slot
-          // writes never overlap its slot reads.
-          soa_store_.OnRemoveSwap(d, dst, src);
           UpdateUidMapPosition(moved->GetUid(),
                                {static_cast<uint16_t>(d), dst});
         }
@@ -528,8 +516,8 @@ void ResourceManager::ReplaceAgentVectors(
     std::vector<std::vector<Agent*>>&& new_vectors) {
   assert(new_vectors.size() == agents_.size());
   agents_ = std::move(new_vectors);
-  // Sorting rebuilt every vector (and may have relocated agents); the
-  // incremental mirror cannot track this, so force a full store rebuild.
+  // Sorting rebuilt every vector (and may have relocated agents), so the
+  // store gathers every row again.
   soa_store_.MarkStructureDirty();
   // Agent sorting moves agents to new handles and may copy them to new
   // memory locations, so both the pointer and the handle of every uid-map

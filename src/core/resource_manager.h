@@ -83,7 +83,9 @@ class ResourceManager {
   /// Commits all buffered additions and removals from the per-thread
   /// execution contexts. Uses the parallel algorithms of Section 3.2 when
   /// param.parallel_commit is set, a serial reference implementation
-  /// otherwise. Returns {#added, #removed}.
+  /// otherwise. A commit that added or removed a live agent marks the SoA
+  /// store structure-dirty; an empty one leaves it current. Returns
+  /// {#added, #removed}.
   std::pair<uint64_t, uint64_t> Commit(
       const std::vector<ExecutionContext*>& contexts);
 
@@ -102,6 +104,7 @@ class ResourceManager {
   }
   /// Replaces all per-domain vectors at once and rebuilds uid-map handles
   /// (and pointers, since sorting may copy agents to new memory locations).
+  /// Marks the SoA store structure-dirty.
   void ReplaceAgentVectors(std::vector<std::vector<Agent*>>&& new_vectors);
 
   /// Direct handle update, used by the removal swaps.
@@ -117,7 +120,6 @@ class ResourceManager {
 
  private:
   friend class ConsistencyAudit;
-  friend class SoaStore;
 
   struct UidMapEntry {
     Agent* agent = nullptr;

@@ -1,9 +1,5 @@
 #include "core/soa_store.h"
 
-#include <algorithm>
-#include <cassert>
-#include <cstring>
-
 #include "core/agent.h"
 #include "core/resource_manager.h"
 #include "core/soa_dirty.h"
@@ -61,13 +57,6 @@ uint64_t SoaStore::ForceShards::Bytes() const {
 // Layout helpers
 // ---------------------------------------------------------------------------
 
-AgentHandle SoaStore::HandleFromDense(uint64_t dense) const {
-  const auto it = std::upper_bound(domain_offset_.begin(), domain_offset_.end(),
-                                   dense);
-  const int d = static_cast<int>(it - domain_offset_.begin()) - 1;
-  return {static_cast<uint16_t>(d), dense - domain_offset_[d]};
-}
-
 void SoaStore::Reallocate(uint64_t min_capacity) {
   agents_.Reset(min_capacity);
   pos_x_.Reset(min_capacity);
@@ -94,39 +83,33 @@ void SoaStore::UpdateFootprintGauge() {
 // Rebuild / refresh
 // ---------------------------------------------------------------------------
 
-void SoaStore::FillFromDomain(const ResourceManager& rm, int domain,
-                              uint64_t begin, uint64_t end,
-                              uint64_t dense_begin, NumaThreadPool* pool) {
-  const auto& src = rm.agents_[domain];
-  pool->ParallelFor(
-      static_cast<int64_t>(begin), static_cast<int64_t>(end), 2048,
-      [&](int64_t lo, int64_t hi, int) {
-        for (int64_t i = lo; i < hi; ++i) {
-          Agent* agent = src[static_cast<uint64_t>(i)];
-          const uint64_t dense = dense_begin + (static_cast<uint64_t>(i) - begin);
-          agents_[dense] = agent;
-          const Real3& p = agent->GetPosition();
-          pos_x_[dense] = p.x;
-          pos_y_[dense] = p.y;
-          pos_z_[dense] = p.z;
-          diameter_[dense] = agent->GetDiameter();
-          is_static_[dense] = agent->IsStatic() ? 1 : 0;
-        }
-      });
-}
-
 void SoaStore::FullRebuild(const ResourceManager& rm, NumaThreadPool* pool) {
   const int num_domains = rm.GetNumDomains();
   domain_offset_.assign(num_domains + 1, 0);
   for (int d = 0; d < num_domains; ++d) {
-    domain_offset_[d + 1] = domain_offset_[d] + rm.agents_[d].size();
+    domain_offset_[d + 1] = domain_offset_[d] + rm.GetNumAgents(d);
   }
   const uint64_t total = domain_offset_[num_domains];
   if (total > capacity_) {
     Reallocate(total + total / 2);  // headroom amortizes growth
   }
   for (int d = 0; d < num_domains; ++d) {
-    FillFromDomain(rm, d, 0, rm.agents_[d].size(), domain_offset_[d], pool);
+    const std::vector<Agent*>& src = rm.GetAgentVector(d);
+    const uint64_t offset = domain_offset_[d];
+    pool->ParallelFor(0, static_cast<int64_t>(src.size()), 2048,
+                      [&](int64_t lo, int64_t hi, int) {
+                        for (int64_t i = lo; i < hi; ++i) {
+                          Agent* agent = src[i];
+                          const uint64_t dense = offset + i;
+                          agents_[dense] = agent;
+                          const Real3& p = agent->GetPosition();
+                          pos_x_[dense] = p.x;
+                          pos_y_[dense] = p.y;
+                          pos_z_[dense] = p.z;
+                          diameter_[dense] = agent->GetDiameter();
+                          is_static_[dense] = agent->IsStatic() ? 1 : 0;
+                        }
+                      });
   }
   live_ = true;
   structure_dirty_.store(false, std::memory_order_relaxed);
@@ -177,149 +160,6 @@ void SoaStore::EnsureCurrent(const ResourceManager& rm, NumaThreadPool* pool) {
       geometry_stale_.load(std::memory_order_relaxed)) {
     RefreshGeometry(pool);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Commit protocol
-// ---------------------------------------------------------------------------
-
-void SoaStore::BeginCommit() {
-  mirroring_commit_ = live_ && !structure_dirty_.load(std::memory_order_relaxed);
-  if (!mirroring_commit_) {
-    return;
-  }
-  commit_removed_.assign(NumDomains(), 0);
-}
-
-void SoaStore::OnRemoveOne(int domain, uint64_t dst, uint64_t src) {
-  if (!mirroring_commit_) {
-    return;
-  }
-  ++commit_removed_[domain];
-  if (dst != src) {
-    OnRemoveSwap(domain, dst, src);
-  }
-}
-
-void SoaStore::OnRemoveSwap(int domain, uint64_t dst, uint64_t src) {
-  if (!mirroring_commit_) {
-    return;
-  }
-  const uint64_t offset = domain_offset_[domain];
-  const uint64_t to = offset + dst;
-  const uint64_t from = offset + src;
-  agents_[to] = agents_[from];
-  pos_x_[to] = pos_x_[from];
-  pos_y_[to] = pos_y_[from];
-  pos_z_[to] = pos_z_[from];
-  diameter_[to] = diameter_[from];
-  is_static_[to] = is_static_[from];
-}
-
-void SoaStore::OnRemovals(int domain, uint64_t count) {
-  if (!mirroring_commit_) {
-    return;
-  }
-  commit_removed_[domain] += count;
-}
-
-void SoaStore::FinishCommit(const ResourceManager& rm, NumaThreadPool* pool) {
-  if (!mirroring_commit_) {
-    return;
-  }
-  mirroring_commit_ = false;
-  const int num_domains = NumDomains();
-  assert(num_domains == rm.GetNumDomains());
-
-  std::vector<uint64_t> old_size(num_domains);
-  std::vector<uint64_t> new_size(num_domains);
-  std::vector<uint64_t> survivors(num_domains);
-  bool any_change = false;
-  bool offsets_unchanged = true;
-  uint64_t new_total = 0;
-  for (int d = 0; d < num_domains; ++d) {
-    old_size[d] = domain_offset_[d + 1] - domain_offset_[d];
-    new_size[d] = rm.agents_[d].size();
-    assert(commit_removed_[d] <= old_size[d]);
-    survivors[d] = old_size[d] - commit_removed_[d];
-    assert(survivors[d] <= new_size[d]);
-    if (new_size[d] != old_size[d] || commit_removed_[d] != 0) {
-      any_change = true;
-    }
-    if (d + 1 < num_domains && new_size[d] != old_size[d]) {
-      offsets_unchanged = false;
-    }
-    new_total += new_size[d];
-  }
-  if (!any_change) {
-    return;  // empty commit, arrays already current
-  }
-  if (new_total > capacity_) {
-    FullRebuild(rm, pool);
-    return;
-  }
-
-  if (offsets_unchanged) {
-    // Survivors already compacted in place by the removal hooks; only the
-    // appended agents must be gathered from the tail of each domain vector.
-    for (int d = 0; d < num_domains; ++d) {
-      FillFromDomain(rm, d, survivors[d], new_size[d],
-                     domain_offset_[d] + survivors[d], pool);
-    }
-  } else {
-    // Earlier domains changed size, so every later domain's dense range
-    // shifts. Repack the survivor blocks into fresh arrays (a shift within
-    // the live arrays would have to order moves against overlapping source
-    // ranges), then gather the additions.
-    std::vector<uint64_t> new_offset(num_domains + 1, 0);
-    for (int d = 0; d < num_domains; ++d) {
-      new_offset[d + 1] = new_offset[d] + new_size[d];
-    }
-    AlignedBuffer<Agent*> agents2(capacity_);
-    AlignedBuffer<real_t> x2(capacity_);
-    AlignedBuffer<real_t> y2(capacity_);
-    AlignedBuffer<real_t> z2(capacity_);
-    AlignedBuffer<real_t> dia2(capacity_);
-    AlignedBuffer<uint8_t> static2(capacity_);
-    for (int d = 0; d < num_domains; ++d) {
-      const uint64_t n = survivors[d];
-      if (n == 0) {
-        continue;
-      }
-      const uint64_t from = domain_offset_[d];
-      const uint64_t to = new_offset[d];
-      std::memcpy(agents2.data() + to, agents_.data() + from,
-                  n * sizeof(Agent*));
-      std::memcpy(x2.data() + to, pos_x_.data() + from, n * sizeof(real_t));
-      std::memcpy(y2.data() + to, pos_y_.data() + from, n * sizeof(real_t));
-      std::memcpy(z2.data() + to, pos_z_.data() + from, n * sizeof(real_t));
-      std::memcpy(dia2.data() + to, diameter_.data() + from,
-                  n * sizeof(real_t));
-      std::memcpy(static2.data() + to, is_static_.data() + from,
-                  n * sizeof(uint8_t));
-    }
-    agents_ = std::move(agents2);
-    pos_x_ = std::move(x2);
-    pos_y_ = std::move(y2);
-    pos_z_ = std::move(z2);
-    diameter_ = std::move(dia2);
-    is_static_ = std::move(static2);
-    domain_offset_ = std::move(new_offset);
-    for (int d = 0; d < num_domains; ++d) {
-      FillFromDomain(rm, d, survivors[d], new_size[d],
-                     domain_offset_[d] + survivors[d], pool);
-    }
-  }
-  // Offsets for the in-place path (repack already installed its own).
-  if (offsets_unchanged) {
-    for (int d = 0; d < num_domains; ++d) {
-      domain_offset_[d + 1] = domain_offset_[d] + new_size[d];
-    }
-  }
-  if (MetricsRegistry::Enabled()) {
-    MetricsRegistry::Get().Add(Metrics().incremental_updates, 1);
-  }
-  UpdateFootprintGauge();
 }
 
 }  // namespace bdm

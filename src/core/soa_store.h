@@ -10,16 +10,18 @@
 //
 //  * Owned by the ResourceManager, one per simulation.
 //  * Layout is domain-major: domain d's agents occupy the contiguous dense
-//    index range [domain_offset(d), domain_offset(d+1)). The dense index <->
-//    AgentHandle map is therefore arithmetic: dense = offset(d) + h.index.
-//  * Updated *incrementally*: ResourceManager::Commit mirrors its swap-
-//    remove/append mutations into the store (BeginCommit / OnRemove* /
-//    FinishCommit), and geometry mutations outside the engine (behaviors
-//    calling SetPosition/SetDiameter) raise soa::g_aos_geometry_dirty, which
-//    EnsureCurrent consumes with a refresh pass. A full rebuild from the AoS
-//    objects only happens after structural changes the commit protocol does
-//    not cover (direct AddAgent, agent sorting) -- counted separately by the
-//    soa/full_rebuilds vs soa/incremental_updates metrics.
+//    index range [domain_offset(d), domain_offset(d+1)), in the resource
+//    manager's order. The AgentHandle -> dense index map is therefore
+//    arithmetic: dense = offset(d) + h.index.
+//  * Brought up to date lazily by EnsureCurrent, in one of two ways. A
+//    structural change -- a commit that added or removed agents, a direct
+//    AddAgent, agent sorting -- marks the store structure-dirty, and the
+//    next EnsureCurrent gathers every row again from the AoS objects (a full
+//    rebuild). Geometry mutations outside the engine (behaviors calling
+//    SetPosition/SetDiameter) raise soa::g_aos_geometry_dirty, which
+//    EnsureCurrent consumes with a refresh of the rows it already has. Both
+//    are one O(N) gather, counted as soa/full_rebuilds and
+//    soa/incremental_updates respectively.
 //  * The fused mechanics op writes displaced positions back to both the
 //    store arrays and the AoS Agent in the same pass (the "write-back
 //    point"), so a quiescent population costs zero gather work per step.
@@ -74,7 +76,7 @@ class SoaStore {
 
   // --- liveness & layout -----------------------------------------------------
   /// Whether the arrays mirror the ResourceManager (after EnsureCurrent and
-  /// until the next uncovered structural change).
+  /// until the next structural change).
   bool IsLive() const { return live_; }
   bool IsStructureDirty() const {
     return structure_dirty_.load(std::memory_order_relaxed);
@@ -89,7 +91,6 @@ class SoaStore {
   uint64_t DenseIndex(const AgentHandle& h) const {
     return domain_offset_[h.numa_domain] + h.index;
   }
-  AgentHandle HandleFromDense(uint64_t dense) const;
 
   // --- array views -----------------------------------------------------------
   Agent* const* agents() const { return agents_.data(); }
@@ -115,11 +116,12 @@ class SoaStore {
 
   // --- update protocol -------------------------------------------------------
   /// Brings the arrays up to date with `rm`. Full parallel rebuild when the
-  /// structure changed outside the commit protocol; geometry-only refresh
-  /// when only soa::g_aos_geometry_dirty is raised; no-op otherwise.
+  /// structure changed; geometry-only refresh when only
+  /// soa::g_aos_geometry_dirty (or MarkGeometryStale) is raised; no-op
+  /// otherwise.
   void EnsureCurrent(const ResourceManager& rm, NumaThreadPool* pool);
 
-  /// Structural change the commit protocol does not mirror (direct AddAgent,
+  /// Structural change (a non-empty Commit, direct AddAgent,
   /// ReplaceAgentVectors): the next EnsureCurrent performs a full rebuild.
   /// Thread-safe (concurrent AddAgent callers), hence the atomic flag.
   void MarkStructureDirty() {
@@ -136,24 +138,6 @@ class SoaStore {
     geometry_stale_.store(true, std::memory_order_relaxed);
   }
 
-  // Commit protocol (called by ResourceManager::Commit only).
-  /// Snapshots the pre-commit layout and arms the mirror hooks.
-  void BeginCommit();
-  /// Serial removal: slot `src` (the domain's last live slot) replaces slot
-  /// `dst`; counts one removal. No-op for dst == src beyond the count.
-  void OnRemoveOne(int domain, uint64_t dst, uint64_t src);
-  /// Swap step of the batched removal paths: slot `src` replaces slot `dst`.
-  /// Thread-safe for disjoint dst/src sets (the parallel compaction
-  /// guarantees dst < new_size <= src).
-  void OnRemoveSwap(int domain, uint64_t dst, uint64_t src);
-  /// Batched removal count for `domain` (RemoveSwapSerial / parallel path).
-  void OnRemovals(int domain, uint64_t count);
-  /// Applies the post-commit layout: in place when no earlier domain changed
-  /// size, via a repack otherwise, and gathers appended agents from the tail
-  /// of each domain vector. Falls back to a full rebuild when the new total
-  /// exceeds the array capacity.
-  void FinishCommit(const ResourceManager& rm, NumaThreadPool* pool);
-
   /// Bytes held by the store (attribute arrays + force shards). This is the
   /// number behind the soa/mirror_bytes gauge -- the one SoA copy in the
   /// engine.
@@ -163,8 +147,6 @@ class SoaStore {
   void FullRebuild(const ResourceManager& rm, NumaThreadPool* pool);
   void RefreshGeometry(NumaThreadPool* pool);
   void Reallocate(uint64_t min_capacity);
-  void FillFromDomain(const ResourceManager& rm, int domain, uint64_t begin,
-                      uint64_t end, uint64_t dense_begin, NumaThreadPool* pool);
   void UpdateFootprintGauge();
 
   // Attribute arrays, domain-major, sized `capacity_` with the live prefix
@@ -185,10 +167,6 @@ class SoaStore {
   bool live_ = false;
   std::atomic<bool> structure_dirty_{true};
   std::atomic<bool> geometry_stale_{false};  // see MarkGeometryStale
-
-  // Commit-window state (BeginCommit .. FinishCommit).
-  bool mirroring_commit_ = false;
-  std::vector<uint64_t> commit_removed_;  // removals per domain this commit
 };
 
 }  // namespace bdm

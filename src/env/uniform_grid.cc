@@ -53,7 +53,7 @@ void UniformGridEnvironment::Update(const ResourceManager& rm,
   successors_.resize(total);
   const bool store_mode = param_->soa_primary;
   if (store_mode) {
-    // SoA-primary: refresh the persistent store (incremental -- a quiescent
+    // SoA-primary: bring the persistent store up to date (a quiescent
     // population costs nothing here) and point the search views at it. The
     // grid keeps no copy of its own.
     SoaStore& store = rm.GetSoaStore();

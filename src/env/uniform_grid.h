@@ -13,15 +13,16 @@
 //    compare-and-swap.
 //  * Search-critical attributes (position, diameter) are served from flat
 //    SoA arrays. In SoA-primary mode (Param::soa_primary) these are views
-//    into the ResourceManager's persistent SoaStore -- Update only refreshes
-//    the store incrementally (core/soa_store.h) instead of re-gathering from
-//    the Agent objects. In legacy mode the grid fills its own private mirror
-//    in a NUMA-ordered flatten pass (the pre-store behavior, kept as the A/B
-//    reference). Either way a search reads only contiguous arrays: the
-//    reject path never dereferences an `Agent*` into a large polymorphic
-//    object (O1/O4 cache discipline; the GPU port of BioDynaMo relies on the
-//    identical layout), and an accepted neighbor is reported with the
-//    position, diameter and distance of that Update-time snapshot.
+//    into the ResourceManager's persistent SoaStore -- Update brings the
+//    store up to date (core/soa_store.h), which costs no gather from the
+//    Agent objects while the population is quiescent. In legacy mode the
+//    grid fills its own private mirror in a NUMA-ordered flatten pass (the
+//    pre-store behavior, kept as the A/B reference). Either way a search
+//    reads only contiguous arrays: the reject path never dereferences an
+//    `Agent*` into a large polymorphic object (O1/O4 cache discipline; the
+//    GPU port of BioDynaMo relies on the identical layout), and an accepted
+//    neighbor is reported with the position, diameter and distance of that
+//    Update-time snapshot.
 //  * A search visits only the boxes that the query's bounding cube
 //    overlaps, clamped to the grid, in (z, y, x) order: the 3x3x3 cube
 //    around the query box or less for radii up to the box length.

@@ -1,7 +1,7 @@
-// SoaStore correctness (ISSUE 6): incremental-update equivalence under
-// add/remove churn (the commit-mirror protocol must track what a fresh
-// gather would produce, WITHOUT full rebuilds), bitwise trajectory equality
-// of the fused mechanics engine against the sequential reference across all
+// SoaStore correctness: equivalence with a fresh gather under add/remove
+// churn (a commit that changes the population marks the store dirty, an
+// empty one leaves it current), bitwise trajectory equality of the fused
+// mechanics engine against the sequential reference across all
 // environments, store-vs-grid audit violations being loud, and a
 // multi-threaded pipeline run for the tsan build (this file is listed in
 // BDM_TSAN_TESTS).
@@ -78,23 +78,38 @@ class SoaStoreChurnTest : public ::testing::Test {
     ASSERT_TRUE(violations.empty())
         << context << ": " << violations.size()
         << " violation(s), first: " << violations.front();
-    // Arithmetic dense<->handle maps agree in both directions.
+    // The arithmetic handle -> dense map walks the rows in order.
     uint64_t dense = 0;
     for (int d = 0; d < store.NumDomains(); ++d) {
       const uint64_t count = rm_->GetNumAgents(d);
       for (uint64_t i = 0; i < count; ++i, ++dense) {
-        const AgentHandle handle{static_cast<uint16_t>(d), i};
-        ASSERT_EQ(store.DenseIndex(handle), dense);
-        const AgentHandle back = store.HandleFromDense(dense);
-        ASSERT_EQ(back.numa_domain, handle.numa_domain);
-        ASSERT_EQ(back.index, handle.index);
+        ASSERT_EQ(store.DenseIndex({static_cast<uint16_t>(d), i}), dense);
       }
     }
     ASSERT_EQ(dense, store.TotalAgents());
   }
 
-  /// Hash-driven add/remove churn (the test_commit_churn scenario) with the
-  /// store's incremental protocol engaged from the start.
+  /// A commit that changes no live agent -- nothing buffered, or only an
+  /// addition removed again in the same iteration -- must leave a current
+  /// store current: no structure-dirty mark, and the next EnsureCurrent
+  /// gathers nothing.
+  void ExpectEmptyCommitsKeepStoreCurrent(const std::string& context) {
+    SoaStore& store = rm_->GetSoaStore();
+    ASSERT_FALSE(store.IsStructureDirty()) << context;
+    const uint64_t rebuilds = Counter("soa/full_rebuilds");
+    rm_->Commit(context_ptrs_);
+    EXPECT_FALSE(store.IsStructureDirty()) << context;
+    Agent* cancelled = new Cell({1, 2, 3}, 10);
+    context_ptrs_[0]->AddAgent(cancelled);
+    context_ptrs_[0]->RemoveAgent(cancelled->GetUid());
+    rm_->Commit(context_ptrs_);
+    EXPECT_FALSE(store.IsStructureDirty()) << context << ", cancelled add";
+    store.EnsureCurrent(*rm_, pool_.get());
+    EXPECT_EQ(Counter("soa/full_rebuilds"), rebuilds) << context;
+  }
+
+  /// Hash-driven add/remove churn (the test_commit_churn scenario), checked
+  /// against a fresh gather after every commit.
   void RunChurn(uint64_t initial, uint64_t iterations, double churn_rate) {
     for (uint64_t i = 0; i < initial; ++i) {
       rm_->AddAgent(new Cell({static_cast<real_t>(i % 17),
@@ -105,7 +120,6 @@ class SoaStoreChurnTest : public ::testing::Test {
     SoaStore& store = rm_->GetSoaStore();
     store.EnsureCurrent(*rm_, pool_.get());  // initial full build
     const uint64_t rebuilds_before = Counter("soa/full_rebuilds");
-    uint64_t incremental_commits = 0;
     ExecutionContext* ctx = context_ptrs_[0];
     for (uint64_t iter = 0; iter < iterations; ++iter) {
       std::vector<AgentUid> uids;
@@ -120,17 +134,16 @@ class SoaStoreChurnTest : public ::testing::Test {
           ctx->AddAgent(new Cell({1, 2, 3}, 10));
         }
       }
-      rm_->Commit(context_ptrs_);
-      if (!store.IsStructureDirty()) {
-        ++incremental_commits;
-      }
-      ExpectStoreMatchesGather("after iteration " + std::to_string(iter));
+      const std::string context = "iteration " + std::to_string(iter);
+      const auto [added, removed] = rm_->Commit(context_ptrs_);
+      ASSERT_GT(added + removed, 0u) << context;
+      // The layout changed, so the store must not claim to be current.
+      EXPECT_TRUE(store.IsStructureDirty()) << context;
+      ExpectStoreMatchesGather("after " + context);
+      ExpectEmptyCommitsKeepStoreCurrent("empty commits after " + context);
     }
-    // The whole run must have been tracked by the commit mirror: every
-    // commit incremental, zero full rebuilds after the initial one. (A
-    // capacity-overflow rebuild inside FinishCommit would show up here.)
-    EXPECT_EQ(incremental_commits, iterations);
-    EXPECT_EQ(Counter("soa/full_rebuilds"), rebuilds_before);
+    // One gather per changing commit, none for the empty ones.
+    EXPECT_EQ(Counter("soa/full_rebuilds"), rebuilds_before + iterations);
   }
 
   Param param_;
@@ -148,14 +161,14 @@ TEST_F(SoaStoreChurnTest, SerialCommitKeepsStoreEquivalent) {
 
 TEST_F(SoaStoreChurnTest, ParallelCommitKeepsStoreEquivalent) {
   // 25% deaths drives the batched removal path past its serial-fallback
-  // threshold, exercising the parallel OnRemoveSwap hooks under tsan.
+  // threshold, exercising the parallel swap step under tsan.
   Init(4, 2, /*parallel_commit=*/true);
   RunChurn(4000, 10, 0.25);
 }
 
-TEST_F(SoaStoreChurnTest, MultiDomainRepackKeepsStoreEquivalent) {
+TEST_F(SoaStoreChurnTest, MultiDomainCommitKeepsStoreEquivalent) {
   // Low churn keeps commits small (serial removal path) while domain-size
-  // changes in domain 0 force the repack branch of FinishCommit.
+  // changes shift every later domain's dense range.
   Init(4, 4, /*parallel_commit=*/false);
   RunChurn(3000, 10, 0.05);
 }
@@ -168,8 +181,8 @@ TEST_F(SoaStoreChurnTest, DirectAddForcesRebuildThenRecovers) {
   SoaStore& store = rm_->GetSoaStore();
   store.EnsureCurrent(*rm_, pool_.get());
   EXPECT_FALSE(store.IsStructureDirty());
-  // Direct AddAgent is outside the commit protocol: it must raise the
-  // structure-dirty flag, and the next EnsureCurrent must recover.
+  // Direct AddAgent must raise the structure-dirty flag, and the next
+  // EnsureCurrent must recover.
   rm_->AddAgent(new Cell({5, 5, 5}, 10));
   EXPECT_TRUE(store.IsStructureDirty());
   ExpectStoreMatchesGather("after direct AddAgent");
@@ -313,7 +326,7 @@ INSTANTIATE_TEST_SUITE_P(
 // --- concurrent pipeline (tsan) ----------------------------------------------
 
 /// Behavior mix for the threaded run: movement (AoS-dirty refresh path),
-/// growth (diameter refresh), proliferation and death (commit mirror under
+/// growth (diameter refresh), proliferation and death (commit rebuilds under
 /// parallel contexts).
 class ChurnBehavior : public Behavior {
  public:
