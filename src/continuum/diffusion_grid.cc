@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "continuum/diffusion_kernels.h"
+#include "obs/metrics.h"
 #include "sched/numa_thread_pool.h"
 
 namespace bdm {
@@ -22,7 +23,7 @@ DiffusionGrid::DiffusionGrid(std::string name, real_t diffusion_coefficient,
       diffusion_coefficient_(diffusion_coefficient),
       decay_(decay),
       resolution_(std::max(resolution, 2)),
-      deposit_logs_(kMaxDepositSlots) {}
+      deposit_logs_(MetricsRegistry::kMaxSlots) {}
 
 void DiffusionGrid::Initialize(const Real3& lower, const Real3& upper,
                                NumaThreadPool* pool) {
@@ -157,11 +158,11 @@ void DiffusionGrid::IncreaseConcentrationBy(const Real3& position,
   assert(initialized_);
   const int64_t index = VoxelIndex(position);
   // Per-thread append log: no atomics on grid memory, and the pool lock only
-  // once per kDepositChunk deposits. Slot 0 is the main thread; DAG lane
+  // once per kDepositChunk deposits. Slot 0 is the main thread; shard lane
   // threads carry their own slots past the workers, so two
-  // concurrently-running ops never share a log.
+  // concurrently-stepping shards never share a log.
   const int slot = NumaThreadPool::CurrentThreadSlot();
-  assert(slot >= 0 && slot < kMaxDepositSlots);
+  assert(slot >= 0 && slot < MetricsRegistry::kMaxSlots);
   DepositLog& log = deposit_logs_[slot];
   const uint64_t key = NumaThreadPool::CurrentDepositKey();
   if (log.runs.empty() || log.runs.back().key != key) {
@@ -198,7 +199,7 @@ bool DiffusionGrid::IsGhostLocal(int64_t flat) const {
 
 void DiffusionGrid::BuildFoldOrder() const {
   fold_order_.clear();
-  for (int slot = 0; slot < kMaxDepositSlots; ++slot) {
+  for (int slot = 0; slot < MetricsRegistry::kMaxSlots; ++slot) {
     const DepositLog& log = deposit_logs_[slot];
     for (size_t r = 0; r < log.runs.size(); ++r) {
       const size_t last =
@@ -386,8 +387,8 @@ void DiffusionGrid::EnsureSlabPartition(int participants) {
   }
   // Even z-plane split with the remainder on the first participants -- the
   // same arithmetic as NumaThreadPool::MakeSlabPartition, but sized to the
-  // participant count: the full pool during setup, the op's worker TEAM
-  // during a DAG-mode Step. Per-voxel stencil results do not depend on the
+  // participant count: the full pool during setup, the lane's worker TEAM
+  // during a Step on a shard lane. Per-voxel stencil results do not depend on the
   // partition, only the page first-touch placement does.
   slab_bounds_.resize(participants + 1);
   const int64_t base = dims_[2] / participants;
@@ -452,10 +453,10 @@ void DiffusionGrid::Step(real_t dt, NumaThreadPool* pool) {
     FlushDeposits();
   }
 
-  // Team snapshot: under the op DAG this Step runs on a lane thread that
-  // owns only a slice of the pool while mechanics runs on the rest. The
+  // Team snapshot: on a shard lane this Step runs on a thread that owns
+  // only a slice of the pool while other shards step on the rest. The
   // barrier MUST be sized to the team (a pool-wide barrier would wait for
-  // workers that belong to the co-running op), and the slab partition is
+  // workers that belong to a co-running lane), and the slab partition is
   // recomputed per team size. A nested call from inside a pool worker
   // cannot dispatch (the team is busy in the outer job), so it steps
   // serially like the single-thread path.

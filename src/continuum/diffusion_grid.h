@@ -195,7 +195,7 @@ class DiffusionGrid {
 
   // One append log per potential depositor thread, cache-line separated so
   // concurrent appends never share a line. Slot 0 is the main thread, slot
-  // t+1 is pool worker t, DAG lane threads bind slots past the workers.
+  // t+1 is pool worker t, shard lane threads bind slots past the workers.
   // A log is cut into runs, one per change of the thread's deposit key
   // (NumaThreadPool::CurrentDepositKey: 1 + agent iteration block, 0
   // outside an agent loop). Entries live in fixed-size chunks lent by the
@@ -216,7 +216,6 @@ class DiffusionGrid {
     int slot;
     size_t first, last;  // entries [first, last) of deposit_logs_[slot]
   };
-  static constexpr int kMaxDepositSlots = 1 + 256;
 
   int64_t Flat(int64_t x, int64_t y, int64_t z) const {
     return x + dims_[0] * (y + dims_[1] * z);
@@ -228,8 +227,8 @@ class DiffusionGrid {
   /// first-touch zeroing over the z-slab partition.
   void AllocateAndZero(NumaThreadPool* pool);
   /// Recomputes the z-slab partition if the participant count changed since
-  /// the last call. Setup passes the full pool width; a DAG-mode Step
-  /// passes its worker team's size.
+  /// the last call. Setup passes the full pool width; a Step on a shard
+  /// lane passes its worker team's size.
   void EnsureSlabPartition(int participants);
   /// Sorts every logged run into fold_order_: by key, then slot, then
   /// position in the log.

@@ -72,8 +72,8 @@ void RunPerAgentMechanics(Agent* agent, Simulation* sim);
 class DiffusionOp : public StandaloneOperation {
  public:
   DiffusionOp() : StandaloneOperation("diffusion", 1) {
-    // Touches only the continuum fields: this is the declaration that lets
-    // diffusion overlap the mechanics pipeline in the op DAG.
+    // Touches only the continuum fields: in the op DAG
+    // (Scheduler::GetIterationDag) diffusion has no edge to mechanics.
     DeclareResources(kResDiffusion, kResDiffusion);
   }
   void Run(Simulation* sim) override;

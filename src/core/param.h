@@ -5,9 +5,10 @@
 // studies (Figures 7b, 8, 9) and the parameter sweeps (Figures 11, 12, 13).
 // A post-paper path keeps a toggle only while an A/B comparison still needs
 // it (soa_primary). The scheduler and the sharded engine have none: every
-// iteration runs its op DAG, two or more local shards always step on
-// concurrent lanes, and their references live test-side
-// (tests/support/lane_step.h, tests/support/sequential_shard_step.h).
+// iteration runs its due ops in pipeline order on the calling thread, two
+// or more local shards always step on concurrent lanes, and their
+// references live test-side (tests/support/lane_step.h,
+// tests/support/sequential_shard_step.h).
 // ApplyEnvOverrides below is the one place environment variables reach a
 // Param.
 #ifndef BDM_CORE_PARAM_H_

@@ -1,7 +1,6 @@
 #include "core/scheduler.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <fstream>
 #include <ostream>
@@ -108,44 +107,47 @@ uint64_t Scheduler::SimulateUntil(const std::function<bool(Simulation*)>& stop,
 }
 
 void Scheduler::BuildPlan() {
-  plan_.standalone.clear();
-  plan_.agent_node = -1;
-  plan_.due_agent_ops.clear();
-  std::vector<OpDagNode> nodes;
+  plan_.pre.clear();
+  plan_.agent.clear();
+  plan_.post.clear();
   for (auto& op : pre_ops_) {
     if (op->IsDue(iteration_)) {
-      nodes.push_back({op->GetName(), op->Reads(), op->Writes()});
-      plan_.standalone.push_back(op.get());
+      plan_.pre.push_back(op.get());
     }
   }
-  // The fused agent loop is ONE node -- its ops interleave per agent, so
-  // the node's footprint is the union of the due agent ops' footprints.
-  uint8_t agent_reads = 0;
-  uint8_t agent_writes = 0;
   for (auto& op : agent_ops_) {
     if (op->IsDue(iteration_)) {
-      plan_.due_agent_ops.push_back(op.get());
-      agent_reads |= op->Reads();
-      agent_writes |= op->Writes();
+      plan_.agent.push_back(op.get());
     }
-  }
-  if (!plan_.due_agent_ops.empty()) {
-    plan_.agent_node = static_cast<int>(nodes.size());
-    nodes.push_back({"agent_ops", agent_reads, agent_writes});
-    plan_.standalone.push_back(nullptr);
   }
   for (auto& op : post_ops_) {
     if (op->IsDue(iteration_)) {
-      nodes.push_back({op->GetName(), op->Reads(), op->Writes()});
-      plan_.standalone.push_back(op.get());
+      plan_.post.push_back(op.get());
     }
   }
-  plan_.dag = OpDag::FromPipeline(std::move(nodes));
 }
 
 const OpDag& Scheduler::GetIterationDag() {
   BuildPlan();
-  return plan_.dag;
+  std::vector<OpDagNode> nodes;
+  for (const StandaloneOperation* op : plan_.pre) {
+    nodes.push_back({op->GetName(), op->Reads(), op->Writes()});
+  }
+  // The fused agent loop is ONE node -- its ops interleave per agent, so
+  // the node's footprint is the union of the due agent ops' footprints.
+  if (!plan_.agent.empty()) {
+    OpDagNode agent_node{"agent_ops", 0, 0};
+    for (const AgentOperation* op : plan_.agent) {
+      agent_node.reads |= op->Reads();
+      agent_node.writes |= op->Writes();
+    }
+    nodes.push_back(std::move(agent_node));
+  }
+  for (const StandaloneOperation* op : plan_.post) {
+    nodes.push_back({op->GetName(), op->Reads(), op->Writes()});
+  }
+  iteration_dag_ = OpDag::FromPipeline(std::move(nodes));
+  return iteration_dag_;
 }
 
 void Scheduler::RunAgentStage(const std::vector<AgentOperation*>& due) {
@@ -158,57 +160,22 @@ void Scheduler::RunAgentStage(const std::vector<AgentOperation*>& due) {
 }
 
 void Scheduler::RunPlan(TimingAggregator* timing) {
-  const int n = plan_.dag.size();
-  // Per-node wall times, one writer each (the thread running the node);
-  // folded into the EMA after the last node.
-  std::vector<double> seconds(n, 0);
-  const auto body = [&](int i) {
-    const auto start = std::chrono::steady_clock::now();
-    if (i == plan_.agent_node) {
-      // Fused agent loop (Algorithm 1, L7-11): all due agent operations are
-      // applied to an agent before moving to the next, maximizing data
-      // reuse while the agent is cache-hot.
-      ScopedTimer timer(timing, "agent_ops", iteration_);
-      RunAgentStage(plan_.due_agent_ops);
-    } else {
-      StandaloneOperation* op = plan_.standalone[i];
-      ScopedTimer timer(timing, op->GetName(), iteration_);
-      op->Run(sim_);
-    }
-    seconds[i] = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
+  const auto run = [&](StandaloneOperation* op) {
+    ScopedTimer timer(timing, op->GetName(), iteration_);
+    op->Run(sim_);
   };
-  NumaThreadPool* pool = sim_->GetThreadPool();
-  // Inline on a lane thread (a shard lane stepping its shard): a nested
-  // executor would carve worker teams overlapping the outer executor's
-  // grants, while the calling lane's team already scopes every pool
-  // dispatch. Inline too when no thread slot is left past the workers for
-  // an op lane (the shared shard spaces are kMaxSlots-capped).
-  if (NumaThreadPool::OnLaneThread() ||
-      pool->NumThreads() + 2 > MetricsRegistry::kMaxSlots) {
-    for (const int i : plan_.dag.TopologicalOrder()) {
-      body(i);
-    }
-  } else {
-    if (dag_exec_ == nullptr) {
-      dag_exec_ = std::make_unique<DagExecutor>(pool, kOpLanes);
-    }
-    std::vector<double> weights(n, 0);
-    for (int i = 0; i < n; ++i) {
-      auto it = op_cost_ema_.find(plan_.dag.node(i).name);
-      weights[i] = it != op_cost_ema_.end() ? it->second : 0;
-    }
-    dag_exec_->Execute(plan_.dag, body, weights);
-    // DAG sink: every node completed and every lane's pool dispatch
-    // returned, so the "strictly between parallel regions" precondition of
-    // the shard folds in ExecuteIteration (timing Fold, metric FlushShards)
-    // holds here.
-    assert(pool->Quiescent() && "op DAG sink reached with pool jobs in flight");
+  for (StandaloneOperation* op : plan_.pre) {
+    run(op);
   }
-  for (int i = 0; i < n; ++i) {
-    double& ema = op_cost_ema_[plan_.dag.node(i).name];
-    ema = ema == 0 ? seconds[i] : 0.7 * ema + 0.3 * seconds[i];
+  if (!plan_.agent.empty()) {
+    // Fused agent loop (Algorithm 1, L7-11): all due agent operations are
+    // applied to an agent before moving to the next, maximizing data reuse
+    // while the agent is cache-hot.
+    ScopedTimer timer(timing, "agent_ops", iteration_);
+    RunAgentStage(plan_.agent);
+  }
+  for (StandaloneOperation* op : plan_.post) {
+    run(op);
   }
 }
 
@@ -224,9 +191,8 @@ void Scheduler::ExecuteIteration() {
   }
 
   // Fold every worker's counter shard into the global totals. This runs
-  // strictly between parallel regions -- the pool's dispatch barrier (and on
-  // the executor the DAG sink, asserted in RunPlan) orders all shard writes
-  // of this iteration before the folds.
+  // strictly between parallel regions -- the pool's dispatch barrier orders
+  // all shard writes of this iteration's ops before the folds.
   timing->Fold();
   // The metrics registry is process-global; when S lane threads step S
   // shards concurrently, flushing here would race with ops on other lanes

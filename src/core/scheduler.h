@@ -2,25 +2,18 @@
 //
 // Each iteration executes the pre-standalone operations, the fused parallel
 // agent loop (every due agent operation applied per agent), and the
-// post-standalone operations. Wall time per operation is recorded in the
-// simulation's TimingAggregator, which feeds the Figure 5 runtime breakdown.
-//
-// Every iteration compiles its due ops into one plan: their declared
-// resource footprints (core/operation.h) become a dependency DAG (OpDag)
-// over the pipeline order. From the main thread the plan
-// runs on the scheduler's DagExecutor: independent ops -- diffusion vs. the
-// mechanics pipeline -- run concurrently on disjoint worker teams, sized by
-// an exponential moving average of each op's measured cost. From a lane
-// thread (a shard lane stepping its shard), the same plan runs inline in
-// pipeline order, each op over the lane's team. CommitOp declares
-// read/write-all, making it the sink barrier by construction.
+// post-standalone operations, one after another in pipeline order on the
+// calling thread. Each op is parallel inside, over the calling thread's
+// team: the whole pool from the main thread, or the lane's team when a
+// shard lane steps its shard (shard/sharded_simulation.h). Wall time per
+// operation is recorded in the simulation's TimingAggregator, which feeds
+// the Figure 5 runtime breakdown.
 #ifndef BDM_CORE_SCHEDULER_H_
 #define BDM_CORE_SCHEDULER_H_
 
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,9 +55,10 @@ class Scheduler {
   /// Returns the first operation with the given name, or nullptr.
   OperationBase* GetOp(const std::string& name);
 
-  /// The dependency DAG the next iteration's due ops compile to
-  /// (test/analysis hook; builds the plan without running anything). The
-  /// reference stays valid until the next iteration or call.
+  /// The dependency DAG of the next iteration's due ops, derived from their
+  /// declared resource footprints (analysis hook: the scheduler runs the
+  /// ops in pipeline order regardless; nothing runs here). The reference
+  /// stays valid until the next call.
   const OpDag& GetIterationDag();
 
   // --- observability ---------------------------------------------------------
@@ -105,21 +99,18 @@ class Scheduler {
   static void WriteMetricsJson(std::ostream& out);
 
  private:
-  /// One iteration's compiled due ops: the DAG plus each node's op binding.
-  /// Node i is either standalone[i] or (when i == agent_node) the fused
-  /// agent loop over due_agent_ops.
+  /// One iteration's due ops in pipeline order; the fused agent loop over
+  /// `agent` runs between `pre` and `post` when any agent op is due.
   struct Plan {
-    OpDag dag;
-    std::vector<StandaloneOperation*> standalone;  // null at agent_node
-    int agent_node = -1;
-    std::vector<AgentOperation*> due_agent_ops;
+    std::vector<StandaloneOperation*> pre;
+    std::vector<AgentOperation*> agent;
+    std::vector<StandaloneOperation*> post;
   };
 
   void ExecuteIteration();
-  /// Compiles the ops due at iteration_ into plan_.
+  /// Collects the ops due at iteration_ into plan_.
   void BuildPlan();
-  /// Runs plan_: on dag_exec_'s lanes, or inline in pipeline order when the
-  /// caller is a lane thread or the pool leaves no slot for op lanes.
+  /// Runs plan_ in pipeline order on the calling thread.
   void RunPlan(TimingAggregator* timing);
   /// The fused agent loop (Algorithm 1, L7-11) over the given due ops.
   void RunAgentStage(const std::vector<AgentOperation*>& due);
@@ -146,12 +137,8 @@ class Scheduler {
   SnapshotFn snapshot_fn_;
   int snapshot_interval_ = 1;
 
-  // --- op DAG state ----------------------------------------------------------
-  Plan plan_;                              // the current iteration's plan
-  std::unique_ptr<DagExecutor> dag_exec_;  // created on the first lane run
-  /// Per-op wall-time EMA (seconds), keyed by op name; feeds the executor's
-  /// weight-proportional worker-team split.
-  std::map<std::string, double> op_cost_ema_;
+  Plan plan_;            // the current iteration's due ops
+  OpDag iteration_dag_;  // built by GetIterationDag only
 };
 
 }  // namespace bdm

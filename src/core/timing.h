@@ -1,14 +1,14 @@
 // Wall-clock timing aggregation for the operation runtime breakdown
 // (paper Figure 5 left).
 //
-// Concurrency model (mirrors obs/metrics.h): with the op DAG enabled,
-// several operations run at once, each on its own lane thread, and their
-// ScopedTimers fire concurrently. Add() therefore appends to a per-thread
+// Concurrency model (mirrors obs/metrics.h): a ScopedTimer fires on the
+// thread that runs the op -- the main thread, or a shard lane, several of
+// which step their shards at once. Add() therefore appends to a per-thread
 // shard (indexed by NumaThreadPool::CurrentThreadSlot()); only the main
 // thread (slot 0) updates the global map directly. Fold() drains the shards
 // into the map and runs strictly between parallel regions -- the scheduler
-// calls it at the iteration sink, and every accessor folds lazily so
-// ad-hoc reads between Simulate calls stay exact.
+// calls it at the end of every iteration, and every accessor folds lazily
+// so ad-hoc reads between Simulate calls stay exact.
 #ifndef BDM_CORE_TIMING_H_
 #define BDM_CORE_TIMING_H_
 
@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sched/numa_thread_pool.h"
 
@@ -31,9 +32,6 @@ class TimingAggregator {
     uint64_t count = 0;
   };
 
-  /// Same slot capacity as MetricsRegistry (main + workers + DAG lanes).
-  static constexpr int kMaxSlots = 257;
-
   void Add(const std::string& name, double seconds) {
     const int slot = NumaThreadPool::CurrentThreadSlot();
     if (slot == 0) {
@@ -44,16 +42,16 @@ class TimingAggregator {
     }
     // Worker or lane thread: appending to the owned shard is the only
     // concurrency-safe move (the map may be mid-rebalance on another slot's
-    // name). Folded at the iteration sink.
+    // name). Folded at the end of the iteration.
     shards_[slot].emplace_back(name, seconds);
   }
 
   /// Drains every shard into the global map. Call only while no worker or
-  /// lane thread is running timers (the scheduler's iteration sink, or any
+  /// lane thread is running timers (the end of a scheduler iteration, or any
   /// point between Simulate calls); the accessors below fold lazily under
   /// the same precondition.
   void Fold() const {
-    for (int s = 1; s < kMaxSlots; ++s) {
+    for (int s = 1; s < MetricsRegistry::kMaxSlots; ++s) {
       auto& pending = shards_[s];
       if (pending.empty()) {
         continue;
@@ -101,7 +99,7 @@ class TimingAggregator {
 
   void Reset() {
     entries_.clear();
-    for (int s = 0; s < kMaxSlots; ++s) {
+    for (int s = 0; s < MetricsRegistry::kMaxSlots; ++s) {
       shards_[s].clear();
     }
   }
@@ -110,7 +108,8 @@ class TimingAggregator {
   // mutable: Fold() is logically const (moves pending samples into the
   // totals they already belong to) and must be callable from const readers.
   mutable std::map<std::string, Entry> entries_;
-  mutable std::vector<std::pair<std::string, double>> shards_[kMaxSlots];
+  mutable std::vector<std::pair<std::string, double>>
+      shards_[MetricsRegistry::kMaxSlots];
 };
 
 /// RAII timer adding its lifetime to an aggregator bucket. When a chrome

@@ -23,8 +23,8 @@ MemoryManager::~MemoryManager() {
 }
 
 int MemoryManager::ThreadSlot() const {
-  // Slot 0 = main thread, tid+1 = pool worker tid, DAG/shard lane threads
-  // use the slots bound past the workers. Mapping lanes onto slot 0 (the old
+  // Slot 0 = main thread, tid+1 = pool worker tid, shard lane threads use
+  // the slots bound past the workers. Mapping lanes onto slot 0 (the
   // CurrentThreadId()+1 formula) would race their unguarded free lists with
   // the main thread's when lanes allocate concurrently.
   return NumaThreadPool::CurrentThreadSlot();

@@ -50,9 +50,9 @@ void MetricsRegistry::ConfigureSlots(int num_slots) {
 }
 
 void MetricsRegistry::Add(int id, uint64_t delta) {
-  // CurrentThreadSlot (not worker id + 1): a DAG lane thread driving one of
-  // several concurrently-running ops resolves to its own slot past the
-  // workers, never to the main thread's shard 0.
+  // CurrentThreadSlot (not worker id + 1): a shard lane thread stepping one
+  // of several concurrently-stepping shards resolves to its own slot past
+  // the workers, never to the main thread's shard 0.
   Add(id, delta, NumaThreadPool::CurrentThreadSlot());
 }
 

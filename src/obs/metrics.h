@@ -43,9 +43,11 @@ class MetricsRegistry {
   /// Hard cap on distinct metrics; keeps a shard one small fixed-size array
   /// (2 cache lines of counters per 16 metrics) instead of a hash map.
   static constexpr int kMaxMetrics = 128;
-  /// Hard cap on thread slots (main + workers). Shards live in one
-  /// fixed-capacity allocation so growing the active slot count never
-  /// reallocates under a running worker.
+  /// Hard cap on thread slots (main + workers + shard lanes), shared by
+  /// every per-thread-slot array (timing, diffusion deposit logs, pool
+  /// allocator caches). Shards live in one fixed-capacity allocation so
+  /// growing the active slot count never reallocates under a running
+  /// worker.
   static constexpr int kMaxSlots = 257;
 
   /// The process-wide registry (one Simulation is active per process, see

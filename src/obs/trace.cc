@@ -86,9 +86,9 @@ uint64_t TraceRecorder::Stop(const std::string& path) {
   }
   out << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
   // Process/thread metadata first: names the track headers in Perfetto.
-  // Every slot that carries spans gets a thread_name record, so a DAG-mode
-  // trace shows one labelled track per op lane and overlapping spans
-  // (diffusion/* vs mechanics_fused) are visibly side by side.
+  // Every slot that carries spans gets a thread_name record, so a sharded
+  // trace shows one labelled track per shard lane and the shards' steps
+  // are visibly side by side.
   out << "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0,"
       << " \"args\": {\"name\": \"" << JsonEscape(process_name_) << "\"}},\n";
   std::map<int, std::string> tracks = thread_names_;

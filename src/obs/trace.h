@@ -40,13 +40,14 @@ class TraceRecorder {
   void Start(const std::string& process_name);
 
   /// Records one completed span. `tid_slot` follows the thread-slot
-  /// convention (0 = main thread, t+1 = pool worker t, DAG lane threads on
+  /// convention (0 = main thread, t+1 = pool worker t, shard lane threads on
   /// slots past the workers); `iteration` is attached to the event args so
   /// spans can be filtered per step.
   void RecordSpan(const std::string& name, Clock::time_point start,
                   Clock::time_point end, int tid_slot, uint64_t iteration);
 
-  /// Registers a display name for a thread slot's track ("op lane 0", ...).
+  /// Registers a display name for a thread slot's track ("shard lane 0",
+  /// ...).
   /// Unregistered slots that carry spans get a default name in Stop().
   /// Names persist across Start/Stop cycles (lane threads outlive traces).
   void SetThreadName(int tid_slot, const std::string& name);

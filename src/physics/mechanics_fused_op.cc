@@ -47,8 +47,8 @@ void ZeroShard(SoaStore::ForceShard& shard, uint64_t total) {
 
 // Generic Stage A: the environment's pair traversal with the virtual force.
 // Every slot's shard is cleared first -- the traversal scatters into the
-// shard of the pair's slab index, which under a partial op-DAG team is not
-// necessarily an executing worker's id.
+// shard of the pair's slab index, which under a partial team (a shard lane)
+// is not necessarily an executing worker's id.
 void ScatterGeneric(const Environment& env, const InteractionForce& force,
                     real_t squared_radius, bool skip_static,
                     NumaThreadPool* pool, SoaStore::ForceShards& shards,
@@ -214,9 +214,9 @@ void MechanicsFusedOp::Run(Simulation* sim) {
   // Stage A: fused zero + traverse + scatter, indexed by SLOT (shard ==
   // slab index), not by executing worker: EVERY slot's shard must be zeroed
   // -- a slot whose slab is empty still receives scatter writes from pairs
-  // owned by other slabs -- and under the op DAG this op may run on a
-  // partial worker team, whose members each cover a chunk of slots. With
-  // the full team RunSlots degenerates to slot == tid, the pre-DAG shape.
+  // owned by other slabs -- and on a shard lane this op runs on a partial
+  // worker team, whose members each cover a chunk of slots. With the full
+  // team RunSlots degenerates to slot == tid.
   pool->RunSlots(pool->NumThreads(), [&](int tid) {
     SoaStore::ForceShard& shard = shards.shard(tid);
     ZeroShard(shard, total);

@@ -230,9 +230,9 @@ void NumaThreadPool::RunSlabs(const SlabPartition& slabs, const RangeFn& fn) {
   }
   const Team team = CurrentTeam();
   if (team.size() < NumThreads()) {
-    // Partial team (a co-running op owns the other workers): the slab count
-    // stays NumThreads() -- per-slab buffers are keyed by slab index -- and
-    // the team's workers cover all slabs in contiguous chunks.
+    // Partial team (a co-running shard lane owns the other workers): the
+    // slab count stays NumThreads() -- per-slab buffers are keyed by slab
+    // index -- and the team's workers cover all slabs in contiguous chunks.
     RunSlots(NumThreads(), [&](int slot) {
       if (slabs.bounds[slot] < slabs.bounds[slot + 1]) {
         fn(slabs.bounds[slot], slabs.bounds[slot + 1], slot);

@@ -10,11 +10,11 @@
 // threads of other domains.
 //
 // Dispatch model: each worker owns a mailbox queue of jobs. Several driver
-// threads (the main thread, or the op-DAG executor's lane threads) can
-// dispatch concurrently to DISJOINT worker ranges ("teams"), which is what
-// lets independent operations of one iteration overlap on the shared pool.
-// A driver outside any team addresses the full pool; a lane thread bound
-// via BindLane addresses only its current team.
+// threads (the main thread, or a LaneExecutor's lane threads, one per
+// shard of a ShardedSimulation) can dispatch concurrently to DISJOINT
+// worker ranges ("teams"), which is what lets the shards step concurrently
+// on the shared pool. A driver outside any team addresses the full pool; a
+// lane thread bound via BindLane addresses only its current team.
 #ifndef BDM_SCHED_NUMA_THREAD_POOL_H_
 #define BDM_SCHED_NUMA_THREAD_POOL_H_
 
@@ -32,9 +32,9 @@
 
 namespace bdm {
 
-/// Mutable worker-range assignment for an op-driver ("lane") thread. The
-/// DAG executor owns one per lane; between ops it rewrites the range, and
-/// while an op runs it may only WIDEN it (grow-only rebalance), so any
+/// Mutable worker-range assignment for a driver ("lane") thread. The
+/// LaneExecutor owns one per lane; between bodies it rewrites the range,
+/// and while a body runs it may only WIDEN it (grow-only rebalance), so any
 /// range a dispatch snapshots is owned by that lane for the dispatch's
 /// whole lifetime. Packed into one word so a reader never sees a torn
 /// begin/end pair.
@@ -55,8 +55,8 @@ namespace internal {
 inline thread_local int t_pool_worker_id = -1;
 /// Thread slot of the calling thread for per-thread shards (metrics,
 /// timing, diffusion deposit logs): 0 = main/unbound thread, t+1 = pool
-/// worker t, DAG lane threads bind slots past the workers. Distinct slots
-/// are what keep two concurrently-running ops from sharing shard 0.
+/// worker t, lane threads bind slots past the workers. Distinct slots are
+/// what keep two concurrently-stepping shards from sharing shard 0.
 inline thread_local int t_thread_slot = 0;
 /// Team binding of the calling lane thread (nullptr = full pool).
 inline thread_local LaneBinding* t_lane = nullptr;
@@ -129,7 +129,7 @@ class NumaThreadPool {
   /// Runs `job(tid)` on every worker of an explicit `team` and blocks until
   /// all return. `tid` is the REAL worker id; rank-based callers compute
   /// `tid - team.begin`. Teams of concurrent dispatchers must be disjoint
-  /// (the DAG executor guarantees this); overlapping dispatches are safe
+  /// (the LaneExecutor guarantees this); overlapping dispatches are safe
   /// but serialize on the shared workers. If a worker throws out of `job`,
   /// the first exception is rethrown on the calling thread after the job
   /// drains (the other workers finish their share normally), so errors in
@@ -180,10 +180,9 @@ class NumaThreadPool {
   void ForEachBlock(const std::vector<int64_t>& blocks_per_domain, bool numa_aware,
                     const BlockFn& fn);
 
-  /// True when no dispatch is in flight and every mailbox is empty. The
-  /// scheduler asserts this at the iteration sink before folding the
-  /// metric/timing shards (their "strictly between parallel regions"
-  /// precondition).
+  /// True when no dispatch is in flight and every mailbox is empty: the
+  /// "strictly between parallel regions" precondition of the metric/timing
+  /// shard folds at the end of a main-thread iteration.
   bool Quiescent() const;
 
   /// Thread id of the calling pool worker, or -1 when called from a thread
@@ -197,15 +196,9 @@ class NumaThreadPool {
   /// Deposit key of the calling thread (see internal::t_deposit_key).
   static uint64_t CurrentDepositKey() { return internal::t_deposit_key; }
 
-  /// True when the calling thread is a lane thread bound via BindLane (its
-  /// dispatches are scoped to a team). The scheduler runs a lane-driven
-  /// iteration's op plan inline: a nested DagExecutor would carve teams
-  /// overlapping the outer executor's grants.
-  static bool OnLaneThread() { return internal::t_lane != nullptr; }
-
   /// Binds the calling thread to `lane` for team resolution and to
   /// `thread_slot` for shard indexing. Pass (nullptr, 0) to unbind (main
-  /// thread semantics). Called once by each DAG executor lane thread.
+  /// thread semantics). Called once by each LaneExecutor lane thread.
   static void BindLane(LaneBinding* lane, int thread_slot) {
     internal::t_lane = lane;
     internal::t_thread_slot = thread_slot;

@@ -16,6 +16,7 @@
 #include "memory/memory_manager.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sched/lane_executor.h"
 #include "sched/numa_thread_pool.h"
 
 namespace bdm::shard {
@@ -23,7 +24,7 @@ namespace bdm::shard {
 namespace {
 
 // Trace thread-slot base for per-shard tracks: far past the pool workers
-// and the op-DAG lane slots, so shard tracks never collide with either.
+// and the shard-lane slots, so shard tracks never collide with either.
 constexpr int kShardTraceSlotBase = 4096;
 
 }  // namespace
@@ -76,25 +77,10 @@ ShardedSimulation::ShardedSimulation(const std::string& name,
   pool_ = std::make_unique<NumaThreadPool>(topology_);
   const int num_local = local_end - local_begin;
   if (num_local > 1) {
-    // Shard lanes live in the thread-slot range past the workers AND past
-    // the op-lane slots a shard stepped on the main thread uses, so the two
-    // executor kinds never share a metrics/timing/allocator slot.
-    // The executor throws std::invalid_argument when the pool is too wide
-    // to leave a slot for even one lane.
-    shard_exec_ = std::make_unique<DagExecutor>(
-        pool_.get(), num_local, pool_->NumThreads() + 1 + kOpLanes,
-        "shard lane");
-    // Edgeless DAG: the exchange barrier (Exchange/FieldExchange run before
-    // and after on the main thread) is the only ordering the shards need
-    // within an iteration -- every node is immediately ready.
-    std::vector<OpDagNode> nodes(static_cast<size_t>(num_local));
-    for (int s = 0; s < num_local; ++s) {
-      nodes[static_cast<size_t>(s)].name =
-          "shard" + std::to_string(local_begin + s);
-      nodes[static_cast<size_t>(s)].reads = 0;
-      nodes[static_cast<size_t>(s)].writes = 0;
-    }
-    shard_dag_ = OpDag::FromEdges(std::move(nodes), {});
+    // Shard lanes take the thread slots right past the workers. The
+    // executor throws std::invalid_argument when the pool is too wide to
+    // leave a slot for even one lane.
+    shard_exec_ = std::make_unique<LaneExecutor>(pool_.get(), num_local);
   }
   if (param_.use_bdm_memory_manager) {
     memory_manager_ = std::make_unique<MemoryManager>(topology_, param_.memory);
@@ -536,14 +522,17 @@ void ShardedSimulation::StepShards() {
     }
   };
   if (num_local == 1) {
-    // One local shard: step it inline with the whole pool (and its op
-    // DAG) -- S=1 stays bitwise a plain Simulation.
+    // One local shard: step it inline with the whole pool -- S=1 stays
+    // bitwise a plain Simulation.
     Simulation::SetActive(shards_.front()->sim());
     step(0);
   } else {
     // Population-proportional team shares (+1 keeps empty shards
     // schedulable); a shard finishing early donates its workers to the
-    // still-running lanes (grow-only widening inside the executor).
+    // still-running lanes (grow-only widening inside the executor). The
+    // exchange barrier (Exchange/FieldExchange run before and after on the
+    // main thread) is the only ordering the shards need within an
+    // iteration, so every shard's step is independent.
     std::vector<double> weights(static_cast<size_t>(num_local));
     for (int s = 0; s < num_local; ++s) {
       weights[static_cast<size_t>(s)] =
@@ -560,7 +549,7 @@ void ShardedSimulation::StepShards() {
         soa::g_dirty_sticky.exchange(true, std::memory_order_relaxed);
     try {
       shard_exec_->Execute(
-          shard_dag_,
+          num_local,
           [&](int s) {
             // Thread-scoped activation: this lane (and every pool worker it
             // dispatches to) resolves GetActive() to this shard.

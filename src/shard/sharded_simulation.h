@@ -31,12 +31,12 @@
 //      exchange.
 //   3. Each local shard steps one iteration (Scheduler::Simulate(1)) with
 //      its simulation made active. Two or more local shards step
-//      concurrently, one DagExecutor lane each, on disjoint worker teams
-//      carved from the shared pool, each lane running its shard's op plan
-//      inline; a single local shard steps inline with the whole pool and
-//      its op DAG. With S > 1 the per-shard schedulers
-//      run WITHOUT their DiffusionOp -- behaviors deposit into the fields
-//      but the fields do not advance yet.
+//      concurrently, one LaneExecutor lane each, on disjoint worker teams
+//      carved from the shared pool, each lane running its shard's ops in
+//      pipeline order over the lane's team; a single local shard steps on
+//      the calling thread with the whole pool. With S > 1 the per-shard
+//      schedulers run WITHOUT their DiffusionOp -- behaviors deposit into
+//      the fields but the fields do not advance yet.
 //   4. Field halo exchange + field step (S > 1, diffusion grids present):
 //      pending deposits that rounded into another shard's voxels are
 //      forwarded bit-exact to the owner, then each internal shard face's
@@ -74,7 +74,6 @@
 #include <string>
 #include <vector>
 
-#include "core/op_dag.h"
 #include "core/param.h"
 #include "math/real3.h"
 #include "numa/topology.h"
@@ -85,6 +84,7 @@
 namespace bdm {
 class Agent;
 class DiffusionGrid;
+class LaneExecutor;
 class MemoryManager;
 class NumaThreadPool;
 }  // namespace bdm
@@ -218,11 +218,9 @@ class ShardedSimulation {
   int local_begin_ = 0;
   std::vector<spatial::ShardExtent> extents_;
   std::unique_ptr<ShardTransport> transport_;
-  // Lane executor and its edgeless S-node DAG (null/empty with a single
-  // local shard). Declared after pool_ so its lane threads join before the
-  // pool tears down.
-  std::unique_ptr<DagExecutor> shard_exec_;
-  OpDag shard_dag_;
+  // Shard lanes (null with a single local shard). Declared after pool_ so
+  // its lane threads join before the pool tears down.
+  std::unique_ptr<LaneExecutor> shard_exec_;
   // Declared after the services: shards (and the agents they own) are torn
   // down while the shared allocator and pool are still alive.
   std::vector<std::unique_ptr<Shard>> shards_;

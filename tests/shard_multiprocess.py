@@ -9,7 +9,7 @@ the spatial decomposition -- and therefore the physics -- is the same; only
 the process boundary moves). Every value is printed as %a hex, so "equal"
 means equal down to the last mantissa bit.
 
-Each rank steps its two local shards concurrently on DagExecutor lanes, as
+Each rank steps its two local shards concurrently on LaneExecutor lanes, as
 the single-process run steps its four, so the check covers the socket
 transport and the lane stepper composed.
 

@@ -1,15 +1,16 @@
 // Lane-stepped reference for the Scheduler.
 //
-// Stepped from the main thread, the scheduler runs each iteration's op plan
-// on its DagExecutor: independent ops overlap on disjoint worker teams.
-// Stepped from a lane thread -- how ShardedSimulation's shard lanes step
-// their shards -- it runs the same plan inline in pipeline order, each op
-// over the lane's team. This header drives a Simulation through that
-// inline path from a thread bound as a full-pool lane
+// A Scheduler runs each iteration's due ops in pipeline order on the thread
+// that calls Simulate, each op over that thread's team: the whole pool from
+// the main thread, the lane's team on a lane thread -- how
+// ShardedSimulation's shard lanes step their shards. This header drives a
+// Simulation from a thread bound as a full-pool lane
 // (NumaThreadPool::BindLane with every worker as its team, plus
-// Simulation::SwapThreadActive), so the ops run one after another, each
-// over the whole pool. It is the reference the SchedulerDagTest trajectory
-// tests and bench_dag's gates compare the executor against.
+// Simulation::SwapThreadActive) on shard lane 0's thread slot. Run against
+// the same Simulation stepped from the main thread, it is the main-thread vs
+// lane-thread reference of the SchedulerDagTest trajectory tests: the ops
+// and their teams are the same, only the driving thread and its slot
+// differ.
 //
 // Per iteration: Simulate(1) on the lane, then MetricsRegistry::FlushShards
 // -- the lane's slot is not 0, so the scheduler leaves the flush to its
@@ -21,7 +22,6 @@
 #include <exception>
 #include <thread>
 
-#include "core/op_dag.h"
 #include "core/simulation.h"
 #include "obs/metrics.h"
 #include "sched/numa_thread_pool.h"
@@ -32,8 +32,8 @@ namespace bdm::test {
 /// the file comment). Rethrows the first exception an iteration threw.
 inline void LaneStep(Simulation* sim, uint64_t iterations) {
   NumaThreadPool* pool = sim->GetThreadPool();
-  // The slot shard lane 0 takes: past the workers and the op-lane slots.
-  const int slot = pool->NumThreads() + 1 + kOpLanes;
+  // The slot shard lane 0 takes: right past the workers.
+  const int slot = pool->NumThreads() + 1;
   MetricsRegistry::Get().ConfigureSlots(slot + 1);
   std::exception_ptr error;
   std::thread lane([&] {

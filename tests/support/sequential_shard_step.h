@@ -1,9 +1,9 @@
 // Sequential reference stepper for ShardedSimulation.
 //
 // ShardedSimulation::Simulate steps two or more local shards concurrently
-// on DagExecutor lanes. This header drives the same iteration through the
+// on LaneExecutor lanes. This header drives the same iteration through the
 // public API with the shards stepped one after another on the calling
-// thread, each with the whole pool and its own op DAG:
+// thread, each with the whole pool:
 //
 //   Exchange() -> per local shard: SetActive + Simulate(1) (+ a stale mark
 //   while the process-global AoS-dirty flag is up) -> FieldExchange() +

@@ -1,20 +1,22 @@
-// Operation-DAG tests: edge derivation from resource footprints, cycle
-// detection, bitwise equivalence of executor runs vs. the lane-stepped
-// reference (tests/support/lane_step.h), per-iteration plans that follow
-// pipeline mutations and keep every op, the sink's between-parallel-regions
-// guarantee, concurrent churn under the audit, and the chrome-trace export
-// of overlapping lanes.
+// Scheduler and operation-DAG tests: edge derivation from resource
+// footprints, the LaneExecutor's slot check and team carving, ops running in
+// pipeline order on the calling thread, bitwise equivalence of main-thread
+// runs vs. the lane-stepped reference (tests/support/lane_step.h),
+// per-iteration plans that follow pipeline mutations and keep every op, the
+// iteration end's between-parallel-regions guarantee, and concurrent churn
+// under the audit.
 #include "core/op_dag.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <atomic>
+#include <chrono>
 #include <map>
+#include <mutex>
 #include <random>
-#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "continuum/diffusion_grid.h"
@@ -25,17 +27,15 @@
 #include "math/random.h"
 #include "models/common_behaviors.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "sched/lane_executor.h"
 #include "sched/numa_thread_pool.h"
-#include "support/json_balanced.h"
 #include "support/lane_step.h"
-#include "support/temp_path.h"
 
 namespace bdm {
 namespace {
 
 // ---------------------------------------------------------------------------
-// OpDag: edge derivation and ordering
+// OpDag: edge derivation
 // ---------------------------------------------------------------------------
 
 bool Conflicts(const OpDagNode& a, const OpDagNode& b) {
@@ -64,83 +64,91 @@ TEST(OpDagTest, PipelineEdgesMatchConflictRule) {
   }
 }
 
-TEST(OpDagTest, TopologicalOrderValidUnderRandomizedDueSets) {
-  // Nodes modeled after the default pipeline's footprints; random due
-  // subsets simulate frequency-gated iterations.
-  const std::vector<OpDagNode> pipeline = {
-      {"load_balancing", kResAll, kResAll},
-      {"environment_update", kResAgentsGeometry | kResPopulation,
-       kResGrid | kResAgentsGeometry},
-      {"staticness", kResGrid | kResAgentsGeometry, kResAgentsGeometry},
-      {"agent_ops", kResGrid | kResAgentsGeometry | kResDiffusion,
-       kResAgentsGeometry | kResPopulation | kResDiffusion},
-      {"mechanical_forces", kResGrid | kResAgentsGeometry,
-       kResAgentsGeometry | kResForces},
-      {"diffusion", kResDiffusion, kResDiffusion},
-      {"commit", kResAll, kResAll},
-  };
-  std::mt19937 rng(987);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<OpDagNode> due;
-    for (const OpDagNode& node : pipeline) {
-      if (rng() % 2 == 0) {
-        due.push_back(node);
-      }
-    }
-    const OpDag dag = OpDag::FromPipeline(due);
-    const std::vector<int> order = dag.TopologicalOrder();
-    ASSERT_EQ(order.size(), due.size());
-    // Must be a permutation that places every edge source before its target.
-    std::vector<int> position(due.size(), -1);
-    for (size_t pos = 0; pos < order.size(); ++pos) {
-      ASSERT_GE(order[pos], 0);
-      ASSERT_LT(order[pos], dag.size());
-      ASSERT_EQ(position[order[pos]], -1) << "duplicate node in order";
-      position[order[pos]] = static_cast<int>(pos);
-    }
-    for (int i = 0; i < dag.size(); ++i) {
-      for (int succ : dag.successors(i)) {
-        EXPECT_LT(position[i], position[succ]);
-      }
-    }
-    // FromPipeline only creates forward edges, so the min-index Kahn order
-    // is the pipeline order itself -- the DAG refines, never reorders.
-    for (size_t pos = 0; pos < order.size(); ++pos) {
-      EXPECT_EQ(order[pos], static_cast<int>(pos));
-    }
-  }
-}
+// ---------------------------------------------------------------------------
+// LaneExecutor
+// ---------------------------------------------------------------------------
 
-TEST(OpDagTest, FromEdgesDetectsCycle) {
-  const std::vector<OpDagNode> nodes = {{"a", 1, 1}, {"b", 1, 1}, {"c", 1, 1}};
-  EXPECT_THROW(OpDag::FromEdges(nodes, {{0, 1}, {1, 2}, {2, 0}}),
-               std::invalid_argument);
-  EXPECT_THROW(OpDag::FromEdges(nodes, {{1, 1}}), std::invalid_argument);
-  EXPECT_THROW(OpDag::FromEdges(nodes, {{0, 3}}), std::invalid_argument);
-  EXPECT_THROW(OpDag::FromEdges(nodes, {{-1, 0}}), std::invalid_argument);
-}
-
-TEST(OpDagTest, FromEdgesAcceptsDiamond) {
-  const std::vector<OpDagNode> nodes = {
-      {"root", 1, 1}, {"left", 1, 1}, {"right", 1, 1}, {"sink", 1, 1}};
-  const OpDag dag =
-      OpDag::FromEdges(nodes, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
-  EXPECT_EQ(dag.num_predecessors(0), 0);
-  EXPECT_EQ(dag.num_predecessors(3), 2);
-  const std::vector<int> order = dag.TopologicalOrder();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(DagExecutorTest, SlotBaseAtCapacityThrows) {
+TEST(LaneExecutorTest, SlotBaseAtCapacityThrows) {
   // A lane's thread slot indexes the kMaxSlots-sized metrics and timing
   // shard arrays; a slot base at capacity leaves room for no lane at all.
   NumaThreadPool pool(Topology(2, 1));
-  EXPECT_THROW(DagExecutor(&pool, 2, MetricsRegistry::kMaxSlots),
+  EXPECT_THROW(LaneExecutor(&pool, 2, MetricsRegistry::kMaxSlots),
                std::invalid_argument);
   // One slot left: the executor clamps to a single lane.
-  DagExecutor last(&pool, 2, MetricsRegistry::kMaxSlots - 1);
+  LaneExecutor last(&pool, 2, MetricsRegistry::kMaxSlots - 1);
   EXPECT_EQ(last.NumLanes(), 1);
   EXPECT_EQ(last.LaneThreadSlot(0), MetricsRegistry::kMaxSlots - 1);
+}
+
+TEST(LaneExecutorTest, BodiesRunOnceOnDisjointTeamsAndThrowsPropagate) {
+  NumaThreadPool pool(Topology(4, 1));
+  LaneExecutor executor(&pool, 4);
+  ASSERT_EQ(executor.NumLanes(), 4);
+  // Shard lanes take the thread slots right past the workers.
+  EXPECT_EQ(executor.LaneThreadSlot(0), pool.NumThreads() + 1);
+  constexpr int kBodies = 6;
+  std::vector<std::atomic<int>> runs(kBodies);
+  std::mutex mu;
+  std::vector<NumaThreadPool::Team> running;  // teams of in-flight bodies
+  int overlaps = 0;
+  int empty_teams = 0;
+  const auto body = [&](int i) {
+    const NumaThreadPool::Team team = pool.CurrentTeam();
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      empty_teams += team.size() <= 0 ? 1 : 0;
+      for (const NumaThreadPool::Team& other : running) {
+        overlaps += team.begin < other.end && other.begin < team.end ? 1 : 0;
+      }
+      running.push_back(team);
+    }
+    ++runs[i];
+    // Every worker of the team runs the job once: the dispatch stays inside
+    // the team.
+    std::atomic<int> covered{0};
+    pool.Run([&](int tid) {
+      if (tid >= team.begin && tid < team.end) {
+        ++covered;
+      }
+    });
+    EXPECT_EQ(covered.load(), team.size());
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::lock_guard<std::mutex> lock(mu);
+    for (auto it = running.begin(); it != running.end(); ++it) {
+      if (it->begin == team.begin && it->end == team.end) {
+        running.erase(it);
+        break;
+      }
+    }
+  };
+  executor.Execute(kBodies, body, {4, 1, 1, 2, 1, 1});
+  for (int i = 0; i < kBodies; ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "body " << i;
+  }
+  EXPECT_EQ(overlaps, 0);
+  EXPECT_EQ(empty_teams, 0);
+
+  // A throwing body: its exception surfaces from Execute, the bodies not
+  // yet started are skipped, and none runs twice.
+  for (auto& count : runs) {
+    count = 0;
+  }
+  EXPECT_THROW(executor.Execute(kBodies,
+                                [&](int i) {
+                                  ++runs[i];
+                                  if (i == 1) {
+                                    throw std::runtime_error("lane body");
+                                  }
+                                }),
+               std::runtime_error);
+  EXPECT_EQ(runs[1].load(), 1);
+  for (int i = 0; i < kBodies; ++i) {
+    EXPECT_LE(runs[i].load(), 1) << "body " << i;
+  }
+  // The executor stays usable after a throw.
+  std::atomic<int> total{0};
+  executor.Execute(kBodies, [&](int) { ++total; });
+  EXPECT_EQ(total.load(), kBodies);
 }
 
 // ---------------------------------------------------------------------------
@@ -155,8 +163,8 @@ Param DagParam(int threads) {
   return param;
 }
 
-/// Steps `sim` on its op executor, or (`lane_stepped`) through the
-/// lane-stepped reference.
+/// Steps `sim` from the calling (main) thread, or (`lane_stepped`) through
+/// the lane-stepped reference.
 void Step(Simulation* sim, uint64_t iterations, bool lane_stepped) {
   if (lane_stepped) {
     test::LaneStep(sim, iterations);
@@ -251,25 +259,25 @@ TEST(SchedulerDagTest, DefaultPipelineDagShape) {
 }
 
 TEST(SchedulerDagTest, SingleThreadTrajectoryBitwiseMatchesSequential) {
-  // Full coupling incl. secretion: with one worker the executor and the
-  // lane-stepped reference execute the identical IEEE operation sequence,
-  // so agreement must be bitwise.
+  // Full coupling incl. secretion: the main thread and a full-pool lane
+  // thread run the same ops in the same order over the same team, so
+  // agreement must be bitwise.
   for (const EnvironmentType env :
        {EnvironmentType::kUniformGrid, EnvironmentType::kKdTree,
         EnvironmentType::kOctree}) {
     std::map<AgentUid, Real3> positions[2];
     std::vector<real_t> field[2];
     size_t counts[2];
-    for (const bool use_dag : {false, true}) {
+    for (const bool on_main : {false, true}) {
       Param param = DagParam(1);
       param.environment = env;
-      Simulation sim(use_dag ? "dag_traj_on" : "dag_traj_lane", param);
+      Simulation sim(on_main ? "dag_traj_main" : "dag_traj_lane", param);
       DiffusionGrid* grid = BuildCoupledWorkload(&sim, 200, 90, 17,
                                                  /*secrete=*/true);
-      Step(&sim, 15, /*lane_stepped=*/!use_dag);
-      positions[use_dag] = Snapshot(&sim);
-      field[use_dag] = ProbeField(grid, 90);
-      counts[use_dag] = positions[use_dag].size();
+      Step(&sim, 15, /*lane_stepped=*/!on_main);
+      positions[on_main] = Snapshot(&sim);
+      field[on_main] = ProbeField(grid, 90);
+      counts[on_main] = positions[on_main].size();
     }
     ASSERT_EQ(counts[0], counts[1]);
     ASSERT_GT(counts[0], 200u);  // divisions happened
@@ -296,11 +304,11 @@ TEST(SchedulerDagTest, MultiThreadTrajectoryMatchesSequential) {
   // partitions of different team widths produce bitwise-equal fields.
   std::map<AgentUid, Real3> positions[2];
   std::vector<real_t> field[2];
-  for (const bool use_dag : {false, true}) {
+  for (const bool on_main : {false, true}) {
     Param param = DagParam(4);
     param.num_numa_domains = 2;
     param.agent_sort_frequency = 0;  // keep dense order = insertion order
-    Simulation sim(use_dag ? "dag_mt_on" : "dag_mt_lane", param);
+    Simulation sim(on_main ? "dag_mt_main" : "dag_mt_lane", param);
     const real_t space = 300;
     auto* grid = sim.AddDiffusionGrid(
         std::make_unique<DiffusionGrid>("attractant", 80, 0.02, 16),
@@ -323,9 +331,9 @@ TEST(SchedulerDagTest, MultiThreadTrajectoryMatchesSequential) {
         }
       }
     }
-    Step(&sim, 10, /*lane_stepped=*/!use_dag);
-    positions[use_dag] = Snapshot(&sim);
-    field[use_dag] = ProbeField(grid, space);
+    Step(&sim, 10, /*lane_stepped=*/!on_main);
+    positions[on_main] = Snapshot(&sim);
+    field[on_main] = ProbeField(grid, space);
   }
   ASSERT_EQ(positions[0].size(), positions[1].size());
   auto it = positions[1].begin();
@@ -342,8 +350,9 @@ TEST(SchedulerDagTest, MultiThreadTrajectoryMatchesSequential) {
 }
 
 TEST(SchedulerDagTest, ConcurrentChurnWithAuditEveryIteration) {
-  // tsan target: diffusion overlapping mechanics while divisions add agents
-  // and the consistency audit cross-checks the index each iteration.
+  // tsan target: divisions add agents from four workers while secretion
+  // deposits into the field and the consistency audit cross-checks the
+  // index each iteration.
   Param param = DagParam(4);
   param.num_numa_domains = 2;
   param.audit_interval = 1;
@@ -355,19 +364,92 @@ TEST(SchedulerDagTest, ConcurrentChurnWithAuditEveryIteration) {
 
 class ThrowingOp : public StandaloneOperation {
  public:
-  ThrowingOp() : StandaloneOperation("throwing_op", 1) {
-    DeclareResources(kResDiffusion, 0);  // runs concurrent with mechanics
-  }
+  ThrowingOp() : StandaloneOperation("throwing_op", 1) {}
   void Run(Simulation*) override {
-    throw std::runtime_error("op failure on a lane thread");
+    throw std::runtime_error("op failure");
   }
 };
 
 TEST(SchedulerDagTest, LaneExceptionPropagatesToCaller) {
-  Simulation sim("dag_throw", DagParam(2));
-  sim.GetResourceManager()->AddAgent(new Cell({10, 10, 10}, 10));
-  sim.GetScheduler()->AppendPostOp(std::make_unique<ThrowingOp>());
-  EXPECT_THROW(sim.Simulate(2), std::runtime_error);
+  // From the main thread and from a lane thread alike, an op's exception
+  // leaves Simulate on the thread that called it.
+  for (const bool on_main : {true, false}) {
+    Simulation sim(on_main ? "dag_throw_main" : "dag_throw_lane",
+                   DagParam(2));
+    sim.GetResourceManager()->AddAgent(new Cell({10, 10, 10}, 10));
+    sim.GetScheduler()->AppendPostOp(std::make_unique<ThrowingOp>());
+    EXPECT_THROW(Step(&sim, 2, /*lane_stepped=*/!on_main), std::runtime_error);
+  }
+}
+
+/// Records the thread that runs it and that thread's slot.
+class ThreadProbeOp : public StandaloneOperation {
+ public:
+  explicit ThreadProbeOp(std::vector<std::pair<std::thread::id, int>>* seen)
+      : StandaloneOperation("thread_probe", 1), seen_(seen) {}
+  void Run(Simulation*) override {
+    seen_->emplace_back(std::this_thread::get_id(),
+                        NumaThreadPool::CurrentThreadSlot());
+  }
+
+ private:
+  std::vector<std::pair<std::thread::id, int>>* seen_;
+};
+
+/// Counts the agents it runs on whose loop the marked thread drove: a pool
+/// job carries its dispatcher's thread-scoped simulation
+/// (Simulation::SwapThreadActive) to the workers, so GetActive() on a worker
+/// names the marker only when the marked thread dispatched the loop.
+class DriverProbeOp : public AgentOperation {
+ public:
+  DriverProbeOp(const Simulation* marker, std::atomic<int>* marked,
+                std::atomic<int>* unmarked)
+      : AgentOperation("driver_probe", 1),
+        marker_(marker),
+        marked_(marked),
+        unmarked_(unmarked) {
+    DeclareResources(0, 0);
+  }
+  void Run(Agent*, AgentHandle, int, Simulation*) override {
+    ++(Simulation::GetActive() == marker_ ? *marked_ : *unmarked_);
+  }
+
+ private:
+  const Simulation* marker_;
+  std::atomic<int>* marked_;
+  std::atomic<int>* unmarked_;
+};
+
+TEST(SchedulerDagTest, OpsRunOnTheCallingThread) {
+  // Every iteration runs its due ops in pipeline order on the thread that
+  // called Simulate: from the main thread that is slot 0, for standalone
+  // ops and for the driver of the fused agent loop alike.
+  Simulation sim("dag_calling_thread", DagParam(4));
+  BuildCoupledWorkload(&sim, 100, 90, 7, /*secrete=*/true);
+  auto* scheduler = sim.GetScheduler();
+  std::vector<std::pair<std::thread::id, int>> seen;
+  scheduler->AppendPreOp(std::make_unique<ThreadProbeOp>(&seen));
+  scheduler->AppendPostOp(std::make_unique<ThreadProbeOp>(&seen));
+  sim.Simulate(2);
+  ASSERT_EQ(seen.size(), 4u);
+  for (const auto& [id, slot] : seen) {
+    ASSERT_EQ(id, std::this_thread::get_id());
+    ASSERT_EQ(slot, 0);
+  }
+  // Mark the calling thread: the simulation is active on this thread only,
+  // not process-wide, so a loop driven from any other thread would resolve
+  // no active simulation on its workers.
+  std::atomic<int> marked{0};
+  std::atomic<int> unmarked{0};
+  scheduler->AppendAgentOp(
+      std::make_unique<DriverProbeOp>(&sim, &marked, &unmarked));
+  Simulation* previous = Simulation::SwapThreadActive(&sim);
+  Simulation::SetActive(nullptr);
+  sim.Simulate(1);
+  Simulation::SetActive(&sim);
+  Simulation::SwapThreadActive(previous);
+  EXPECT_GT(marked.load(), 0);
+  EXPECT_EQ(unmarked.load(), 0);
 }
 
 class NoopOp : public StandaloneOperation {
@@ -456,65 +538,38 @@ TEST(SchedulerDagTest, PipelineBeyond64OpsKeepsEveryNode) {
 
 TEST(SchedulerDagTest, SinkIsBetweenParallelRegionsAndTimingFolds) {
   Param param = DagParam(4);
-  Simulation sim("dag_sink", param);
+  auto sim_holder = std::make_unique<Simulation>("dag_sink", param);
+  Simulation& sim = *sim_holder;
   BuildCoupledWorkload(&sim, 200, 90, 31, /*secrete=*/true);
   int snapshots = 0;
   sim.GetScheduler()->SetSnapshotCallback(
       [&](const Scheduler::IterationSnapshot& snapshot) {
         ++snapshots;
-        // The snapshot window sits after the DAG sink: FlushShards'
-        // "strictly between parallel regions" precondition must hold.
+        // The snapshot window sits after the iteration's last op:
+        // FlushShards' "strictly between parallel regions" precondition
+        // must hold.
         EXPECT_TRUE(sim.GetThreadPool()->Quiescent());
         EXPECT_EQ(snapshot.iteration + 1, static_cast<uint64_t>(snapshots));
       });
   const uint64_t iterations = 8;
   sim.Simulate(iterations);
   EXPECT_EQ(snapshots, static_cast<int>(iterations));
-  // ScopedTimers ran on lane threads; after Fold the per-op counts must be
-  // exact -- one record per op per iteration, none lost to a shard.
-  const TimingAggregator* timing = sim.GetTiming();
-  EXPECT_EQ(timing->Count("agent_ops"), iterations);
-  EXPECT_EQ(timing->Count("mechanical_forces"), iterations);
-  EXPECT_EQ(timing->Count("diffusion"), iterations);
-  EXPECT_EQ(timing->Count("commit"), iterations);
-}
-
-// ---------------------------------------------------------------------------
-// Chrome-trace export of overlapping lanes
-// ---------------------------------------------------------------------------
-
-TEST(DagTraceTest, DagModeTraceIsWellFormedAndNamesLaneTracks) {
-  const std::string path = test::TempPath("dag.trace.json");
-  setenv("BDM_TRACE", path.c_str(), 1);
-  {
-    Param param = DagParam(4);
-    Simulation sim("dag_trace", param);
-    BuildCoupledWorkload(&sim, 300, 100, 41, /*secrete=*/true);
-    sim.Simulate(5);
-  }  // dtor stops the recorder and writes the file
-  unsetenv("BDM_TRACE");
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "BDM_TRACE did not produce " << path;
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  EXPECT_TRUE(test::JsonBalanced(text));
-  EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
-  // Lane tracks are registered by the executor and emitted as thread_name
-  // metadata, so Perfetto shows diffusion overlapping mechanics on
-  // separate rows.
-  EXPECT_NE(text.find("\"thread_name\""), std::string::npos);
-  EXPECT_NE(text.find("op lane 0"), std::string::npos);
-  EXPECT_NE(text.find("\"name\": \"mechanics_fused\""), std::string::npos);
-  EXPECT_NE(text.find("\"name\": \"diffusion\""), std::string::npos);
-  // Spans landed on more than one thread track.
-  std::set<std::string> tids;
-  for (size_t pos = text.find("\"tid\": "); pos != std::string::npos;
-       pos = text.find("\"tid\": ", pos + 1)) {
-    const size_t end = text.find_first_of(",}", pos);
-    tids.insert(text.substr(pos + 7, end - pos - 7));
-  }
-  EXPECT_GE(tids.size(), 2u);
-  std::remove(path.c_str());
+  // After Fold the per-op counts must be exact -- one record per op per
+  // iteration, none lost to a shard -- also when the ScopedTimers fire on a
+  // lane thread's slot.
+  const auto expect_counts = [&](Simulation* run) {
+    const TimingAggregator* timing = run->GetTiming();
+    EXPECT_EQ(timing->Count("agent_ops"), iterations);
+    EXPECT_EQ(timing->Count("mechanical_forces"), iterations);
+    EXPECT_EQ(timing->Count("diffusion"), iterations);
+    EXPECT_EQ(timing->Count("commit"), iterations);
+  };
+  expect_counts(&sim);
+  sim_holder.reset();  // one Simulation at a time
+  Simulation lane_sim("dag_sink_lane", param);
+  BuildCoupledWorkload(&lane_sim, 200, 90, 31, /*secrete=*/true);
+  test::LaneStep(&lane_sim, iterations);
+  expect_counts(&lane_sim);
 }
 
 }  // namespace

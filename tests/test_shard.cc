@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -190,6 +191,43 @@ TEST(ShardedSimulationTest, ObservabilityJsonReportsEveryShard) {
   EXPECT_NE(text.find("\"counters\""), std::string::npos);
   EXPECT_NE(text.find("\"shard/migrations\""), std::string::npos);
   EXPECT_NE(text.find("\"gauges\""), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(ShardTraceTest, LaneTraceIsWellFormedAndNamesShardLaneTracks) {
+  // BDM_TRACE on an in-process S=2 run: the shards step concurrently on two
+  // lanes, and each shard's "step" spans land on a track of its own.
+  const std::string path = test::TempPath("shard_lanes.trace.json");
+  setenv("BDM_TRACE", path.c_str(), 1);
+  {
+    ShardedSimulation sim("lane_trace", ShardParam(), {0, 0, 0},
+                          {100, 100, 100}, 2);
+    for (int i = 0; i < 20; ++i) {
+      auto* cell = new Cell({static_cast<real_t>(5 + i * 4.5), 50, 50}, 8);
+      cell->AddBehavior(new DriftBehavior(i));
+      sim.AddAgent(cell);
+    }
+    sim.Simulate(4);
+  }  // dtor stops the recorder and writes the file
+  unsetenv("BDM_TRACE");
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "BDM_TRACE did not produce " << path;
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_TRUE(test::JsonBalanced(text));
+  EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(text.find("\"thread_name\""), std::string::npos);
+  EXPECT_NE(text.find("shard lane 0"), std::string::npos);
+  std::set<std::string> step_tracks;
+  const std::string step = "{\"name\": \"step\", ";
+  for (size_t pos = text.find(step); pos != std::string::npos;
+       pos = text.find(step, pos + 1)) {
+    const size_t tid = text.find("\"tid\": ", pos);
+    ASSERT_NE(tid, std::string::npos);
+    const size_t end = text.find_first_of(",}", tid);
+    step_tracks.insert(text.substr(tid + 7, end - tid - 7));
+  }
+  EXPECT_GE(step_tracks.size(), 2u);
   std::remove(path.c_str());
 }
 

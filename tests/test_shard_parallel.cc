@@ -233,7 +233,7 @@ TEST(ShardParallelTest, ParallelSteppingIsBitwiseSequential) {
 
 TEST(ShardParallelTest, LaneExceptionPropagatesOutOfSimulate) {
   // The throw happens on a pool worker inside the behavior sweep; it must
-  // hop worker -> driving lane thread (RunOn rethrow) -> DagExecutor's lane
+  // hop worker -> driving lane thread (RunOn rethrow) -> LaneExecutor's lane
   // capture -> Execute -> Simulate, not terminate the process.
   ShardedSimulation sim("fuse", ShardParam(4), {0, 0, 0}, {100, 100, 100}, 2);
   auto* calm = new Cell({25, 50, 50}, 8);
