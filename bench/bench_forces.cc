@@ -2,34 +2,37 @@
 // Section 5): the same collision-force step once through the per-agent
 // reference path (every agent runs CalculateDisplacement, so every pair
 // force is computed twice -- once from each endpoint) and once through the
-// fused kernel of MechanicsFusedOp's fast path (half-stencil traversal over
-// the persistent SoaStore, every pair force computed once and scattered
-// +F/-F into per-slab shards, then one fold pass).
+// engine's own force pass, MechanicsFusedOp's fast path (half-stencil
+// traversal over the persistent SoaStore, every pair force computed once
+// and scattered +F/-F into the store's force rows and cross-slab logs, then
+// one replay-and-integrate pass).
 //
 // Besides timing, the bench is a correctness harness: the two kernels must
 // agree exactly on the per-agent non-zero-force counts (the force is exactly
 // antisymmetric in IEEE arithmetic), agree on displacements up to
-// accumulation-order rounding, and the fused kernel's total force over all
+// accumulation-order rounding, and the engine's total force over all
 // agents must vanish (momentum conservation -- +F/-F scatter by
-// construction).
+// construction). It also reports the force accumulator's bytes per agent
+// and the share of pairs that cross logical slabs: agents are added in
+// random order and never sorted, so this is the worst layout for the logs.
 //
 // Emits BENCH_forces.json (ns per agent-step per kernel, speedup, checksum,
-// residual momentum) next to stdout.
+// residual momentum, accumulator bytes, cross-slab share) next to stdout.
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "core/cell.h"
 #include "core/resource_manager.h"
+#include "core/simulation.h"
 #include "core/soa_store.h"
-#include "env/uniform_grid.h"
+#include "env/environment.h"
 #include "harness.h"
 #include "math/random.h"
-#include "physics/force_kernel.h"
 #include "physics/interaction_force.h"
+#include "physics/mechanics_fused_op.h"
 
 namespace bdm::bench {
 namespace {
@@ -57,26 +60,27 @@ int Run() {
   Param param;
   param.num_threads = 4;
   param.num_numa_domains = 2;
-  NumaThreadPool pool(Topology(param.num_threads, param.num_numa_domains));
-  AgentUidGenerator gen;
-  ResourceManager rm(param, &pool, &gen);
+  // The engine's pass runs with a zero displacement clamp, so it computes
+  // every force and displacement but moves no agent: positions stay fixed
+  // and the best-of-3 passes repeat the same work. The displacements
+  // compared below are derived from its force rows under `param`.
+  Param frozen = param;
+  frozen.max_displacement = 0;
+  Simulation sim("bench_forces", frozen);
+  ResourceManager* rm = sim.GetResourceManager();
+  NumaThreadPool& pool = *sim.GetThreadPool();
   Random random(42);
   for (uint64_t i = 0; i < n; ++i) {
-    rm.AddAgent(new Cell(random.UniformPoint(0, space), 10));
+    rm->AddAgent(new Cell(random.UniformPoint(0, space), 10));
   }
-  UniformGridEnvironment grid(param);
-  grid.Update(rm, &pool);
+  Environment* grid = sim.GetEnvironment();
+  grid->Update(*rm, &pool);
 
-  const real_t radius = grid.GetInteractionRadius();
-  const real_t squared_radius = radius * radius;
-  InteractionForce force;
-  const uint64_t count = grid.DenseAgentCount();
-  Agent* const* dense = grid.DenseAgents();
+  const InteractionForce& force = *sim.GetInteractionForce();
+  const uint64_t count = grid->DenseAgentCount();
+  Agent* const* dense = grid->DenseAgents();
   const auto slabs = pool.MakeSlabPartition(0, static_cast<int64_t>(count));
 
-  // Neither kernel applies its displacement (positions must stay fixed so
-  // the best-of-3 passes repeat the same work); both write results into
-  // dense-indexed arrays for the cross-check.
   const auto displacement_of = [&](const Real3& total) -> Real3 {
     if (total.SquaredNorm() < param.force_threshold_squared) {
       return {0, 0, 0};
@@ -90,108 +94,38 @@ int Run() {
   };
 
   // A: per-agent reference. Every agent walks its own 27-box neighborhood;
-  // each pair force is computed from both endpoints.
+  // each pair force is computed from both endpoints. It does not apply its
+  // displacement either.
   std::vector<Real3> disp_a(count);
   std::vector<int> nzf_a(count, 0);
   const double ns_per_agent =
       MeasureNsPerAgent(count, [&] {
         pool.RunSlabs(slabs, [&](int64_t lo, int64_t hi, int) {
           for (int64_t i = lo; i < hi; ++i) {
-            disp_a[i] = dense[i]->CalculateDisplacement(&force, &grid, param,
+            disp_a[i] = dense[i]->CalculateDisplacement(&force, grid, param,
                                                         &nzf_a[i]);
           }
         });
       });
 
-  // B: fused SoA engine. The half-stencil pair set, with the zeroing fused
-  // into the traversal dispatch, the force being the inlined branch-free
-  // kernel evaluated straight off the persistent store's arrays (no Agent
-  // access, no virtual call), and the scatter going into the store's
-  // shards -- MechanicsFusedOp's fast path without the integration.
-  SoaStore& store = rm.GetSoaStore();
-  SoaStore::ForceShards& shards = store.force_shards();
-  const real_t* px = store.pos_x();
-  const real_t* py = store.pos_y();
-  const real_t* pz = store.pos_z();
-  const real_t* dia = store.diameter();
-  const real_t repulsion = force.repulsion();
-  const real_t attraction = force.attraction();
-  const real_t attraction_range = force.attraction_range();
+  // B: the engine's force pass.
+  MechanicsFusedOp engine;
+  const double ns_fused =
+      MeasureNsPerAgent(count, [&] { engine.Run(&sim); });
+  const SoaStore::ForceAccumulator& forces = rm->GetSoaStore().forces();
   std::vector<Real3> disp_b(count);
   std::vector<int> nzf_b(count, 0);
-  std::vector<Real3> momentum(pool.NumThreads());
-  const double ns_fused = MeasureNsPerAgent(count, [&] {
-    for (auto& m : momentum) {
-      m = {0, 0, 0};
+  Real3 net{};
+  for (uint64_t i = 0; i < count; ++i) {
+    const Real3 sum{forces.fx()[i], forces.fy()[i], forces.fz()[i]};
+    nzf_b[i] = static_cast<int>(forces.non_zero()[i]);
+    if (nzf_b[i] != 0) {
+      net += sum;
+      disp_b[i] = displacement_of(sum);
     }
-    shards.Ensure(pool.NumThreads(), count);
-    pool.Run([&](int tid) {
-      SoaStore::ForceShard& shard = shards.shard(tid);
-      std::memset(shard.fx.data(), 0, count * sizeof(real_t));
-      std::memset(shard.fy.data(), 0, count * sizeof(real_t));
-      std::memset(shard.fz.data(), 0, count * sizeof(real_t));
-      std::memset(shard.non_zero.data(), 0, count * sizeof(uint32_t));
-      const int64_t lo = slabs.bounds[tid];
-      const int64_t hi = slabs.bounds[tid + 1];
-      if (lo >= hi) {
-        return;
-      }
-      real_t* fx = shard.fx.data();
-      real_t* fy = shard.fy.data();
-      real_t* fz = shard.fz.data();
-      uint32_t* non_zero = shard.non_zero.data();
-      grid.ForEachNeighborPairInSlab(
-          squared_radius, lo, hi, [&](uint32_t i, uint32_t j, real_t d2) {
-            const real_t dx = px[i] - px[j];
-            const real_t dy = py[i] - py[j];
-            const real_t dz = pz[i] - pz[j];
-            const real_t sum_radii =
-                dia[i] * real_t{0.5} + dia[j] * real_t{0.5};
-            const Real3 f = detail::SphereForceKernel(
-                dx, dy, dz, d2, sum_radii, repulsion, attraction,
-                attraction_range);
-            if (f.SquaredNorm() == 0) {
-              return;
-            }
-            fx[i] += f.x;
-            fy[i] += f.y;
-            fz[i] += f.z;
-            ++non_zero[i];
-            fx[j] -= f.x;
-            fy[j] -= f.y;
-            fz[j] -= f.z;
-            ++non_zero[j];
-          });
-    });
-    const int num_shards = shards.num_shards();
-    pool.RunSlabs(slabs, [&](int64_t lo, int64_t hi, int tid) {
-      for (int64_t i = lo; i < hi; ++i) {
-        Real3 sum{};
-        uint32_t nz = 0;
-        for (int t = 0; t < num_shards; ++t) {
-          const SoaStore::ForceShard& shard = shards.shard(t);
-          sum.x += shard.fx[i];
-          sum.y += shard.fy[i];
-          sum.z += shard.fz[i];
-          nz += shard.non_zero[i];
-        }
-        if (nz == 0) {
-          disp_b[i] = {0, 0, 0};
-          nzf_b[i] = 0;
-          continue;
-        }
-        momentum[tid] += sum;
-        disp_b[i] = displacement_of(sum);
-        nzf_b[i] = static_cast<int>(nz);
-      }
-    });
-  });
+  }
 
   // --- cross-checks --------------------------------------------------------
-  Real3 net{};
-  for (const Real3& m : momentum) {
-    net += m;
-  }
   double force_scale = 0;
   double checksum = 0;
   uint64_t pair_interactions = 0;
@@ -225,6 +159,12 @@ int Run() {
   }
 
   const double speedup = ns_per_agent / ns_fused;
+  // Every non-zero pair force shows once in each endpoint's count.
+  const double pairs = static_cast<double>(pair_interactions) / 2;
+  const double cross_slab_share =
+      pairs > 0 ? static_cast<double>(forces.LogEntries()) / pairs : 0;
+  const double force_bytes_per_agent =
+      static_cast<double>(forces.Bytes()) / static_cast<double>(count);
   PrintHeader("Mechanical forces: per-agent vs pair-symmetric fused engine");
   std::printf("agents %llu, %.2f pair forces/agent, threads %d\n",
               static_cast<unsigned long long>(n),
@@ -236,6 +176,8 @@ int Run() {
               ns_fused, speedup);
   std::printf("  displacement checksum %.12g, |net force| %.3g\n", checksum,
               net_momentum);
+  std::printf("  force accumulator %.1f B/agent, cross-slab pairs %.1f%%\n",
+              force_bytes_per_agent, 100 * cross_slab_share);
 
   WriteBenchJson(
       "BENCH_forces.json",
@@ -245,7 +187,9 @@ int Run() {
        {"forces_fused", n, ns_fused,
         {{"speedup_vs_per_agent", speedup},
          {"displacement_checksum", checksum},
-         {"net_momentum", net_momentum}}}});
+         {"net_momentum", net_momentum},
+         {"force_bytes_per_agent", force_bytes_per_agent},
+         {"cross_slab_share", cross_slab_share}}}});
   return 0;
 }
 

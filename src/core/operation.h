@@ -32,7 +32,7 @@ enum ResourceBits : uint8_t {
   kResGrid = 1 << 1,
   /// All diffusion grids: concentration fields and deposit logs.
   kResDiffusion = 1 << 2,
-  /// Force accumulation shards (SoaStore::ForceShards).
+  /// The pair-force accumulator (SoaStore::ForceAccumulator).
   kResForces = 1 << 3,
   /// Population structure: the agent vectors, uid map, and the per-context
   /// add/remove buffers feeding the commit.

@@ -67,7 +67,7 @@ struct Param {
   /// O6: skip collision forces for provably static agents (Section 5).
   bool detect_static_agents = false;
   /// Pair-symmetric mechanics (MechanicsFusedOp): compute every pairwise
-  /// collision force once (pair traversal + per-slab force shards) instead
+  /// collision force once (pair traversal + one force row per agent) instead
   /// of twice, exploiting Newton's third law. When false, the per-agent
   /// reference path (Cell::CalculateDisplacement per agent) runs instead.
   bool pair_symmetric_forces = true;

@@ -221,13 +221,6 @@ void Scheduler::SetSnapshotCallback(SnapshotFn fn, int interval) {
   snapshot_interval_ = interval < 1 ? 1 : interval;
 }
 
-Scheduler::IterationSnapshot Scheduler::TakeSnapshot() const {
-  IterationSnapshot snapshot;
-  snapshot.iteration = iteration_;
-  snapshot.metrics = MetricsRegistry::Get().Snapshot();
-  return snapshot;
-}
-
 void Scheduler::WriteTimingJson(std::ostream& out,
                                 const std::string& indent) const {
   const TimingAggregator* timing = sim_->GetTiming();

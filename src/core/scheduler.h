@@ -78,10 +78,6 @@ class Scheduler {
   /// Pass a null fn to uninstall.
   void SetSnapshotCallback(SnapshotFn fn, int interval = 1);
 
-  /// Snapshot of the current cumulative state (outside the iteration loop;
-  /// seconds is 0 because no iteration is in flight).
-  IterationSnapshot TakeSnapshot() const;
-
   /// Writes the end-of-run observability document as JSON: per-operation
   /// timing (the TimingAggregator the Figure 5 breakdown uses), counter
   /// totals, and gauge values, in one machine-readable unit.

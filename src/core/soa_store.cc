@@ -26,29 +26,49 @@ const SoaMetrics& Metrics() {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// ForceShards
+// ForceAccumulator
 // ---------------------------------------------------------------------------
 
-void SoaStore::ForceShards::Ensure(int num_threads, uint64_t count) {
-  if (static_cast<int>(shards_.size()) < num_threads) {
-    shards_.resize(num_threads);
+void SoaStore::ForceAccumulator::BeginPass(uint64_t count) {
+  if (fx_.size() < count) {
+    const uint64_t cap = count + count / 2;
+    fx_.Reset(cap);
+    fy_.Reset(cap);
+    fz_.Reset(cap);
+    non_zero_.Reset(cap);
   }
-  for (auto& shard : shards_) {
-    if (shard.fx.size() < count) {
-      const uint64_t cap = count + count / 2;
-      shard.fx.Reset(cap);
-      shard.fy.Reset(cap);
-      shard.fz.Reset(cap);
-      shard.non_zero.Reset(cap);
-    }
+  logs_.resize(NumaThreadPool::kLogicalSlabs * NumaThreadPool::kLogicalSlabs);
+  for (Log& log : logs_) {
+    log.chunks.clear();
+    log.size = 0;
   }
+  chunks_in_use_ = 0;
 }
 
-uint64_t SoaStore::ForceShards::Bytes() const {
-  uint64_t bytes = 0;
-  for (const auto& shard : shards_) {
-    bytes += shard.fx.size() * sizeof(real_t) * 3 +
-             shard.non_zero.size() * sizeof(uint32_t);
+SoaStore::ForceAccumulator::Chunk* SoaStore::ForceAccumulator::AcquireChunk() {
+  std::lock_guard<std::mutex> lock(chunks_mutex_);
+  if (chunks_in_use_ == chunks_.size()) {
+    chunks_.push_back(std::make_unique<Chunk>());
+  }
+  return chunks_[chunks_in_use_++].get();
+}
+
+uint64_t SoaStore::ForceAccumulator::LogEntries() const {
+  uint64_t entries = 0;
+  for (const Log& log : logs_) {
+    entries += log.size;
+  }
+  return entries;
+}
+
+uint64_t SoaStore::ForceAccumulator::Bytes() const {
+  uint64_t bytes = fx_.size() * sizeof(real_t) * 3 +
+                   non_zero_.size() * sizeof(uint32_t) +
+                   logs_.capacity() * sizeof(Log) +
+                   chunks_.capacity() * sizeof(chunks_[0]) +
+                   chunks_.size() * sizeof(Chunk);
+  for (const Log& log : logs_) {
+    bytes += log.chunks.capacity() * sizeof(Chunk*);
   }
   return bytes;
 }
@@ -69,7 +89,7 @@ void SoaStore::Reallocate(uint64_t min_capacity) {
 
 uint64_t SoaStore::MemoryFootprintBytes() const {
   return capacity_ * (sizeof(Agent*) + 4 * sizeof(real_t) + sizeof(uint8_t)) +
-         force_shards_.Bytes();
+         forces_.Bytes();
 }
 
 void SoaStore::UpdateFootprintGauge() {

@@ -26,52 +26,120 @@
 //    store arrays and the AoS Agent in the same pass (the "write-back
 //    point"), so a quiescent population costs zero gather work per step.
 //
-// The per-slab force scatter shards of the pair-symmetric mechanics engine
-// (MechanicsFusedOp) live here too, so the engine keeps no buffers of its
+// The force accumulator of the pair-symmetric mechanics engine
+// (MechanicsFusedOp) lives here too, so the engine keeps no buffers of its
 // own.
 #ifndef BDM_CORE_SOA_STORE_H_
 #define BDM_CORE_SOA_STORE_H_
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/agent_handle.h"
 #include "math/real3.h"
 #include "memory/aligned_buffer.h"
+#include "sched/numa_thread_pool.h"
 
 namespace bdm {
 
 class Agent;
 class ResourceManager;
-class NumaThreadPool;
 
 class SoaStore {
  public:
-  /// One thread's force scatter target: partial force sums plus the
-  /// non-zero-force counts of Section 5 condition iv.
-  struct ForceShard {
-    AlignedBuffer<real_t> fx;
-    AlignedBuffer<real_t> fy;
-    AlignedBuffer<real_t> fz;
-    AlignedBuffer<uint32_t> non_zero;
-  };
-
-  /// MechanicsFusedOp's per-slab shard set. Buffers keep 1.5x headroom so a
-  /// growing population does not reallocate every iteration; contents are
-  /// NOT zeroed here -- each worker zeroes (first-touches) its own shard
-  /// inside the parallel region, which also places the pages on the
-  /// worker's NUMA node.
-  class ForceShards {
+  /// The pair-mechanics force accumulator (MechanicsFusedOp): one row per
+  /// dense agent -- the force sum and the non-zero-force count of Section 5
+  /// condition iv -- plus the cross-slab logs. The dense range is cut into
+  /// NumaThreadPool::kLogicalSlabs logical slabs, and slab s owns its rows:
+  /// it zeroes (first-touches) them and adds every force aimed at them
+  /// straight in. A force aimed at a row of another slab t goes to log
+  /// (s, t) instead, and slab t adds those entries before it integrates, in
+  /// (source slab, append order). Nothing here depends on the team size:
+  /// the rows take 28 B per agent and the logs 28 B per cross-slab pair, in
+  /// fixed-size chunks from a pool that keeps them across passes, so the log
+  /// memory follows the largest cross-slab pair count seen, not the
+  /// schedule. Rows keep 1.5x headroom, so a steady population allocates
+  /// nothing; they are not zeroed here.
+  class ForceAccumulator {
    public:
-    void Ensure(int num_threads, uint64_t count);
-    ForceShard& shard(int t) { return shards_[t]; }
-    const ForceShard& shard(int t) const { return shards_[t]; }
-    int num_shards() const { return static_cast<int>(shards_.size()); }
+    static constexpr int kChunkEntries = 128;
+    /// A block of log entries: the row each force is for, and the force.
+    struct Chunk {
+      uint32_t row[kChunkEntries];
+      real_t fx[kChunkEntries];
+      real_t fy[kChunkEntries];
+      real_t fz[kChunkEntries];
+    };
+    /// The forces one slab computed for the rows of one other slab, in
+    /// append order.
+    struct Log {
+      std::vector<Chunk*> chunks;
+      uint32_t size = 0;
+
+      /// Calls fn(row, fx, fy, fz) for every entry, in append order.
+      template <typename Fn>
+      void ForEach(Fn&& fn) const {
+        for (uint32_t e = 0; e < size; ++e) {
+          const Chunk& chunk = *chunks[e / kChunkEntries];
+          const uint32_t k = e % kChunkEntries;
+          fn(chunk.row[k], chunk.fx[k], chunk.fy[k], chunk.fz[k]);
+        }
+      }
+    };
+
+    /// Sizes the rows for `count` agents and empties every log; runs on one
+    /// thread before a pass.
+    void BeginPass(uint64_t count);
+    real_t* fx() { return fx_.data(); }
+    real_t* fy() { return fy_.data(); }
+    real_t* fz() { return fz_.data(); }
+    uint32_t* non_zero() { return non_zero_.data(); }
+    const real_t* fx() const { return fx_.data(); }
+    const real_t* fy() const { return fy_.data(); }
+    const real_t* fz() const { return fz_.data(); }
+    const uint32_t* non_zero() const { return non_zero_.data(); }
+    /// The log slab `source` writes for slab `target`.
+    Log& log(int source, int target) {
+      return logs_[source * NumaThreadPool::kLogicalSlabs + target];
+    }
+    const Log& log(int source, int target) const {
+      return logs_[source * NumaThreadPool::kLogicalSlabs + target];
+    }
+    /// Appends one entry to `log`. Only the log's source slab calls it;
+    /// different slabs may append concurrently.
+    void Append(Log& log, uint32_t row, real_t fx, real_t fy, real_t fz) {
+      const uint32_t k = log.size % kChunkEntries;
+      if (k == 0) {
+        log.chunks.push_back(AcquireChunk());
+      }
+      Chunk& chunk = *log.chunks.back();
+      chunk.row[k] = row;
+      chunk.fx[k] = fx;
+      chunk.fy[k] = fy;
+      chunk.fz[k] = fz;
+      ++log.size;
+    }
+    /// Entries in all logs: the cross-slab pairs of the last pass.
+    uint64_t LogEntries() const;
+    /// Rows, chunk pool and log bookkeeping in bytes.
     uint64_t Bytes() const;
 
    private:
-    std::vector<ForceShard> shards_;
+    /// Hands out the next free pool chunk, allocating one when all are in
+    /// use. Thread-safe.
+    Chunk* AcquireChunk();
+
+    AlignedBuffer<real_t> fx_;
+    AlignedBuffer<real_t> fy_;
+    AlignedBuffer<real_t> fz_;
+    AlignedBuffer<uint32_t> non_zero_;
+    std::vector<Log> logs_;  // kLogicalSlabs x kLogicalSlabs, source-major
+    std::vector<std::unique_ptr<Chunk>> chunks_;
+    size_t chunks_in_use_ = 0;
+    std::mutex chunks_mutex_;
   };
 
   // --- liveness & layout -----------------------------------------------------
@@ -112,7 +180,8 @@ class SoaStore {
     is_static_[dense] = value ? 1 : 0;
   }
 
-  ForceShards& force_shards() { return force_shards_; }
+  ForceAccumulator& forces() { return forces_; }
+  const ForceAccumulator& forces() const { return forces_; }
 
   // --- update protocol -------------------------------------------------------
   /// Brings the arrays up to date with `rm`. Full parallel rebuild when the
@@ -138,9 +207,9 @@ class SoaStore {
     geometry_stale_.store(true, std::memory_order_relaxed);
   }
 
-  /// Bytes held by the store (attribute arrays + force shards). This is the
-  /// number behind the soa/mirror_bytes gauge -- the one SoA copy in the
-  /// engine.
+  /// Bytes held by the store (attribute arrays + force accumulator). This is
+  /// the number behind the soa/mirror_bytes gauge -- the one SoA copy in
+  /// the engine.
   uint64_t MemoryFootprintBytes() const;
 
  private:
@@ -162,7 +231,7 @@ class SoaStore {
   /// domain_offset_[d] .. domain_offset_[d+1] is domain d's dense range.
   std::vector<uint64_t> domain_offset_;
 
-  ForceShards force_shards_;
+  ForceAccumulator forces_;
 
   bool live_ = false;
   std::atomic<bool> structure_dirty_{true};

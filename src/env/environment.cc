@@ -20,8 +20,7 @@ void Environment::ForEachNeighborPair(real_t squared_radius,
                                       NumaThreadPool* pool,
                                       NeighborPairFn fn) const {
   const int64_t count = static_cast<int64_t>(DenseAgentCount());
-  const auto slabs = pool->MakeSlabPartition(0, count);
-  pool->RunSlabs(slabs, [&](int64_t lo, int64_t hi, int tid) {
+  pool->RunLogicalSlabs(count, [&](int64_t lo, int64_t hi, int slab) {
     NeighborPair pair;
     for (int64_t i = lo; i < hi; ++i) {
       const NeighborData a = DenseSnapshot(static_cast<uint32_t>(i));
@@ -38,7 +37,7 @@ void Environment::ForEachNeighborPair(real_t squared_radius,
         pair.b_position = b.position;
         pair.b_diameter = b.diameter;
         pair.squared_distance = b.squared_distance;
-        fn(pair, tid);
+        fn(pair, slab);
       });
     }
   });

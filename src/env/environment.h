@@ -70,7 +70,7 @@ class Environment {
 
   /// One unordered agent pair emitted by ForEachNeighborPair. The indices
   /// address the environment's dense agent array (DenseAgents()), which is
-  /// what the pair-symmetric force engine keys its force shards on.
+  /// what the pair-symmetric force engine keys its force rows on.
   struct NeighborPair {
     uint32_t a_index;
     uint32_t b_index;
@@ -82,10 +82,10 @@ class Environment {
     real_t b_diameter;
     real_t squared_distance;
   };
-  /// Pair callback; the int is the index of the traversal slab that emitted
-  /// the pair (selects the caller's per-slab accumulator). It is NOT the id
-  /// of the executing worker: under a partial team one worker runs several
-  /// slabs.
+  /// Pair callback; the int is the logical slab (NumaThreadPool::
+  /// RunLogicalSlabs) that emitted the pair, the one holding a_index. It
+  /// selects the caller's per-slab buffers and is NOT the id of the
+  /// executing worker: one worker runs a contiguous run of slabs.
   using NeighborPairFn = FunctionRef<void(const NeighborPair&, int)>;
 
   /// Dense agent array of the last Update: DenseAgents()[i] is the agent
@@ -97,10 +97,10 @@ class Environment {
   virtual NeighborData DenseSnapshot(uint32_t i) const = 0;
 
   /// Visits every unordered agent pair within sqrt(squared_radius) exactly
-  /// once, in parallel over the pool's workers (each worker owns a
-  /// contiguous slab of dense indices a_index). `a` is the endpoint whose
-  /// scan emitted the pair; no order between a_index and b_index is
-  /// promised. The base implementation searches around each slab agent's
+  /// once, in parallel over the dense range's logical slabs: a slab's pairs
+  /// have their a_index in it and come in the slab's walk order on one
+  /// worker. `a` is the endpoint whose scan emitted the pair; no order
+  /// between a_index and b_index is promised. The base implementation searches around each slab agent's
   /// snapshot position and keeps only partners with a larger dense index
   /// (kd-tree and octree use it, so there a_index < b_index); the uniform
   /// grid overrides it with the half-stencil box traversal that never tests

@@ -336,9 +336,10 @@ void UniformGridEnvironment::Search(const Real3& position,
 //    3x3x3 cube (radius <= box length). Exactly one of the two coordinate
 //    deltas is lexicographically positive, so exactly one endpoint scans the
 //    other's box through the forward half stencil.
-// Each worker owns one contiguous slab of dense indices (the same
-// NUMA-ordered layout the flatten pass produced), so a domain's threads
-// read mostly their own domain's mirror entries.
+// The dense range is walked in logical slabs; each worker runs one
+// contiguous run of them (the same NUMA-ordered layout the flatten pass
+// produced), so a domain's threads read mostly their own domain's mirror
+// entries.
 void UniformGridEnvironment::ForEachNeighborPair(real_t squared_radius,
                                                  NumaThreadPool* pool,
                                                  NeighborPairFn fn) const {
@@ -352,8 +353,10 @@ void UniformGridEnvironment::ForEachNeighborPair(real_t squared_radius,
     Environment::ForEachNeighborPair(squared_radius, pool, fn);
     return;
   }
-  const auto slabs = pool->MakeSlabPartition(0, total);
-  pool->RunSlabs(slabs, [&](int64_t lo, int64_t hi, int tid) {
+  pool->RunLogicalSlabs(total, [&](int64_t lo, int64_t hi, int slab) {
+    if (lo >= hi) {
+      return;
+    }
     NeighborPair pair;
     ForEachNeighborPairInSlab(
         squared_radius, lo, hi, [&](uint32_t i, uint32_t j, real_t d2) {
@@ -366,7 +369,7 @@ void UniformGridEnvironment::ForEachNeighborPair(real_t squared_radius,
           pair.b_position = {pos_x_[j], pos_y_[j], pos_z_[j]};
           pair.b_diameter = diameters_[j];
           pair.squared_distance = d2;
-          fn(pair, tid);
+          fn(pair, slab);
         });
   });
 }

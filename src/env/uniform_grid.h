@@ -83,13 +83,12 @@ class UniformGridEnvironment : public Environment {
     return squared_radius <= box_length_ * box_length_;
   }
 
-  /// One worker's share of the half-stencil pair traversal: walks dense
-  /// indices [lo, hi) and invokes `emit(i, j, d2)` for every interacting
-  /// pair whose chain/stencil owner i lies in the slab, in walk order (the
-  /// calls come in batches of up to kHitCapacity pairs). Shared by
-  /// ForEachNeighborPair and the fused mechanics op, which partitions the
-  /// dense range itself so it can fuse shard zeroing and force scatter into
-  /// one dispatch. The d2 handed over is bitwise-identical to
+  /// One slab of the half-stencil pair traversal: walks dense indices
+  /// [lo, hi) and invokes `emit(i, j, d2)` for every interacting pair whose
+  /// chain/stencil owner i lies in the slab, in walk order (the calls come
+  /// in batches of up to kHitCapacity pairs). Shared by ForEachNeighborPair
+  /// and the fused mechanics op, which runs the logical slabs itself so it
+  /// can fuse row zeroing and force scatter into one dispatch. The d2 handed over is bitwise-identical to
   /// (pos_i - pos_j).SquaredNorm() -- see physics/force_kernel.h.
   template <typename Emit>
   void ForEachNeighborPairInSlab(real_t squared_radius, int64_t lo, int64_t hi,

@@ -119,9 +119,4 @@ void MetricsRegistry::Reset() {
   }
 }
 
-int MetricsRegistry::NumMetrics() const {
-  std::scoped_lock lock(register_mutex_);
-  return static_cast<int>(names_.size());
-}
-
 }  // namespace bdm

@@ -113,8 +113,6 @@ class MetricsRegistry {
   /// persist (instrumentation sites cache ids across simulations).
   void Reset();
 
-  int NumMetrics() const;
-
  private:
   MetricsRegistry();
 

@@ -1,7 +1,6 @@
 #include "physics/mechanics_fused_op.h"
 
 #include <algorithm>
-#include <cstring>
 #include <typeinfo>
 
 #include "core/agent.h"
@@ -28,9 +27,10 @@ struct FusedMetrics {
       MetricsRegistry::Get().RegisterCounter("forces.static_pair_skips");
   int static_agent_skips =
       MetricsRegistry::Get().RegisterCounter("forces.static_agent_skips");
-  /// Width of the widest traversal slab of the last pass: how much
-  /// contiguous dense-index work one worker owns (load-balance telemetry).
-  int slab_span = MetricsRegistry::Get().RegisterGauge("fused/slab_span");
+  /// Pairs whose endpoints lie in different logical slabs: the entries the
+  /// scatter appended to the cross-slab logs.
+  int cross_slab_pairs =
+      MetricsRegistry::Get().RegisterCounter("forces.cross_slab_pairs");
 };
 
 const FusedMetrics& Metrics() {
@@ -38,23 +38,71 @@ const FusedMetrics& Metrics() {
   return metrics;
 }
 
-void ZeroShard(SoaStore::ForceShard& shard, uint64_t total) {
-  std::memset(shard.fx.data(), 0, total * sizeof(real_t));
-  std::memset(shard.fy.data(), 0, total * sizeof(real_t));
-  std::memset(shard.fz.data(), 0, total * sizeof(real_t));
-  std::memset(shard.non_zero.data(), 0, total * sizeof(uint32_t));
-}
+// Logical slab `slab`'s share of Stage A: it owns rows [lo, hi) of the
+// accumulator, and every pair it emits has its first endpoint there.
+class SlabScatter {
+ public:
+  SlabScatter(SoaStore::ForceAccumulator& forces, uint64_t total, int slab)
+      : total_(static_cast<int64_t>(total)),
+        lo_(NumaThreadPool::LogicalSlabBegin(total_, slab)),
+        hi_(NumaThreadPool::LogicalSlabBegin(total_, slab + 1)),
+        fx_(forces.fx()),
+        fy_(forces.fy()),
+        fz_(forces.fz()),
+        non_zero_(forces.non_zero()),
+        slab_(slab),
+        forces_(forces) {}
 
-// Generic Stage A: the environment's pair traversal with the virtual force.
-// Every slot's shard is cleared first -- the traversal scatters into the
-// shard of the pair's slab index, which under a partial team (a shard lane)
-// is not necessarily an executing worker's id.
+  /// Zeroes (first-touches) the slab's rows; runs before any pair of this
+  /// pass is added.
+  void ZeroRows() {
+    std::fill(fx_ + lo_, fx_ + hi_, real_t{0});
+    std::fill(fy_ + lo_, fy_ + hi_, real_t{0});
+    std::fill(fz_ + lo_, fz_ + hi_, real_t{0});
+    std::fill(non_zero_ + lo_, non_zero_ + hi_, 0u);
+  }
+
+  /// +f on row i (in the slab) and -f on row j: straight into j's row when
+  /// the slab owns it, else as an entry of the log to j's slab.
+  void Add(uint32_t i, uint32_t j, const Real3& f) {
+    fx_[i] += f.x;
+    fy_[i] += f.y;
+    fz_[i] += f.z;
+    ++non_zero_[i];
+    if (j >= lo_ && j < hi_) {
+      fx_[j] -= f.x;
+      fy_[j] -= f.y;
+      fz_[j] -= f.z;
+      ++non_zero_[j];
+    } else {
+      forces_.Append(
+          forces_.log(slab_, NumaThreadPool::LogicalSlabOf(total_, j)), j,
+          -f.x, -f.y, -f.z);
+    }
+  }
+
+ private:
+  int64_t total_;
+  int64_t lo_;
+  int64_t hi_;
+  real_t* fx_;
+  real_t* fy_;
+  real_t* fz_;
+  uint32_t* non_zero_;
+  int slab_;
+  SoaStore::ForceAccumulator& forces_;
+};
+
+// Generic Stage A: the environment's pair traversal with the virtual force,
+// over the same logical slabs as the fast path.
 void ScatterGeneric(const Environment& env, const InteractionForce& force,
                     real_t squared_radius, bool skip_static,
-                    NumaThreadPool* pool, SoaStore::ForceShards& shards,
+                    NumaThreadPool* pool, SoaStore::ForceAccumulator& forces,
                     uint64_t total) {
-  pool->RunSlots(pool->NumThreads(),
-                 [&](int slot) { ZeroShard(shards.shard(slot), total); });
+  pool->RunLogicalSlabs(static_cast<int64_t>(total),
+                        [&](int64_t, int64_t, int slab) {
+                          SlabScatter(forces, total, slab).ZeroRows();
+                        });
   env.ForEachNeighborPair(
       squared_radius, pool,
       [&](const Environment::NeighborPair& pair, int slab) {
@@ -72,42 +120,39 @@ void ScatterGeneric(const Environment& env, const InteractionForce& force,
         if (f.SquaredNorm() == 0) {
           return;
         }
-        SoaStore::ForceShard& shard = shards.shard(slab);
-        shard.fx[pair.a_index] += f.x;
-        shard.fy[pair.a_index] += f.y;
-        shard.fz[pair.a_index] += f.z;
-        ++shard.non_zero[pair.a_index];
-        shard.fx[pair.b_index] -= f.x;
-        shard.fy[pair.b_index] -= f.y;
-        shard.fz[pair.b_index] -= f.z;
-        ++shard.non_zero[pair.b_index];
+        SlabScatter(forces, total, slab).Add(pair.a_index, pair.b_index, f);
       });
 }
 
-// Stage B, shared by both scatter variants: fold the shards, then the O6
-// ladder (static skip -> wake -> threshold -> clamp) and `move`. The
+// Stage B, shared by both scatter variants. Each logical slab adds the log
+// entries aimed at its rows in (source slab, append order), then runs the
+// O6 ladder (static skip -> wake -> threshold -> clamp) and `move`. The
 // variants differ only in `is_static(i, agent)` and `move(i, agent, d)`.
 template <typename IsStaticFn, typename MoveFn>
-void FoldAndIntegrate(NumaThreadPool* pool,
-                      const NumaThreadPool::SlabPartition& slabs,
-                      const SoaStore::ForceShards& shards, Agent* const* agents,
-                      const Param& param, IsStaticFn is_static, MoveFn move) {
-  const int num_shards = shards.num_shards();
+void ReplayAndIntegrate(NumaThreadPool* pool,
+                        SoaStore::ForceAccumulator& forces, uint64_t total,
+                        Agent* const* agents, const Param& param,
+                        IsStaticFn is_static, MoveFn move) {
   const bool skip_static = param.detect_static_agents;
   const real_t dt_over_viscosity = param.dt / param.viscosity;
-  pool->RunSlabs(slabs, [&](int64_t lo, int64_t hi, int) {
+  real_t* fx = forces.fx();
+  real_t* fy = forces.fy();
+  real_t* fz = forces.fz();
+  uint32_t* non_zero = forces.non_zero();
+  pool->RunLogicalSlabs(static_cast<int64_t>(total), [&](int64_t lo,
+                                                        int64_t hi, int slab) {
+    for (int source = 0; source < NumaThreadPool::kLogicalSlabs; ++source) {
+      forces.log(source, slab).ForEach(
+          [&](uint32_t row, real_t fx_add, real_t fy_add, real_t fz_add) {
+            fx[row] += fx_add;
+            fy[row] += fy_add;
+            fz[row] += fz_add;
+            ++non_zero[row];
+          });
+    }
     uint64_t agent_skips = 0;
     for (int64_t i = lo; i < hi; ++i) {
-      Real3 sum{};
-      uint32_t non_zero = 0;
-      for (int t = 0; t < num_shards; ++t) {
-        const SoaStore::ForceShard& shard = shards.shard(t);
-        sum.x += shard.fx[i];
-        sum.y += shard.fy[i];
-        sum.z += shard.fz[i];
-        non_zero += shard.non_zero[i];
-      }
-      if (non_zero == 0) {
+      if (non_zero[i] == 0) {
         continue;  // untouched agent: no force, no wake condition
       }
       Agent* agent = agents[i];
@@ -123,9 +168,10 @@ void FoldAndIntegrate(NumaThreadPool* pool,
         ++agent_skips;
         continue;
       }
-      if (non_zero > 1) {
+      if (non_zero[i] > 1) {
         agent->WakeUp();
       }
+      const Real3 sum{fx[i], fy[i], fz[i]};
       if (sum.SquaredNorm() < param.force_threshold_squared) {
         continue;
       }
@@ -139,8 +185,7 @@ void FoldAndIntegrate(NumaThreadPool* pool,
       }
     }
     if (agent_skips != 0 && MetricsRegistry::Enabled()) {
-      // Self-resolving Add: the slab index is not necessarily the
-      // executing thread.
+      // Self-resolving Add: the slab index is not the executing thread.
       MetricsRegistry::Get().Add(Metrics().static_agent_skips, agent_skips);
     }
   });
@@ -177,24 +222,22 @@ void MechanicsFusedOp::Run(Simulation* sim) {
   TraceSpan span("mechanics_fused",
                  sim->GetScheduler()->GetSimulatedIterations());
   NumaThreadPool* pool = sim->GetThreadPool();
-  SoaStore::ForceShards& shards = store.force_shards();
-  shards.Ensure(pool->NumThreads(), total);
-  const auto slabs = pool->MakeSlabPartition(0, static_cast<int64_t>(total));
-  if (MetricsRegistry::Enabled()) {
-    int64_t span_max = 0;
-    for (size_t t = 0; t + 1 < slabs.bounds.size(); ++t) {
-      span_max = std::max(span_max, slabs.bounds[t + 1] - slabs.bounds[t]);
-    }
-    MetricsRegistry::Get().SetGauge(Metrics().slab_span,
-                                    static_cast<double>(span_max));
-  }
+  SoaStore::ForceAccumulator& forces = store.forces();
+  forces.BeginPass(total);
   const bool skip_static = param.detect_static_agents;
+  const auto count_cross_slab_pairs = [&] {
+    if (MetricsRegistry::Enabled()) {
+      MetricsRegistry::Get().Add(Metrics().cross_slab_pairs,
+                                 forces.LogEntries());
+    }
+  };
 
   if (!fast_path) {
-    ScatterGeneric(*env, *force, squared_radius, skip_static, pool, shards,
+    ScatterGeneric(*env, *force, squared_radius, skip_static, pool, forces,
                    total);
-    FoldAndIntegrate(
-        pool, slabs, shards, env->DenseAgents(), param,
+    count_cross_slab_pairs();
+    ReplayAndIntegrate(
+        pool, forces, total, env->DenseAgents(), param,
         [](int64_t, Agent* agent) { return agent->IsStatic(); },
         [&](int64_t, Agent* agent, const Real3& displacement) {
           agent->ApplyDisplacement(displacement, param);
@@ -211,24 +254,14 @@ void MechanicsFusedOp::Run(Simulation* sim) {
   const real_t attraction = force->attraction();
   const real_t attraction_range = force->attraction_range();
 
-  // Stage A: fused zero + traverse + scatter, indexed by SLOT (shard ==
-  // slab index), not by executing worker: EVERY slot's shard must be zeroed
-  // -- a slot whose slab is empty still receives scatter writes from pairs
-  // owned by other slabs -- and on a shard lane this op runs on a partial
-  // worker team, whose members each cover a chunk of slots. With the full
-  // team RunSlots degenerates to slot == tid.
-  pool->RunSlots(pool->NumThreads(), [&](int tid) {
-    SoaStore::ForceShard& shard = shards.shard(tid);
-    ZeroShard(shard, total);
-    const int64_t lo = slabs.bounds[tid];
-    const int64_t hi = slabs.bounds[tid + 1];
+  // Stage A: per logical slab, zero its rows, then traverse and scatter.
+  pool->RunLogicalSlabs(static_cast<int64_t>(total), [&](int64_t lo,
+                                                        int64_t hi, int slab) {
+    SlabScatter scatter(forces, total, slab);
+    scatter.ZeroRows();
     if (lo >= hi) {
       return;
     }
-    real_t* fx = shard.fx.data();
-    real_t* fy = shard.fy.data();
-    real_t* fz = shard.fz.data();
-    uint32_t* non_zero = shard.non_zero.data();
     uint64_t pair_skips = 0;
     grid->ForEachNeighborPairInSlab(
         squared_radius, lo, hi, [&](uint32_t i, uint32_t j, real_t d2) {
@@ -250,25 +283,19 @@ void MechanicsFusedOp::Run(Simulation* sim) {
           if (f.SquaredNorm() == 0) {
             return;
           }
-          fx[i] += f.x;
-          fy[i] += f.y;
-          fz[i] += f.z;
-          ++non_zero[i];
-          fx[j] -= f.x;
-          fy[j] -= f.y;
-          fz[j] -= f.z;
-          ++non_zero[j];
+          scatter.Add(i, j, f);
         });
     if (pair_skips != 0 && MetricsRegistry::Enabled()) {
       MetricsRegistry::Get().Add(Metrics().static_pair_skips, pair_skips);
     }
   });
+  count_cross_slab_pairs();
 
   // Stage B, writing the displaced position to BOTH the AoS Agent and the
   // store arrays -- the write-back that keeps the store current without a
   // next-iteration refresh pass.
-  FoldAndIntegrate(
-      pool, slabs, shards, store.agents(), param,
+  ReplayAndIntegrate(
+      pool, forces, total, store.agents(), param,
       [is_static](int64_t i, Agent*) { return is_static[i] != 0; },
       [&](int64_t i, Agent* agent, const Real3& displacement) {
         const Real3 p = agent->GetPosition() + displacement;

@@ -172,6 +172,12 @@ void NumaThreadPool::RunSlots(int num_slots, const std::function<void(int)>& fn)
   });
 }
 
+void NumaThreadPool::RunLogicalSlabs(int64_t count, const RangeFn& fn) {
+  RunSlots(kLogicalSlabs, [&](int slab) {
+    fn(LogicalSlabBegin(count, slab), LogicalSlabBegin(count, slab + 1), slab);
+  });
+}
+
 void NumaThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
                                  const RangeFn& fn) {
   if (begin >= end) {

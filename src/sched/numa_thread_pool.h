@@ -170,6 +170,28 @@ class NumaThreadPool {
   /// partial team the team's workers cover all slabs via RunSlots.
   void RunSlabs(const SlabPartition& slabs, const RangeFn& fn);
 
+  /// Fixed logical partition for passes whose per-slab buffers and sum
+  /// order must not follow the team size (the pair-force scatter): [0,
+  /// count) is cut into kLogicalSlabs even slabs whatever NumThreads() is.
+  /// Slab s is [LogicalSlabBegin(count, s), LogicalSlabBegin(count, s + 1)).
+  /// A multiple of the usual team sizes, so each worker of a 2-, 4- or
+  /// 8-worker team owns one contiguous run of equal slabs. More slabs would
+  /// admit wider teams, but cut more neighbour pairs at slab borders, and
+  /// the pair-force logs grow with those (EXPERIMENTS.md "One force row per
+  /// agent").
+  static constexpr int kLogicalSlabs = 16;
+  static int64_t LogicalSlabBegin(int64_t count, int slab) {
+    return count * slab / kLogicalSlabs;
+  }
+  /// The logical slab holding `row` of [0, count).
+  static int LogicalSlabOf(int64_t count, int64_t row) {
+    return static_cast<int>(((row + 1) * kLogicalSlabs - 1) / count);
+  }
+  /// Runs `fn(lo, hi, s)` for every logical slab s of [0, count), empty ones
+  /// included, through RunSlots: each worker of the calling thread's team
+  /// runs one contiguous run of slabs, and a slab runs on one worker.
+  void RunLogicalSlabs(int64_t count, const RangeFn& fn);
+
   /// NUMA-aware iteration over blocks (paper Fig. 2). `blocks_per_domain[d]`
   /// blocks exist in domain d; `fn` is invoked exactly once per block. With
   /// `numa_aware == false` the domain structure is ignored and all blocks go

@@ -3,8 +3,10 @@
 // counts with the per-agent reference path on both scatter variants (grid
 // fast path, generic environment traversal), the O6 static-pair skip, full-
 // simulation equivalence of the two engines across all three environments,
-// subclassed forces and the static-detection toggle, and a concurrency
-// check over the per-slab force shards (ctest label `tsan`).
+// subclassed forces and the static-detection toggle, a concurrency check
+// over the shared force rows and cross-slab logs (ctest label `tsan`), the
+// force accumulator's sum-order contract, its cross-slab pair counter, and
+// its thread-count-free footprint.
 #include "physics/mechanics_fused_op.h"
 
 #include <gtest/gtest.h>
@@ -23,7 +25,9 @@
 #include "core/soa_store.h"
 #include "env/environment.h"
 #include "math/random.h"
+#include "obs/metrics.h"
 #include "physics/interaction_force.h"
+#include "sched/numa_thread_pool.h"
 
 namespace bdm {
 namespace {
@@ -31,10 +35,11 @@ namespace {
 // Engine-level kernel checks. A dense random cluster -- diameter-10 cells
 // at ~4 interacting neighbors each, so repulsion and adhesion branches are
 // both exercised -- is indexed once; the per-agent reference and one engine
-// pass then run over that same index. The engine's force shards stay in
-// SoaStore::force_shards() after the pass (indexed by the environment's
-// dense index), which yields each agent's total force and non-zero-force
-// count; the agents' positions yield the displacement the engine applied.
+// pass then run over that same index. The engine's force rows stay in
+// SoaStore::forces() after the pass (indexed by the environment's dense
+// index, cross-slab log entries already added), which yields each agent's
+// total force and non-zero-force count; the agents' positions yield the
+// displacement the engine applied.
 class PairForceTest : public ::testing::Test {
  protected:
   void Build(int threads, int domains, uint64_t n, real_t space) {
@@ -90,18 +95,14 @@ class PairForceTest : public ::testing::Test {
       before[i] = dense[i]->GetPosition();
     }
     MechanicsFusedOp().Run(sim_.get());
-    const SoaStore::ForceShards& shards =
-        sim_->GetResourceManager()->GetSoaStore().force_shards();
+    const SoaStore::ForceAccumulator& forces =
+        sim_->GetResourceManager()->GetSoaStore().forces();
     Result result;
     result.displacement.resize(count);
     result.non_zero.resize(count, 0);
     for (uint64_t i = 0; i < count; ++i) {
-      Real3 total;
-      for (int t = 0; t < shards.num_shards(); ++t) {
-        const SoaStore::ForceShard& shard = shards.shard(t);
-        total += Real3{shard.fx[i], shard.fy[i], shard.fz[i]};
-        result.non_zero[i] += static_cast<int>(shard.non_zero[i]);
-      }
+      const Real3 total{forces.fx()[i], forces.fy()[i], forces.fz()[i]};
+      result.non_zero[i] = static_cast<int>(forces.non_zero()[i]);
       result.net_force += total;
       result.force_scale += total.Norm();
       result.displacement[i] = dense[i]->GetPosition() - before[i];
@@ -211,9 +212,9 @@ TEST_P(PairForceGridTest, StaticPairsAreSkippedAwakeAgentsUnchanged) {
 INSTANTIATE_TEST_SUITE_P(SoaPrimary, PairForceGridTest, ::testing::Bool());
 
 TEST_F(PairForceTest, ConcurrentAccumulationMatchesSerial) {
-  // Concurrency check (tsan label): many threads scatter into their own
-  // shards over shared dense indices; the fold must agree with a one-thread
-  // run up to summation order. Agents are matched by uid: both simulations
+  // Concurrency check (tsan label): many threads scatter into the shared
+  // rows of their own slabs and into cross-slab logs; the totals must agree
+  // with a one-thread run up to summation order. Agents are matched by uid: both simulations
   // add the same agents in the same order.
   const auto run = [&](int threads, int domains) {
     Build(threads, domains, 3000, 180);
@@ -235,6 +236,172 @@ TEST_F(PairForceTest, ConcurrentAccumulationMatchesSerial) {
     ASSERT_EQ(value.first, it->second.first) << uid;
     ExpectSameDisplacement(value.second, it->second.second, uid.index());
     ++it;
+  }
+}
+
+// --- force accumulator contract ----------------------------------------------
+
+// Builds a scene whose pair forces span several orders of magnitude (deep
+// overlaps of large cells next to faint adhesion between small ones), so a
+// row's total depends on the order of its terms.
+class ForceAccumulatorTest : public PairForceTest {
+ protected:
+  void BuildMixed(int threads, uint64_t n) {
+    Build(threads, 1, 0, 0);
+    Random random(31);
+    for (uint64_t i = 0; i < n; ++i) {
+      const real_t diameter = random.Uniform(0, 1) < 0.2 ? 24 : 3;
+      sim_->GetResourceManager()->AddAgent(
+          new Cell(random.UniformPoint(0, 160), diameter));
+    }
+  }
+
+  /// One force term of a row: +F for a pair's first endpoint, -F for its
+  /// second.
+  struct Term {
+    uint32_t row;
+    Real3 force;
+  };
+
+  /// The terms every logical slab's pairs give, in walk order, for the pairs
+  /// with a non-zero force.
+  std::vector<std::vector<Term>> TermsBySlab() {
+    Environment* env = sim_->GetEnvironment();
+    std::vector<std::vector<Term>> by_slab(NumaThreadPool::kLogicalSlabs);
+    const InteractionForce* force = sim_->GetInteractionForce();
+    const real_t radius = env->GetInteractionRadius();
+    env->ForEachNeighborPair(
+        radius * radius, sim_->GetThreadPool(),
+        [&](const Environment::NeighborPair& pair, int slab) {
+          const Real3 f =
+              force->Calculate(pair.a, pair.a_position, pair.a_diameter,
+                               pair.b, pair.b_position, pair.b_diameter);
+          if (f.SquaredNorm() != 0) {
+            by_slab[slab].push_back({pair.a_index, f});
+            by_slab[slab].push_back({pair.b_index, f * real_t{-1}});
+          }
+        });
+    return by_slab;
+  }
+
+  /// Force totals and counts of every row, given the environment's pair
+  /// order: each row adds the terms its own slab's pairs give it in walk
+  /// order, then those of the other slabs' pairs in (slab, walk order).
+  void ContractTotals(std::vector<Real3>* totals,
+                      std::vector<uint32_t>* counts) {
+    const int64_t total =
+        static_cast<int64_t>(sim_->GetEnvironment()->DenseAgentCount());
+    const auto by_slab = TermsBySlab();
+    totals->assign(total, Real3{});
+    counts->assign(total, 0);
+    for (const bool own_slab : {true, false}) {
+      for (int slab = 0; slab < NumaThreadPool::kLogicalSlabs; ++slab) {
+        for (const Term& term : by_slab[slab]) {
+          const bool owned =
+              NumaThreadPool::LogicalSlabOf(total, term.row) == slab;
+          if (owned == own_slab) {
+            (*totals)[term.row] += term.force;
+            ++(*counts)[term.row];
+          }
+        }
+      }
+    }
+  }
+};
+
+TEST_F(ForceAccumulatorTest, RowsFollowSumOrderContract) {
+  // The engine's totals equal the contract's bitwise at one and at four
+  // threads (tsan and determinism labels).
+  for (const int threads : {1, 4}) {
+    BuildMixed(threads, 3000);
+    IndexAgents();
+    std::vector<Real3> expected;
+    std::vector<uint32_t> expected_counts;
+    ContractTotals(&expected, &expected_counts);
+    RunEngine();
+    const SoaStore::ForceAccumulator& forces =
+        sim_->GetResourceManager()->GetSoaStore().forces();
+    ASSERT_GT(forces.LogEntries(), 0u) << threads << " threads";
+    for (size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(forces.non_zero()[i], expected_counts[i]) << "row " << i;
+      ASSERT_EQ(forces.fx()[i], expected[i].x) << "row " << i;
+      ASSERT_EQ(forces.fy()[i], expected[i].y) << "row " << i;
+      ASSERT_EQ(forces.fz()[i], expected[i].z) << "row " << i;
+    }
+  }
+}
+
+TEST_F(ForceAccumulatorTest, ContractOrderIsNotWalkOrder) {
+  // Order matters in this scene: summing every row's terms in plain
+  // (slab, walk) order, cross-slab terms where they come, gives totals that
+  // differ from the contract's in the last bits, so the test above would
+  // catch an engine that added log entries in another order.
+  BuildMixed(1, 3000);
+  IndexAgents();
+  std::vector<Real3> contract;
+  std::vector<uint32_t> counts;
+  ContractTotals(&contract, &counts);
+  std::vector<Real3> walk_order(contract.size());
+  for (const auto& terms : TermsBySlab()) {
+    for (const Term& term : terms) {
+      walk_order[term.row] += term.force;
+    }
+  }
+  uint64_t differing_rows = 0;
+  for (size_t i = 0; i < contract.size(); ++i) {
+    differing_rows += contract[i] == walk_order[i] ? 0 : 1;
+  }
+  EXPECT_GT(differing_rows, 0u);
+}
+
+TEST_F(ForceAccumulatorTest, FootprintDoesNotDependOnThreadCount) {
+  // Rows and logs follow the population and its pair set, not the team.
+  // Below the grid's insert grain the box chains -- and with them which
+  // endpoint of an own-box pair logs it -- are the same at both counts.
+  const auto force_bytes = [&](int threads) {
+    BuildMixed(threads, 3000);
+    IndexAgents();
+    RunEngine();
+    return sim_->GetResourceManager()->GetSoaStore().forces().Bytes();
+  };
+  const uint64_t one = force_bytes(1);
+  EXPECT_GT(one, 3000u * 28);
+  EXPECT_EQ(force_bytes(4), one);
+}
+
+TEST_F(ForceAccumulatorTest, CrossSlabCounterMatchesBruteForce) {
+  // forces.cross_slab_pairs counts the pairs with a non-zero force whose
+  // endpoints lie in different logical slabs, on both scatter paths.
+  for (const EnvironmentType type :
+       {EnvironmentType::kUniformGrid, EnvironmentType::kKdTree}) {
+    param_.environment = type;
+    BuildMixed(4, 600);
+    Environment* env = IndexAgents();
+    const int64_t total = static_cast<int64_t>(env->DenseAgentCount());
+    const real_t radius = env->GetInteractionRadius();
+    const InteractionForce* force = sim_->GetInteractionForce();
+    uint64_t expected = 0;
+    for (int64_t i = 0; i < total; ++i) {
+      const auto a = env->DenseSnapshot(static_cast<uint32_t>(i));
+      for (int64_t j = i + 1; j < total; ++j) {
+        const auto b = env->DenseSnapshot(static_cast<uint32_t>(j));
+        if ((a.position - b.position).SquaredNorm() <= radius * radius &&
+            NumaThreadPool::LogicalSlabOf(total, i) !=
+                NumaThreadPool::LogicalSlabOf(total, j) &&
+            force->Calculate(a.agent, a.position, a.diameter, b.agent,
+                             b.position, b.diameter)
+                    .SquaredNorm() != 0) {
+          ++expected;
+        }
+      }
+    }
+    MetricsRegistry& registry = MetricsRegistry::Get();
+    registry.Reset();
+    RunEngine();
+    registry.FlushShards();
+    EXPECT_GT(expected, 0u);
+    EXPECT_EQ(registry.CounterTotal("forces.cross_slab_pairs"), expected)
+        << sim_->GetEnvironment()->GetName();
   }
 }
 
