@@ -29,7 +29,7 @@ const SoaMetrics& Metrics() {
 // ForceAccumulator
 // ---------------------------------------------------------------------------
 
-void SoaStore::ForceAccumulator::BeginPass(uint64_t count) {
+void SoaStore::ForceAccumulator::BeginPass(uint64_t count, int num_slabs) {
   if (fx_.size() < count) {
     const uint64_t cap = count + count / 2;
     fx_.Reset(cap);
@@ -37,7 +37,8 @@ void SoaStore::ForceAccumulator::BeginPass(uint64_t count) {
     fz_.Reset(cap);
     non_zero_.Reset(cap);
   }
-  logs_.resize(NumaThreadPool::kLogicalSlabs * NumaThreadPool::kLogicalSlabs);
+  num_slabs_ = num_slabs;
+  logs_.resize(static_cast<size_t>(num_slabs) * num_slabs);
   for (Log& log : logs_) {
     log.chunks.clear();
     log.size = 0;

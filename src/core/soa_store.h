@@ -41,21 +41,21 @@
 #include "core/agent_handle.h"
 #include "math/real3.h"
 #include "memory/aligned_buffer.h"
-#include "sched/numa_thread_pool.h"
 
 namespace bdm {
 
 class Agent;
 class ResourceManager;
+class NumaThreadPool;
 
 class SoaStore {
  public:
   /// The pair-mechanics force accumulator (MechanicsFusedOp): one row per
   /// dense agent -- the force sum and the non-zero-force count of Section 5
   /// condition iv -- plus the cross-slab logs. The dense range is cut into
-  /// NumaThreadPool::kLogicalSlabs logical slabs, and slab s owns its rows:
-  /// it zeroes (first-touches) them and adds every force aimed at them
-  /// straight in. A force aimed at a row of another slab t goes to log
+  /// the pool's logical slabs (NumaThreadPool::NumLogicalSlabs), and slab s
+  /// owns its rows: it zeroes (first-touches) them and adds every force
+  /// aimed at them straight in. A force aimed at a row of another slab t goes to log
   /// (s, t) instead, and slab t adds those entries before it integrates, in
   /// (source slab, append order). Nothing here depends on the team size:
   /// the rows take 28 B per agent and the logs 28 B per cross-slab pair, in
@@ -90,9 +90,11 @@ class SoaStore {
       }
     };
 
-    /// Sizes the rows for `count` agents and empties every log; runs on one
-    /// thread before a pass.
-    void BeginPass(uint64_t count);
+    /// Sizes the rows for `count` agents and the logs for `num_slabs`
+    /// logical slabs, and empties every log; runs on one thread before a
+    /// pass.
+    void BeginPass(uint64_t count, int num_slabs);
+    int num_slabs() const { return num_slabs_; }
     real_t* fx() { return fx_.data(); }
     real_t* fy() { return fy_.data(); }
     real_t* fz() { return fz_.data(); }
@@ -103,10 +105,10 @@ class SoaStore {
     const uint32_t* non_zero() const { return non_zero_.data(); }
     /// The log slab `source` writes for slab `target`.
     Log& log(int source, int target) {
-      return logs_[source * NumaThreadPool::kLogicalSlabs + target];
+      return logs_[source * num_slabs_ + target];
     }
     const Log& log(int source, int target) const {
-      return logs_[source * NumaThreadPool::kLogicalSlabs + target];
+      return logs_[source * num_slabs_ + target];
     }
     /// Appends one entry to `log`. Only the log's source slab calls it;
     /// different slabs may append concurrently.
@@ -136,7 +138,8 @@ class SoaStore {
     AlignedBuffer<real_t> fy_;
     AlignedBuffer<real_t> fz_;
     AlignedBuffer<uint32_t> non_zero_;
-    std::vector<Log> logs_;  // kLogicalSlabs x kLogicalSlabs, source-major
+    int num_slabs_ = 0;
+    std::vector<Log> logs_;  // num_slabs_ x num_slabs_, source-major
     std::vector<std::unique_ptr<Chunk>> chunks_;
     size_t chunks_in_use_ = 0;
     std::mutex chunks_mutex_;

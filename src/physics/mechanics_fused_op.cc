@@ -42,10 +42,12 @@ const FusedMetrics& Metrics() {
 // accumulator, and every pair it emits has its first endpoint there.
 class SlabScatter {
  public:
-  SlabScatter(SoaStore::ForceAccumulator& forces, uint64_t total, int slab)
-      : total_(static_cast<int64_t>(total)),
-        lo_(NumaThreadPool::LogicalSlabBegin(total_, slab)),
-        hi_(NumaThreadPool::LogicalSlabBegin(total_, slab + 1)),
+  SlabScatter(const NumaThreadPool& pool, SoaStore::ForceAccumulator& forces,
+              uint64_t total, int slab)
+      : pool_(pool),
+        total_(static_cast<int64_t>(total)),
+        lo_(pool.LogicalSlabBegin(total_, slab)),
+        hi_(pool.LogicalSlabBegin(total_, slab + 1)),
         fx_(forces.fx()),
         fy_(forces.fy()),
         fz_(forces.fz()),
@@ -76,12 +78,13 @@ class SlabScatter {
       ++non_zero_[j];
     } else {
       forces_.Append(
-          forces_.log(slab_, NumaThreadPool::LogicalSlabOf(total_, j)), j,
-          -f.x, -f.y, -f.z);
+          forces_.log(slab_, pool_.LogicalSlabOf(total_, j)), j, -f.x, -f.y,
+          -f.z);
     }
   }
 
  private:
+  const NumaThreadPool& pool_;
   int64_t total_;
   int64_t lo_;
   int64_t hi_;
@@ -101,7 +104,7 @@ void ScatterGeneric(const Environment& env, const InteractionForce& force,
                     uint64_t total) {
   pool->RunLogicalSlabs(static_cast<int64_t>(total),
                         [&](int64_t, int64_t, int slab) {
-                          SlabScatter(forces, total, slab).ZeroRows();
+                          SlabScatter(*pool, forces, total, slab).ZeroRows();
                         });
   env.ForEachNeighborPair(
       squared_radius, pool,
@@ -120,7 +123,8 @@ void ScatterGeneric(const Environment& env, const InteractionForce& force,
         if (f.SquaredNorm() == 0) {
           return;
         }
-        SlabScatter(forces, total, slab).Add(pair.a_index, pair.b_index, f);
+        SlabScatter(*pool, forces, total, slab)
+            .Add(pair.a_index, pair.b_index, f);
       });
 }
 
@@ -141,7 +145,7 @@ void ReplayAndIntegrate(NumaThreadPool* pool,
   uint32_t* non_zero = forces.non_zero();
   pool->RunLogicalSlabs(static_cast<int64_t>(total), [&](int64_t lo,
                                                         int64_t hi, int slab) {
-    for (int source = 0; source < NumaThreadPool::kLogicalSlabs; ++source) {
+    for (int source = 0; source < forces.num_slabs(); ++source) {
       forces.log(source, slab).ForEach(
           [&](uint32_t row, real_t fx_add, real_t fy_add, real_t fz_add) {
             fx[row] += fx_add;
@@ -223,7 +227,7 @@ void MechanicsFusedOp::Run(Simulation* sim) {
                  sim->GetScheduler()->GetSimulatedIterations());
   NumaThreadPool* pool = sim->GetThreadPool();
   SoaStore::ForceAccumulator& forces = store.forces();
-  forces.BeginPass(total);
+  forces.BeginPass(total, pool->NumLogicalSlabs());
   const bool skip_static = param.detect_static_agents;
   const auto count_cross_slab_pairs = [&] {
     if (MetricsRegistry::Enabled()) {
@@ -257,7 +261,7 @@ void MechanicsFusedOp::Run(Simulation* sim) {
   // Stage A: per logical slab, zero its rows, then traverse and scatter.
   pool->RunLogicalSlabs(static_cast<int64_t>(total), [&](int64_t lo,
                                                         int64_t hi, int slab) {
-    SlabScatter scatter(forces, total, slab);
+    SlabScatter scatter(*pool, forces, total, slab);
     scatter.ZeroRows();
     if (lo >= hi) {
       return;

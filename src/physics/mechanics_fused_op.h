@@ -4,8 +4,9 @@
 // engine computes every pair force ONCE and scatters +F/-F into the store's
 // force accumulator (SoaStore::forces(): one row per agent, indexed by the
 // environment's dense agent index), then integrates in a second pass. Both
-// passes run over NumaThreadPool's fixed logical slabs of the dense range,
-// whatever the team size:
+// passes run over the pool's logical slabs of the dense range
+// (NumaThreadPool::NumLogicalSlabs, fixed per pool), whatever the calling
+// team:
 //
 //   Stage A (scatter). Each slab zeroes its own rows, then adds every force
 //   its pairs produce: straight into a row the slab owns, or as an entry of
@@ -39,7 +40,8 @@
 // Stage A variants scatter the same IEEE operation sequence for the same
 // pair order (the kernel header documents every grouping), and neither the
 // slabs nor the logs depend on the team, so for one pair order the force
-// totals are bitwise the same at any thread count, and the fast path and
+// totals are bitwise the same on every pool that cuts the same slabs (1, 2,
+// 4, 8 or 16 workers all cut 16), and the fast path and
 // the generic path over the grid's legacy mirror integrate bitwise identical
 // trajectories. The pair order itself follows the grid's box chains, which
 // several workers link in a timing-dependent order.

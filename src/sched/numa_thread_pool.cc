@@ -35,7 +35,12 @@ const SchedMetrics& Metrics() {
 
 }  // namespace
 
-NumaThreadPool::NumaThreadPool(const Topology& topology) : topology_(topology) {
+NumaThreadPool::NumaThreadPool(const Topology& topology)
+    : topology_(topology),
+      num_logical_slabs_(
+          topology.NumThreads() *
+          ((kMinLogicalSlabs + topology.NumThreads() - 1) /
+           topology.NumThreads())) {
   // Any pool guarantees the metrics registry folds its workers' shards,
   // even when the pool is used standalone (tests) without a Simulation.
   MetricsRegistry::Get().ConfigureSlots(topology_.NumThreads() + 1);
@@ -173,9 +178,27 @@ void NumaThreadPool::RunSlots(int num_slots, const std::function<void(int)>& fn)
 }
 
 void NumaThreadPool::RunLogicalSlabs(int64_t count, const RangeFn& fn) {
-  RunSlots(kLogicalSlabs, [&](int slab) {
+  const auto run_slab = [&](int slab) {
     fn(LogicalSlabBegin(count, slab), LogicalSlabBegin(count, slab + 1), slab);
+  };
+  if (!MetricsRegistry::Enabled() || NumThreads() == 1 ||
+      internal::t_pool_worker_id >= 0 || CurrentTeam().size() < NumThreads()) {
+    RunSlots(num_logical_slabs_, run_slab);
+    return;
+  }
+  // Instrumented full-team dispatch, as in RunSlabs: every worker runs the
+  // same number of equal slabs, so max/mean of their wall times shows how
+  // skewed the per-item cost is.
+  std::vector<double> worker_seconds(NumThreads(), 0.0);
+  RunSlots(num_logical_slabs_, [&](int slab) {
+    const auto start = std::chrono::steady_clock::now();
+    run_slab(slab);
+    worker_seconds[CurrentThreadId()] +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count();
   });
+  RecordSlabImbalance(worker_seconds);
 }
 
 void NumaThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
@@ -274,21 +297,27 @@ void NumaThreadPool::RunSlabs(const SlabPartition& slabs, const RangeFn& fn) {
                               .count();
     }
   });
-  double max_seconds = 0;
-  double sum_seconds = 0;
-  int busy_slabs = 0;
+  std::vector<double> busy_seconds;
   for (int t = 0; t < NumThreads(); ++t) {
     if (slabs.bounds[t] < slabs.bounds[t + 1]) {
-      max_seconds = std::max(max_seconds, slab_seconds[t]);
-      sum_seconds += slab_seconds[t];
-      ++busy_slabs;
+      busy_seconds.push_back(slab_seconds[t]);
     }
+  }
+  RecordSlabImbalance(busy_seconds);
+}
+
+void NumaThreadPool::RecordSlabImbalance(const std::vector<double>& seconds) {
+  double max_seconds = 0;
+  double sum_seconds = 0;
+  for (const double s : seconds) {
+    max_seconds = std::max(max_seconds, s);
+    sum_seconds += s;
   }
   auto& registry = MetricsRegistry::Get();
   registry.Add(Metrics().slab_dispatches, 1, CurrentThreadSlot());
-  if (busy_slabs > 0 && sum_seconds > 0) {
+  if (!seconds.empty() && sum_seconds > 0) {
     registry.SetGauge(Metrics().slab_imbalance,
-                      max_seconds / (sum_seconds / busy_slabs));
+                      max_seconds / (sum_seconds / seconds.size()));
   }
 }
 

@@ -139,7 +139,7 @@ class NumaThreadPool {
   /// Covers slot indices [0, num_slots) from the calling thread's team:
   /// each team worker runs `fn(slot)` for one contiguous chunk of slots.
   /// This is the primitive for jobs keyed by a per-thread BUFFER index
-  /// rather than by the executing worker (force-shard zeroing, slab-indexed
+  /// rather than by the executing worker (logical slabs, slab-indexed
   /// folds): with a partial team every slot is still covered exactly once.
   /// With the full team and num_slots == NumThreads() it degenerates to
   /// Run's one-slot-per-worker shape (slot == tid), bitwise-identical work
@@ -170,26 +170,31 @@ class NumaThreadPool {
   /// partial team the team's workers cover all slabs via RunSlots.
   void RunSlabs(const SlabPartition& slabs, const RangeFn& fn);
 
-  /// Fixed logical partition for passes whose per-slab buffers and sum
-  /// order must not follow the team size (the pair-force scatter): [0,
-  /// count) is cut into kLogicalSlabs even slabs whatever NumThreads() is.
-  /// Slab s is [LogicalSlabBegin(count, s), LogicalSlabBegin(count, s + 1)).
-  /// A multiple of the usual team sizes, so each worker of a 2-, 4- or
-  /// 8-worker team owns one contiguous run of equal slabs. More slabs would
-  /// admit wider teams, but cut more neighbour pairs at slab borders, and
-  /// the pair-force logs grow with those (EXPERIMENTS.md "One force row per
-  /// agent").
-  static constexpr int kLogicalSlabs = 16;
-  static int64_t LogicalSlabBegin(int64_t count, int slab) {
-    return count * slab / kLogicalSlabs;
+  /// Logical partition for passes whose per-slab buffers and sum order must
+  /// not follow the calling team (the pair-force scatter): [0, count) is cut
+  /// into NumLogicalSlabs() even slabs, fixed for the pool's lifetime. Slab
+  /// s is [LogicalSlabBegin(count, s), LogicalSlabBegin(count, s + 1)).
+  /// NumLogicalSlabs() is the smallest multiple of NumThreads() that is at
+  /// least kMinLogicalSlabs, so the full team always splits into equal runs
+  /// of slabs, and every pool of 1, 2, 4, 8 or 16 workers cuts the same 16
+  /// slabs (and so sums in the same order). Other pool sizes cut more slabs
+  /// (3 workers: 18, 12: 24, 72: 72). More slabs cut more neighbour pairs at
+  /// slab borders, and the pair-force logs grow with those (EXPERIMENTS.md
+  /// "One force row per agent").
+  static constexpr int kMinLogicalSlabs = 16;
+  int NumLogicalSlabs() const { return num_logical_slabs_; }
+  int64_t LogicalSlabBegin(int64_t count, int slab) const {
+    return count * slab / num_logical_slabs_;
   }
   /// The logical slab holding `row` of [0, count).
-  static int LogicalSlabOf(int64_t count, int64_t row) {
-    return static_cast<int>(((row + 1) * kLogicalSlabs - 1) / count);
+  int LogicalSlabOf(int64_t count, int64_t row) const {
+    return static_cast<int>(((row + 1) * num_logical_slabs_ - 1) / count);
   }
   /// Runs `fn(lo, hi, s)` for every logical slab s of [0, count), empty ones
   /// included, through RunSlots: each worker of the calling thread's team
-  /// runs one contiguous run of slabs, and a slab runs on one worker.
+  /// runs one contiguous run of slabs, and a slab runs on one worker. With
+  /// the full team and metrics on, it sets the sched.slab_imbalance gauge
+  /// from the workers' wall times, as RunSlabs does.
   void RunLogicalSlabs(int64_t count, const RangeFn& fn);
 
   /// NUMA-aware iteration over blocks (paper Fig. 2). `blocks_per_domain[d]`
@@ -252,8 +257,13 @@ class NumaThreadPool {
   };
 
   void WorkerLoop(int tid);
+  /// Sets the sched.slab_imbalance gauge to max/mean of the busy workers'
+  /// wall times and counts one sched.slab_dispatches. Full-team dispatches
+  /// only, so at most one writes at a time.
+  void RecordSlabImbalance(const std::vector<double>& seconds);
 
   Topology topology_;
+  int num_logical_slabs_;
   std::vector<std::thread> workers_;
 
   // Mailbox dispatch: RunOn enqueues one JobState* per team worker; each

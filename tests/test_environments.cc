@@ -818,7 +818,7 @@ TEST_P(NeighborPairContract, EachUnorderedPairComesOnce) {
       }
     }
     std::vector<std::vector<AgentPair>> per_slab(
-        NumaThreadPool::kLogicalSlabs);
+        fix.pool_->NumLogicalSlabs());
     env->ForEachNeighborPair(
         squared_radius, fix.pool_.get(),
         [&](const Environment::NeighborPair& pair, int slab) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <set>
@@ -164,10 +165,50 @@ TEST_P(PoolShapes, ForEachBlockCountMatches) {
   }
 }
 
+TEST_P(PoolShapes, LogicalSlabsSplitEvenlyOverTheFullTeam) {
+  // At least kMinLogicalSlabs slabs, a multiple of the pool size, and 16
+  // whenever the pool size divides 16; every slab runs once, and every
+  // worker of the full team runs the same number of slabs.
+  const auto [threads, domains] = GetParam();
+  NumaThreadPool pool(Topology(threads, domains));
+  const int k = pool.NumLogicalSlabs();
+  EXPECT_GE(k, NumaThreadPool::kMinLogicalSlabs);
+  EXPECT_EQ(k % threads, 0);
+  if (NumaThreadPool::kMinLogicalSlabs % threads == 0) {
+    EXPECT_EQ(k, NumaThreadPool::kMinLogicalSlabs);
+  }
+  const int64_t count = 1000;
+  std::vector<std::atomic<int>> slab_runs(k);
+  std::vector<std::atomic<int>> worker_slabs(threads);
+  std::atomic<int64_t> covered{0};
+  std::atomic<int> bad{0};
+  pool.RunLogicalSlabs(count, [&](int64_t lo, int64_t hi, int slab) {
+    if (lo != pool.LogicalSlabBegin(count, slab) ||
+        hi != pool.LogicalSlabBegin(count, slab + 1) ||
+        (lo < hi && (pool.LogicalSlabOf(count, lo) != slab ||
+                     pool.LogicalSlabOf(count, hi - 1) != slab))) {
+      bad.fetch_add(1);
+    }
+    slab_runs[slab].fetch_add(1);
+    worker_slabs[std::max(NumaThreadPool::CurrentThreadId(), 0)].fetch_add(1);
+    covered.fetch_add(hi - lo);
+  });
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(covered.load(), count);
+  for (int s = 0; s < k; ++s) {
+    EXPECT_EQ(slab_runs[s].load(), 1) << s;
+  }
+  for (int t = 0; t < threads; ++t) {
+    EXPECT_EQ(worker_slabs[t].load(), k / threads) << t;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Shapes, PoolShapes,
                          ::testing::Values(std::pair{1, 1}, std::pair{2, 1},
                                            std::pair{2, 2}, std::pair{4, 2},
-                                           std::pair{8, 4}, std::pair{5, 3}));
+                                           std::pair{8, 4}, std::pair{5, 3},
+                                           std::pair{3, 1}, std::pair{12, 2},
+                                           std::pair{24, 4}));
 
 // --- nested invocations ------------------------------------------------------
 // A job running on a pool worker may itself call into the pool (e.g. an
