@@ -79,7 +79,6 @@ int Run() {
   const InteractionForce& force = *sim.GetInteractionForce();
   const uint64_t count = grid->DenseAgentCount();
   Agent* const* dense = grid->DenseAgents();
-  const auto slabs = pool.MakeSlabPartition(0, static_cast<int64_t>(count));
 
   const auto displacement_of = [&](const Real3& total) -> Real3 {
     if (total.SquaredNorm() < param.force_threshold_squared) {
@@ -100,7 +99,7 @@ int Run() {
   std::vector<int> nzf_a(count, 0);
   const double ns_per_agent =
       MeasureNsPerAgent(count, [&] {
-        pool.RunSlabs(slabs, [&](int64_t lo, int64_t hi, int) {
+        pool.RunLogicalSlabs(count, [&](int64_t lo, int64_t hi, int) {
           for (int64_t i = lo; i < hi; ++i) {
             disp_a[i] = dense[i]->CalculateDisplacement(&force, grid, param,
                                                         &nzf_a[i]);

@@ -88,14 +88,16 @@ void DiffusionGrid::AllocateAndZero(NumaThreadPool* pool) {
   // First touch: each worker zeroes the z-slab it will later flush and
   // step, so field pages are materialized on the domain that computes on
   // them. The serial path simply zeroes everything from the caller.
-  auto zero_slab = [&](int64_t z_lo, int64_t z_hi, int) {
+  auto zero_slab = [&](int64_t z_lo, int64_t z_hi) {
     std::fill(c1_.data() + z_lo * plane, c1_.data() + z_hi * plane, real_t{0});
     std::fill(c2_.data() + z_lo * plane, c2_.data() + z_hi * plane, real_t{0});
   };
   if (pool != nullptr && pool->NumThreads() > 1) {
-    pool->RunSlabs({slab_bounds_}, zero_slab);
+    pool->RunSlots(slab_threads_, [&](int slab) {
+      zero_slab(slab_bounds_[slab], slab_bounds_[slab + 1]);
+    });
   } else {
-    zero_slab(0, dims_[2], 0);
+    zero_slab(0, dims_[2]);
   }
   initialized_ = true;
 }
@@ -112,7 +114,7 @@ void DiffusionGrid::SetInitialValue(
   // shard view evaluates the initializer at exactly the positions the
   // unsharded grid would -- including in its ghost planes, which therefore
   // start out bitwise-consistent with their owners.
-  auto fill_slab = [&](int64_t z_lo, int64_t z_hi, int) {
+  auto fill_slab = [&](int64_t z_lo, int64_t z_hi) {
     for (int64_t z = z_lo; z < z_hi; ++z) {
       for (int64_t y = 0; y < dims_[1]; ++y) {
         for (int64_t x = 0; x < dims_[0]; ++x) {
@@ -126,9 +128,11 @@ void DiffusionGrid::SetInitialValue(
     }
   };
   if (pool != nullptr && pool->NumThreads() > 1) {
-    pool->RunSlabs({slab_bounds_}, fill_slab);
+    pool->RunSlots(slab_threads_, [&](int slab) {
+      fill_slab(slab_bounds_[slab], slab_bounds_[slab + 1]);
+    });
   } else {
-    fill_slab(0, dims_[2], 0);
+    fill_slab(0, dims_[2]);
   }
 }
 
@@ -385,10 +389,12 @@ void DiffusionGrid::EnsureSlabPartition(int participants) {
   if (slab_threads_ == participants && !slab_bounds_.empty()) {
     return;
   }
-  // Even z-plane split with the remainder on the first participants -- the
-  // same arithmetic as NumaThreadPool::MakeSlabPartition, but sized to the
-  // participant count: the full pool during setup, the lane's worker TEAM
-  // during a Step on a shard lane. Per-voxel stencil results do not depend on the
+  // Even z-plane split with the remainder on the first participants, sized
+  // to the participant count: the full pool during setup, the lane's worker
+  // TEAM during a Step on a shard lane. Setup dispatches slab t through
+  // RunSlots, which on the full team runs it on worker t -- the worker that
+  // steps it later -- so pages are first touched by the domain that
+  // computes on them. Per-voxel stencil results do not depend on the
   // partition, only the page first-touch placement does.
   slab_bounds_.resize(participants + 1);
   const int64_t base = dims_[2] / participants;

@@ -180,23 +180,21 @@ void Scheduler::RunPlan(TimingAggregator* timing) {
 }
 
 void Scheduler::ExecuteIteration() {
-  TimingAggregator* timing = sim_->GetTiming();
   const auto iteration_start = std::chrono::steady_clock::now();
   {
     // Trace-only envelope around the whole step (a TimingAggregator bucket
     // here would double-count every op in GrandTotalSeconds).
     TraceSpan iteration_span("iteration", iteration_);
     BuildPlan();
-    RunPlan(timing);
+    RunPlan(sim_->GetTiming());
   }
 
   // Fold every worker's counter shard into the global totals. This runs
   // strictly between parallel regions -- the pool's dispatch barrier orders
-  // all shard writes of this iteration's ops before the folds.
-  timing->Fold();
-  // The metrics registry is process-global; when S lane threads step S
-  // shards concurrently, flushing here would race with ops on other lanes
-  // still writing their shards. The shard driver flushes once after its
+  // all shard writes of this iteration's ops before the fold. The metrics
+  // registry is process-global; when S lane threads step S shards
+  // concurrently, flushing here would race with ops on other lanes still
+  // writing their shards. The shard driver flushes once after its
   // iteration barrier instead; only slot-0 (main-thread) iterations flush
   // inline.
   if (MetricsRegistry::Enabled() && NumaThreadPool::CurrentThreadSlot() == 0) {

@@ -151,8 +151,7 @@ void SoaStore::FullRebuild(const ResourceManager& rm, NumaThreadPool* pool) {
 
 void SoaStore::RefreshGeometry(NumaThreadPool* pool) {
   const int64_t total = static_cast<int64_t>(TotalAgents());
-  const auto slabs = pool->MakeSlabPartition(0, total);
-  pool->RunSlabs(slabs, [&](int64_t lo, int64_t hi, int) {
+  pool->RunLogicalSlabs(total, [&](int64_t lo, int64_t hi, int) {
     for (int64_t i = lo; i < hi; ++i) {
       Agent* agent = agents_[i];
       const Real3& p = agent->GetPosition();

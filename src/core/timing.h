@@ -1,14 +1,13 @@
 // Wall-clock timing aggregation for the operation runtime breakdown
 // (paper Figure 5 left).
 //
-// Concurrency model (mirrors obs/metrics.h): a ScopedTimer fires on the
-// thread that runs the op -- the main thread, or a shard lane, several of
-// which step their shards at once. Add() therefore appends to a per-thread
-// shard (indexed by NumaThreadPool::CurrentThreadSlot()); only the main
-// thread (slot 0) updates the global map directly. Fold() drains the shards
-// into the map and runs strictly between parallel regions -- the scheduler
-// calls it at the end of every iteration, and every accessor folds lazily
-// so ad-hoc reads between Simulate calls stay exact.
+// Single writer: every ScopedTimer of a Simulation fires on the one thread
+// that drives it -- the scheduler's RunPlan runs each op on the calling
+// thread, DiffusionOp::Run times its grids there, and the shard driver
+// times each shard's field step on the main thread after the lanes have
+// joined. Concurrently-stepping shards each own a Simulation and so an
+// aggregator. Add() therefore writes the map directly; reads between
+// Simulate calls see every sample.
 #ifndef BDM_CORE_TIMING_H_
 #define BDM_CORE_TIMING_H_
 
@@ -17,9 +16,7 @@
 #include <map>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sched/numa_thread_pool.h"
 
@@ -33,46 +30,17 @@ class TimingAggregator {
   };
 
   void Add(const std::string& name, double seconds) {
-    const int slot = NumaThreadPool::CurrentThreadSlot();
-    if (slot == 0) {
-      auto& entry = entries_[name];
-      entry.seconds += seconds;
-      ++entry.count;
-      return;
-    }
-    // Worker or lane thread: appending to the owned shard is the only
-    // concurrency-safe move (the map may be mid-rebalance on another slot's
-    // name). Folded at the end of the iteration.
-    shards_[slot].emplace_back(name, seconds);
-  }
-
-  /// Drains every shard into the global map. Call only while no worker or
-  /// lane thread is running timers (the end of a scheduler iteration, or any
-  /// point between Simulate calls); the accessors below fold lazily under
-  /// the same precondition.
-  void Fold() const {
-    for (int s = 1; s < MetricsRegistry::kMaxSlots; ++s) {
-      auto& pending = shards_[s];
-      if (pending.empty()) {
-        continue;
-      }
-      for (const auto& [name, seconds] : pending) {
-        auto& entry = entries_[name];
-        entry.seconds += seconds;
-        ++entry.count;
-      }
-      pending.clear();
-    }
+    auto& entry = entries_[name];
+    entry.seconds += seconds;
+    ++entry.count;
   }
 
   double TotalSeconds(const std::string& name) const {
-    Fold();
     auto it = entries_.find(name);
     return it == entries_.end() ? 0.0 : it->second.seconds;
   }
 
   uint64_t Count(const std::string& name) const {
-    Fold();
     auto it = entries_.find(name);
     return it == entries_.end() ? 0 : it->second.count;
   }
@@ -81,7 +49,6 @@ class TimingAggregator {
   /// parent bucket (e.g. "diffusion/substance_0" inside "diffusion") and
   /// are excluded to avoid double counting.
   double GrandTotalSeconds() const {
-    Fold();
     double total = 0;
     for (const auto& [name, entry] : entries_) {
       if (name.find('/') == std::string::npos) {
@@ -92,31 +59,19 @@ class TimingAggregator {
   }
 
   /// name -> (seconds, count), ordered by name.
-  const std::map<std::string, Entry>& raw() const {
-    Fold();
-    return entries_;
-  }
+  const std::map<std::string, Entry>& raw() const { return entries_; }
 
-  void Reset() {
-    entries_.clear();
-    for (int s = 0; s < MetricsRegistry::kMaxSlots; ++s) {
-      shards_[s].clear();
-    }
-  }
+  void Reset() { entries_.clear(); }
 
  private:
-  // mutable: Fold() is logically const (moves pending samples into the
-  // totals they already belong to) and must be callable from const readers.
-  mutable std::map<std::string, Entry> entries_;
-  mutable std::vector<std::pair<std::string, double>>
-      shards_[MetricsRegistry::kMaxSlots];
+  std::map<std::string, Entry> entries_;
 };
 
 /// RAII timer adding its lifetime to an aggregator bucket. When a chrome
 /// trace is being recorded (BDM_TRACE, obs/trace.h), the same lifetime is
 /// additionally emitted as a trace span on the calling thread's slot track,
-/// so every existing timing site is a trace site for free -- and
-/// concurrently-running DAG ops land on distinct Perfetto tracks. `iteration`
+/// so every existing timing site is a trace site for free -- and shards
+/// stepping on different lanes land on distinct Perfetto tracks. `iteration`
 /// tags the span for per-step filtering (sites outside the scheduler may
 /// leave it 0).
 class ScopedTimer {

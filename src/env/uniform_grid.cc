@@ -81,13 +81,15 @@ void UniformGridEnvironment::Update(const ResourceManager& rm,
     return;
   }
 
-  std::vector<BoundsPartial> partials(pool->NumThreads() + 1);
+  // One partial per logical slab; the legacy path's worker ids index the
+  // same array (NumThreads() <= NumLogicalSlabs()). Min/max reductions do
+  // not depend on how the partials are cut.
+  std::vector<BoundsPartial> partials(pool->NumLogicalSlabs());
   if (store_mode) {
     // The store already holds the geometry; only the bounding box and the
     // largest diameter must be reduced, over contiguous arrays.
-    const auto slabs = pool->MakeSlabPartition(0, static_cast<int64_t>(total));
-    pool->RunSlabs(slabs, [&](int64_t lo, int64_t hi, int tid) {
-      BoundsPartial& p = partials[tid + 1];
+    pool->RunLogicalSlabs(total, [&](int64_t lo, int64_t hi, int slab) {
+      BoundsPartial& p = partials[slab];
       for (int64_t i = lo; i < hi; ++i) {
         p.lower.x = std::min(p.lower.x, pos_x_[i]);
         p.lower.y = std::min(p.lower.y, pos_y_[i]);
@@ -113,7 +115,7 @@ void UniformGridEnvironment::Update(const ResourceManager& rm,
       pool->ParallelFor(
           0, static_cast<int64_t>(agents.size()), 4096,
           [&](int64_t lo, int64_t hi, int tid) {
-            BoundsPartial& p = partials[tid + 1];
+            BoundsPartial& p = partials[tid];
             for (int64_t i = lo; i < hi; ++i) {
               Agent* agent = agents[i];
               own_agents_[offset + i] = agent;
@@ -409,9 +411,9 @@ void UniformGridEnvironment::CountAllNeighbors(real_t squared_radius,
 
 void UniformGridEnvironment::CountPairVisits(uint64_t pairs_visited) const {
   if (MetricsRegistry::Enabled() && pairs_visited > 0) {
-    // Self-resolving overload: in the serial/nested RunSlabs fallback the
-    // reported tid is a *slab* index owned by another thread's shard; the
-    // executing thread's own slot is always race-free.
+    // Self-resolving overload: the pair walk's callbacks receive a logical
+    // slab index (RunLogicalSlabs), not the executing thread's slot; that
+    // slot is always race-free.
     MetricsRegistry::Get().Add(Metrics().pair_visits, pairs_visited);
   }
 }

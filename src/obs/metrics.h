@@ -44,8 +44,8 @@ class MetricsRegistry {
   /// (2 cache lines of counters per 16 metrics) instead of a hash map.
   static constexpr int kMaxMetrics = 128;
   /// Hard cap on thread slots (main + workers + shard lanes), shared by
-  /// every per-thread-slot array (timing, diffusion deposit logs, pool
-  /// allocator caches). Shards live in one fixed-capacity allocation so
+  /// every per-thread-slot array (metric shards, diffusion deposit logs,
+  /// pool allocator caches). Shards live in one fixed-capacity allocation so
   /// growing the active slot count never reallocates under a running
   /// worker.
   static constexpr int kMaxSlots = 257;

@@ -15,7 +15,7 @@ LaneExecutor::LaneExecutor(NumaThreadPool* pool, int max_lanes, int slot_base)
   const int workers = pool_->NumThreads();
   slot_base_ = slot_base >= 0 ? slot_base : workers + 1;
   // Every lane occupies the thread slot slot_base_+lane in the metrics /
-  // timing / trace / deposit-log shard spaces, all capped at kMaxSlots.
+  // trace / deposit-log shard spaces, all capped at kMaxSlots.
   if (slot_base_ >= MetricsRegistry::kMaxSlots) {
     throw std::invalid_argument(
         "LaneExecutor: lane slot base " + std::to_string(slot_base_) +

@@ -25,7 +25,7 @@ class LaneExecutor {
  public:
   /// `max_lanes` bounds concurrency; the effective lane count is further
   /// capped by the pool width and the thread-slot capacity (lane l uses
-  /// thread slot slot_base + l for metrics/timing/trace/deposits).
+  /// thread slot slot_base + l for metrics/trace/deposits).
   /// `slot_base` picks where that slot range starts (default: right past
   /// the workers' slots, NumThreads() + 1). Lane l's trace track is named
   /// "shard lane l", after the executor's one use. Throws

@@ -186,19 +186,40 @@ void NumaThreadPool::RunLogicalSlabs(int64_t count, const RangeFn& fn) {
     RunSlots(num_logical_slabs_, run_slab);
     return;
   }
-  // Instrumented full-team dispatch, as in RunSlabs: every worker runs the
-  // same number of equal slabs, so max/mean of their wall times shows how
-  // skewed the per-item cost is.
+  // Instrumented full-team dispatch: each worker stamps the wall time of
+  // its run of slabs (two clock reads per slab, nothing per item), and the
+  // dispatcher reduces the stamps to a max/mean imbalance gauge. The slabs
+  // are even in *items*, so the gauge shows when per-item cost is skewed
+  // across them (e.g. one dense grid region). A worker whose slabs were all
+  // empty (count below the slab count) did no work and stays out of it.
   std::vector<double> worker_seconds(NumThreads(), 0.0);
+  std::vector<char> worker_busy(NumThreads(), 0);
   RunSlots(num_logical_slabs_, [&](int slab) {
     const auto start = std::chrono::steady_clock::now();
     run_slab(slab);
-    worker_seconds[CurrentThreadId()] +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
+    const int tid = CurrentThreadId();
+    worker_seconds[tid] += std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    worker_busy[tid] |=
+        LogicalSlabBegin(count, slab) < LogicalSlabBegin(count, slab + 1);
   });
-  RecordSlabImbalance(worker_seconds);
+  double max_seconds = 0;
+  double sum_seconds = 0;
+  int busy_workers = 0;
+  for (int t = 0; t < NumThreads(); ++t) {
+    if (worker_busy[t]) {
+      max_seconds = std::max(max_seconds, worker_seconds[t]);
+      sum_seconds += worker_seconds[t];
+      ++busy_workers;
+    }
+  }
+  auto& registry = MetricsRegistry::Get();
+  registry.Add(Metrics().slab_dispatches, 1, CurrentThreadSlot());
+  if (sum_seconds > 0) {
+    registry.SetGauge(Metrics().slab_imbalance,
+                      max_seconds / (sum_seconds / busy_workers));
+  }
 }
 
 void NumaThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
@@ -222,103 +243,6 @@ void NumaThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
       fn(lo, std::min(lo + grain, end), tid);
     }
   });
-}
-
-NumaThreadPool::SlabPartition NumaThreadPool::MakeSlabPartition(
-    int64_t begin, int64_t end) const {
-  const int num_threads = topology_.NumThreads();
-  const int64_t count = std::max<int64_t>(end - begin, 0);
-  SlabPartition partition;
-  partition.bounds.resize(num_threads + 1);
-  // Even per-thread split with the remainder on the first threads. Threads
-  // are numbered contiguously per domain, so this is simultaneously an even
-  // per-domain split: domain d's threads own one contiguous run of slabs.
-  const int64_t base = count / num_threads;
-  const int64_t extra = count % num_threads;
-  int64_t offset = begin;
-  for (int t = 0; t < num_threads; ++t) {
-    partition.bounds[t] = offset;
-    offset += base + (t < extra ? 1 : 0);
-  }
-  partition.bounds[num_threads] = offset;
-  return partition;
-}
-
-void NumaThreadPool::RunSlabs(const SlabPartition& slabs, const RangeFn& fn) {
-  assert(static_cast<int>(slabs.bounds.size()) == NumThreads() + 1);
-  if (NumThreads() == 1 || internal::t_pool_worker_id >= 0) {
-    // Single thread, or a nested call from inside a pool job: process every
-    // slab serially but keep the slab index as the reported tid -- callers
-    // key per-thread buffers on it (diffusion deposits, force accumulators).
-    for (int t = 0; t < NumThreads(); ++t) {
-      if (slabs.bounds[t] < slabs.bounds[t + 1]) {
-        fn(slabs.bounds[t], slabs.bounds[t + 1], t);
-      }
-    }
-    return;
-  }
-  const Team team = CurrentTeam();
-  if (team.size() < NumThreads()) {
-    // Partial team (a co-running shard lane owns the other workers): the
-    // slab count stays NumThreads() -- per-slab buffers are keyed by slab
-    // index -- and the team's workers cover all slabs in contiguous chunks.
-    RunSlots(NumThreads(), [&](int slot) {
-      if (slabs.bounds[slot] < slabs.bounds[slot + 1]) {
-        fn(slabs.bounds[slot], slabs.bounds[slot + 1], slot);
-      }
-    });
-    return;
-  }
-  if (!MetricsRegistry::Enabled()) {
-    RunOn(team, [&](int tid) {
-      const int64_t lo = slabs.bounds[tid];
-      const int64_t hi = slabs.bounds[tid + 1];
-      if (lo < hi) {
-        fn(lo, hi, tid);
-      }
-    });
-    return;
-  }
-  // Instrumented dispatch (full team only, so at most one runs at a time --
-  // the imbalance gauge is single-writer): each worker stamps its slab's
-  // wall time (two clock reads per dispatch, nothing per item); the
-  // dispatcher reduces the stamps to a max/mean imbalance gauge. The static
-  // slab split is even in *items*, so this gauge directly shows when
-  // per-item cost is skewed across slabs (e.g. one dense grid region).
-  std::vector<double> slab_seconds(NumThreads(), 0.0);
-  RunOn(team, [&](int tid) {
-    const int64_t lo = slabs.bounds[tid];
-    const int64_t hi = slabs.bounds[tid + 1];
-    if (lo < hi) {
-      const auto start = std::chrono::steady_clock::now();
-      fn(lo, hi, tid);
-      slab_seconds[tid] = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-    }
-  });
-  std::vector<double> busy_seconds;
-  for (int t = 0; t < NumThreads(); ++t) {
-    if (slabs.bounds[t] < slabs.bounds[t + 1]) {
-      busy_seconds.push_back(slab_seconds[t]);
-    }
-  }
-  RecordSlabImbalance(busy_seconds);
-}
-
-void NumaThreadPool::RecordSlabImbalance(const std::vector<double>& seconds) {
-  double max_seconds = 0;
-  double sum_seconds = 0;
-  for (const double s : seconds) {
-    max_seconds = std::max(max_seconds, s);
-    sum_seconds += s;
-  }
-  auto& registry = MetricsRegistry::Get();
-  registry.Add(Metrics().slab_dispatches, 1, CurrentThreadSlot());
-  if (!seconds.empty() && sum_seconds > 0) {
-    registry.SetGauge(Metrics().slab_imbalance,
-                      max_seconds / (sum_seconds / seconds.size()));
-  }
 }
 
 void NumaThreadPool::ForEachBlock(const std::vector<int64_t>& blocks_per_domain,

@@ -54,9 +54,10 @@ namespace internal {
 /// instead of a cross-TU call.
 inline thread_local int t_pool_worker_id = -1;
 /// Thread slot of the calling thread for per-thread shards (metrics,
-/// timing, diffusion deposit logs): 0 = main/unbound thread, t+1 = pool
-/// worker t, lane threads bind slots past the workers. Distinct slots are
-/// what keep two concurrently-stepping shards from sharing shard 0.
+/// diffusion deposit logs, pool allocator caches): 0 = main/unbound thread,
+/// t+1 = pool worker t, lane threads bind slots past the workers. Distinct
+/// slots are what keep two concurrently-stepping shards from sharing
+/// shard 0.
 inline thread_local int t_thread_slot = 0;
 /// Team binding of the calling lane thread (nullptr = full pool).
 inline thread_local LaneBinding* t_lane = nullptr;
@@ -139,8 +140,9 @@ class NumaThreadPool {
   /// Covers slot indices [0, num_slots) from the calling thread's team:
   /// each team worker runs `fn(slot)` for one contiguous chunk of slots.
   /// This is the primitive for jobs keyed by a per-thread BUFFER index
-  /// rather than by the executing worker (logical slabs, slab-indexed
-  /// folds): with a partial team every slot is still covered exactly once.
+  /// rather than by the executing worker (logical slabs, the diffusion
+  /// grid's z-slabs): with a partial team every slot is still covered
+  /// exactly once.
   /// With the full team and num_slots == NumThreads() it degenerates to
   /// Run's one-slot-per-worker shape (slot == tid), bitwise-identical work
   /// placement to the pre-team pool.
@@ -152,26 +154,10 @@ class NumaThreadPool {
   /// use.
   void ParallelFor(int64_t begin, int64_t end, int64_t grain, const RangeFn& fn);
 
-  /// Static, NUMA-aware partition of [begin, end) into one contiguous slab
-  /// per worker thread. bounds[t] .. bounds[t+1] is thread t's slab. Because
-  /// thread ids are contiguous within a domain (numa/topology.h), the slabs
-  /// of one domain's threads form a contiguous super-slab per domain. The
-  /// diffusion solver uses the same partition for first-touch page placement
-  /// (Initialize), SetInitialValue, deposit flushing, and every stencil
-  /// substep, so each domain only ever steps the planes whose pages it owns.
-  struct SlabPartition {
-    std::vector<int64_t> bounds;  // size NumThreads() + 1, non-decreasing
-  };
-  SlabPartition MakeSlabPartition(int64_t begin, int64_t end) const;
-
-  /// Runs `fn(bounds[t], bounds[t+1], t)` for every non-empty slab t. The
-  /// reported tid is the SLAB index (callers key per-thread buffers on it);
-  /// with the full team each worker runs exactly its own slab, with a
-  /// partial team the team's workers cover all slabs via RunSlots.
-  void RunSlabs(const SlabPartition& slabs, const RangeFn& fn);
-
-  /// Logical partition for passes whose per-slab buffers and sum order must
-  /// not follow the calling team (the pair-force scatter): [0, count) is cut
+  /// Logical partition for static slab passes over [0, count): the
+  /// pair-force scatter, whose per-slab buffers and sum order must not
+  /// follow the calling team, and the plain copies and reductions over the
+  /// SoA store (grid bounds, geometry refresh). [0, count) is cut
   /// into NumLogicalSlabs() even slabs, fixed for the pool's lifetime. Slab
   /// s is [LogicalSlabBegin(count, s), LogicalSlabBegin(count, s + 1)).
   /// NumLogicalSlabs() is the smallest multiple of NumThreads() that is at
@@ -194,7 +180,9 @@ class NumaThreadPool {
   /// included, through RunSlots: each worker of the calling thread's team
   /// runs one contiguous run of slabs, and a slab runs on one worker. With
   /// the full team and metrics on, it sets the sched.slab_imbalance gauge
-  /// from the workers' wall times, as RunSlabs does.
+  /// to max/mean of the wall times of the workers that had at least one
+  /// non-empty slab, and counts one sched.slab_dispatches; full-team
+  /// dispatches do not overlap, so the gauge has one writer at a time.
   void RunLogicalSlabs(int64_t count, const RangeFn& fn);
 
   /// NUMA-aware iteration over blocks (paper Fig. 2). `blocks_per_domain[d]`
@@ -208,8 +196,8 @@ class NumaThreadPool {
                     const BlockFn& fn);
 
   /// True when no dispatch is in flight and every mailbox is empty: the
-  /// "strictly between parallel regions" precondition of the metric/timing
-  /// shard folds at the end of a main-thread iteration.
+  /// "strictly between parallel regions" precondition of the metric shard
+  /// fold at the end of a main-thread iteration.
   bool Quiescent() const;
 
   /// Thread id of the calling pool worker, or -1 when called from a thread
@@ -257,19 +245,15 @@ class NumaThreadPool {
   };
 
   void WorkerLoop(int tid);
-  /// Sets the sched.slab_imbalance gauge to max/mean of the busy workers'
-  /// wall times and counts one sched.slab_dispatches. Full-team dispatches
-  /// only, so at most one writes at a time.
-  void RecordSlabImbalance(const std::vector<double>& seconds);
 
   Topology topology_;
   int num_logical_slabs_;
   std::vector<std::thread> workers_;
 
   // Mailbox dispatch: RunOn enqueues one JobState* per team worker; each
-  // worker pops from its own queue. Multiple drivers (main thread, DAG
+  // worker pops from its own queue. Multiple drivers (main thread, shard
   // lanes) enqueue concurrently under mutex_; disjoint teams never touch
-  // the same mailbox, so co-running ops proceed independently.
+  // the same mailbox, so co-running shards proceed independently.
   mutable std::mutex mutex_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;

@@ -35,38 +35,6 @@ void BisectUniform(const ShardExtent& node, int levels, int depth,
   BisectUniform(right, levels - 1, depth + 1, out);
 }
 
-void BisectMedian(const ShardExtent& node, std::vector<Real3>::iterator begin,
-                  std::vector<Real3>::iterator end, int levels, int depth,
-                  std::vector<ShardExtent>* out) {
-  if (levels == 0) {
-    out->push_back(node);
-    return;
-  }
-  const int axis = SplitAxis(depth);
-  real_t split;
-  if (begin == end) {
-    split = (Component(node.lower, axis) + Component(node.upper, axis)) / 2;
-  } else {
-    auto mid_it = begin + (end - begin) / 2;
-    std::nth_element(begin, mid_it, end, [axis](const Real3& a, const Real3& b) {
-      return Component(a, axis) < Component(b, axis);
-    });
-    // Clamp into the open interval so degenerate point sets (all agents on
-    // one coordinate) still produce non-inverted boxes.
-    split = std::clamp(Component(*mid_it, axis), Component(node.lower, axis),
-                       Component(node.upper, axis));
-  }
-  ShardExtent left = node;
-  ShardExtent right = node;
-  SetComponent(&left.upper, axis, split);
-  SetComponent(&right.lower, axis, split);
-  auto part_it = std::partition(begin, end, [axis, split](const Real3& p) {
-    return Component(p, axis) < split;
-  });
-  BisectMedian(left, begin, part_it, levels - 1, depth + 1, out);
-  BisectMedian(right, part_it, end, levels - 1, depth + 1, out);
-}
-
 int Levels(int num_shards) {
   if (num_shards < 1 || (num_shards & (num_shards - 1)) != 0) {
     throw std::invalid_argument("num_shards must be a power of two >= 1");
@@ -86,17 +54,6 @@ std::vector<ShardExtent> UniformShardExtents(const Real3& lower,
   std::vector<ShardExtent> extents;
   extents.reserve(num_shards);
   BisectUniform({lower, upper}, Levels(num_shards), 0, &extents);
-  return extents;
-}
-
-std::vector<ShardExtent> BalancedShardExtents(std::vector<Real3> positions,
-                                              const Real3& lower,
-                                              const Real3& upper,
-                                              int num_shards) {
-  std::vector<ShardExtent> extents;
-  extents.reserve(num_shards);
-  BisectMedian({lower, upper}, positions.begin(), positions.end(),
-               Levels(num_shards), 0, &extents);
   return extents;
 }
 

@@ -1,16 +1,11 @@
 // Axis-aligned spatial shard partitioning (src/shard/ support).
 //
-// The simulation volume is split into S disjoint axis-aligned boxes by
-// recursive bisection, S a power of two. The split axis cycles x -> y -> z
-// in the Morton bit-interleave order (spatial/morton.h), so the resulting
-// shard sequence is the first log2(S) levels of the Z-order octree walk the
-// agent-sorting path already uses -- shard locality and in-shard Morton
-// locality compose. Two split policies exist:
-//
-//  * UniformShardExtents: split at the spatial midpoint (volume-balanced).
-//  * BalancedShardExtents: split at the median agent coordinate
-//    (population-balanced; the periodic shard rebalance recomputes these
-//    from live positions).
+// The simulation volume is split into S disjoint axis-aligned boxes of
+// equal volume by recursive midpoint bisection, S a power of two. The split
+// axis cycles x -> y -> z in the Morton bit-interleave order
+// (spatial/morton.h), so the resulting shard sequence is the first log2(S)
+// levels of the Z-order octree walk the agent-sorting path already uses --
+// shard locality and in-shard Morton locality compose.
 //
 // Ownership is half-open: a shard owns positions with lower <= p < upper on
 // every axis; the globally-last slab on each axis additionally owns its
@@ -35,19 +30,10 @@ std::vector<ShardExtent> UniformShardExtents(const Real3& lower,
                                              const Real3& upper,
                                              int num_shards);
 
-/// Same recursion, but each split is placed at the median coordinate of the
-/// positions inside the node, so every shard ends up with (up to rounding)
-/// the same number of agents. `positions` is taken by value: the recursion
-/// reorders it in place (nth_element).
-std::vector<ShardExtent> BalancedShardExtents(std::vector<Real3> positions,
-                                              const Real3& lower,
-                                              const Real3& upper,
-                                              int num_shards);
-
 /// Index of the shard owning `position` under the half-open ownership rule,
 /// after clamping the position into the global box (agents may drift
 /// slightly outside it; the nearest shard adopts them). Extents must tile a
-/// box, as produced by the functions above.
+/// box, as UniformShardExtents produces.
 int LocateShard(const std::vector<ShardExtent>& extents,
                 const Real3& position);
 

@@ -554,9 +554,9 @@ TEST(SchedulerDagTest, SinkIsBetweenParallelRegionsAndTimingFolds) {
   const uint64_t iterations = 8;
   sim.Simulate(iterations);
   EXPECT_EQ(snapshots, static_cast<int>(iterations));
-  // After Fold the per-op counts must be exact -- one record per op per
-  // iteration, none lost to a shard -- also when the ScopedTimers fire on a
-  // lane thread's slot.
+  // The per-op counts must be exact -- one record per op per iteration,
+  // written straight into the map by the thread driving the Simulation --
+  // also when that thread is a lane on its own thread slot.
   const auto expect_counts = [&](Simulation* run) {
     const TimingAggregator* timing = run->GetTiming();
     EXPECT_EQ(timing->Count("agent_ops"), iterations);

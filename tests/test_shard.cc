@@ -1,10 +1,10 @@
 // Functional tests for the spatially-sharded engine (src/shard/): ghost
 // lifecycle across halo exchanges, ownership migration with uid remapping,
-// single-shard degeneration, and a multi-iteration migration churn run with
-// concurrent per-shard commits. Listed in BDM_TSAN_TESTS: sanitizer builds
-// run the churn under tsan with BDM_AUDIT_INTERVAL=1, so every iteration
-// passes both the per-shard ConsistencyAudit and the cross-shard
-// CheckShards.
+// single-shard degeneration, per-shard op timing, and a multi-iteration
+// migration churn run with concurrent per-shard commits. Listed in
+// BDM_TSAN_TESTS: sanitizer builds run the churn under tsan with
+// BDM_AUDIT_INTERVAL=1, so every iteration passes both the per-shard
+// ConsistencyAudit and the cross-shard CheckShards.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,14 +13,17 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "continuum/diffusion_grid.h"
 #include "core/cell.h"
 #include "core/consistency_audit.h"
 #include "core/resource_manager.h"
 #include "core/simulation.h"
+#include "core/timing.h"
 #include "io/agent_record.h"
 #include "io/checkpoint.h"
 #include "obs/metrics.h"
@@ -89,6 +92,19 @@ class DriftBehavior : public Behavior {
 
 BDM_REGISTER_BEHAVIOR(DriftBehavior);
 
+/// Deposits into the active shard's "oxygen" grid every step; stateless, so
+/// it migrates with its agent unchanged.
+class SecreteOxygen : public Behavior {
+ public:
+  void Run(Agent* agent, ExecutionContext*) override {
+    DiffusionGrid* grid = Simulation::GetActive()->GetDiffusionGrid("oxygen");
+    grid->IncreaseConcentrationBy(agent->GetPosition(), real_t{0.05});
+  }
+  Behavior* NewCopy() const override { return new SecreteOxygen(*this); }
+};
+
+BDM_REGISTER_BEHAVIOR(SecreteOxygen);
+
 Param ShardParam() {
   Param param;
   param.num_threads = 4;
@@ -121,25 +137,6 @@ TEST(ShardPartitionTest, UniformExtentsTileTheVolume) {
   EXPECT_NO_THROW(spatial::LocateShard(extents, {0, 50, 100}));
   // Out-of-volume positions clamp to the nearest shard instead of throwing.
   EXPECT_NO_THROW(spatial::LocateShard(extents, {-5, 50, 105}));
-}
-
-TEST(ShardPartitionTest, BalancedExtentsEqualizePopulation) {
-  std::vector<Real3> positions;
-  for (uint64_t i = 0; i < 256; ++i) {
-    // Strongly skewed cluster in one corner.
-    positions.push_back({static_cast<real_t>(SplitMix64(i) % 250) / 10,
-                         static_cast<real_t>(SplitMix64(i + 31) % 250) / 10,
-                         static_cast<real_t>(SplitMix64(i + 77) % 250) / 10});
-  }
-  const auto extents =
-      spatial::BalancedShardExtents(positions, {0, 0, 0}, {100, 100, 100}, 4);
-  std::vector<int> counts(4, 0);
-  for (const auto& p : positions) {
-    ++counts[spatial::LocateShard(extents, p)];
-  }
-  for (int s = 0; s < 4; ++s) {
-    EXPECT_NEAR(counts[s], 64, 2) << "shard " << s;
-  }
 }
 
 TEST(ShardedSimulationTest, SingleShardHasNoExchange) {
@@ -192,6 +189,47 @@ TEST(ShardedSimulationTest, ObservabilityJsonReportsEveryShard) {
   EXPECT_NE(text.find("\"shard/migrations\""), std::string::npos);
   EXPECT_NE(text.find("\"gauges\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(ShardedSimulationTest, EveryShardTimesItsOwnOps) {
+  // Each shard's TimingAggregator has one writer: the lane stepping that
+  // shard runs its ops' timers, and the main thread times its field step
+  // after the lanes join. Every due op and the field step must be counted
+  // once per iteration in every shard; a tsan build checks the writes race
+  // with nothing.
+  const uint64_t iterations = 6;
+  for (int num_shards : {2, 4}) {
+    ShardedSimulation sim("timed", ShardParam(), {0, 0, 0}, {100, 100, 100},
+                          num_shards);
+    sim.AddDiffusionGrid([] {
+      auto grid = std::make_unique<DiffusionGrid>(
+          "oxygen", /*diffusion_coefficient=*/40, /*decay=*/0, 16);
+      grid->SetBoundaryCondition(DiffusionGrid::BoundaryCondition::kClosed);
+      return grid;
+    });
+    for (uint64_t i = 0; i < 200; ++i) {
+      const Real3 position{
+          static_cast<real_t>(1 + (i * 2654435761ull) % 98),
+          static_cast<real_t>(1 + (i * 40503ull + 7) % 98),
+          static_cast<real_t>(1 + (i * 69069ull + 13) % 98)};
+      auto* cell = new Cell(position, 8);
+      cell->AddBehavior(new DriftBehavior(i));
+      cell->AddBehavior(new SecreteOxygen());
+      sim.AddAgent(cell);
+    }
+    sim.Simulate(iterations);
+    for (int s = 0; s < num_shards; ++s) {
+      const TimingAggregator* timing = sim.GetShard(s)->sim()->GetTiming();
+      for (const char* name : {"environment_update", "agent_ops",
+                               "mechanical_forces", "commit",
+                               "diffusion/oxygen"}) {
+        EXPECT_EQ(timing->Count(name), iterations)
+            << "S=" << num_shards << " shard " << s << " " << name;
+      }
+      EXPECT_GT(timing->GrandTotalSeconds(), 0)
+          << "S=" << num_shards << " shard " << s;
+    }
+  }
 }
 
 TEST(ShardTraceTest, LaneTraceIsWellFormedAndNamesShardLaneTracks) {

@@ -4,9 +4,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
+#include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace bdm {
 namespace {
@@ -210,6 +216,25 @@ INSTANTIATE_TEST_SUITE_P(Shapes, PoolShapes,
                                            std::pair{3, 1}, std::pair{12, 2},
                                            std::pair{24, 4}));
 
+TEST(NumaThreadPoolTest, SlabImbalanceCountsOnlyBusyWorkers) {
+  // 2 rows over 16 slabs on 4 workers: two workers get a non-empty slab.
+  // Both sleep the same time, so the busy-only max/mean reads about 1; a
+  // mean that counted the two idle workers would read at least 2.
+  MetricsRegistry::SetEnabled(true);
+  MetricsRegistry::Get().Reset();
+  NumaThreadPool pool(Topology(4, 1));
+  ASSERT_EQ(pool.NumLogicalSlabs(), 16);
+  pool.RunLogicalSlabs(2, [](int64_t lo, int64_t hi, int) {
+    if (lo < hi) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  });
+  const double imbalance =
+      MetricsRegistry::Get().GaugeValue("sched.slab_imbalance");
+  EXPECT_GE(imbalance, 1.0);
+  EXPECT_LT(imbalance, 1.5);
+}
+
 // --- nested invocations ------------------------------------------------------
 // A job running on a pool worker may itself call into the pool (e.g. an
 // agent operation that triggers a parallel commit). The nested call must
@@ -252,27 +277,44 @@ TEST(NumaThreadPoolNestedTest, NestedParallelForCoversRangePerCaller) {
   }
 }
 
-TEST(NumaThreadPoolNestedTest, NestedRunSlabsKeepsSlabIds) {
-  NumaThreadPool pool(Topology(4, 2));
-  const auto slabs = pool.MakeSlabPartition(0, 1000);
-  std::atomic<int64_t> covered{0};
-  std::atomic<int> bad_tid{0};
-  pool.Run([&](int tid) {
-    if (tid != 0) {
-      return;  // one caller is enough; the others stay busy-idle
-    }
-    pool.RunSlabs(slabs, [&](int64_t lo, int64_t hi, int slab_tid) {
-      // Callers key per-thread buffers on the reported tid, so the serial
-      // fallback must report the slab's owner, not the calling worker.
-      if (slab_tid < 0 || slab_tid >= 4 ||
-          lo != slabs.bounds[slab_tid] || hi != slabs.bounds[slab_tid + 1]) {
-        bad_tid.fetch_add(1);
+TEST(NumaThreadPoolNestedTest, NestedRunLogicalSlabsKeepsSlabIds) {
+  // Callers key per-slab buffers on the reported slab, so the serial
+  // fallback inside a worker must report each slab under its own id and
+  // bounds, not the calling worker's.
+  for (const auto& [threads, domains, slabs] :
+       {std::tuple{4, 2, 16}, std::tuple{3, 1, 18}}) {
+    NumaThreadPool pool(Topology(threads, domains));
+    const int k = pool.NumLogicalSlabs();
+    ASSERT_EQ(k, slabs);
+    const int64_t count = 1000;
+    std::vector<std::atomic<int>> slab_runs(k);
+    std::vector<std::atomic<int>> row_runs(count);
+    std::atomic<int> bad{0};
+    pool.Run([&](int tid) {
+      if (tid != 0) {
+        return;  // one caller is enough; the others stay busy-idle
       }
-      covered.fetch_add(hi - lo);
+      pool.RunLogicalSlabs(count, [&](int64_t lo, int64_t hi, int slab) {
+        if (slab < 0 || slab >= k ||
+            lo != pool.LogicalSlabBegin(count, slab) ||
+            hi != pool.LogicalSlabBegin(count, slab + 1)) {
+          bad.fetch_add(1);
+          return;
+        }
+        slab_runs[slab].fetch_add(1);
+        for (int64_t i = lo; i < hi; ++i) {
+          row_runs[i].fetch_add(1);
+        }
+      });
     });
-  });
-  EXPECT_EQ(bad_tid.load(), 0);
-  EXPECT_EQ(covered.load(), 1000);
+    EXPECT_EQ(bad.load(), 0) << threads;
+    for (int s = 0; s < k; ++s) {
+      EXPECT_EQ(slab_runs[s].load(), 1) << threads << " threads, slab " << s;
+    }
+    for (int64_t i = 0; i < count; ++i) {
+      ASSERT_EQ(row_runs[i].load(), 1) << threads << " threads, row " << i;
+    }
+  }
 }
 
 }  // namespace
